@@ -23,10 +23,8 @@ from .additive import (
     crt_join,
     crt_join_letter,
     crt_split,
-    crt_split_letter,
     decompose_crt,
     enumerate_additive_rules,
-    is_equicontinuous_additive,
     is_sensitive_additive,
     is_surjective_additive,
     permutative_power,
@@ -35,25 +33,19 @@ from .additive import (
     report_to_json,
 )
 from .configs import (
-    Below,
     Config,
     ConfigSpecError,
     CyclicConfig,
     EpConfig,
-    ProductConfig,
-    canonicalize_ep,
     equals,
     is_spatially_periodic,
     join_letterwise,
     map_letters,
-    metric_distance,
     parse_config,
     primitive_root,
     product_config,
-    product_metric_distance,
     render_config,
     shift,
-    split_product_config,
     value_at,
 )
 from .engine import (
@@ -102,7 +94,6 @@ from .rules import (
     canonicalize_table,
     compose_additive,
     compose_table,
-    decode_word,
     encode_word,
     essential_span,
     identity_rule,
@@ -111,7 +102,6 @@ from .rules import (
     parse_rule_spec,
     power_additive,
     render_rule_spec,
-    same_global_map,
     table_from_additive,
 )
 

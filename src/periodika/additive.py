@@ -45,28 +45,26 @@ def prime_power_factorization(m: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
+def _coefficient_gcd(rule: AdditiveRule) -> int:
+    return gcd(rule.modulus, *rule.coeffs.values())
+
+
 def is_surjective_additive(rule: AdditiveRule) -> bool:
-    g = rule.modulus
-    for c in rule.coeffs.values():
-        g = gcd(g, c)
-    return g == 1
+    return _coefficient_gcd(rule) == 1
 
 
 def off_center_gcd(rule: AdditiveRule) -> int:
-    g = 0
-    for j, c in rule.coeffs.items():
-        if j != 0:
-            g = gcd(g, c)
-    return g
+    return gcd(*(c for j, c in rule.coeffs.items() if j != 0))
+
+
+def _sensitivity_witness(rule: AdditiveRule) -> int | None:
+    """Least prime of the modulus that misses the off-center gcd, if any."""
+    g = off_center_gcd(rule)
+    return next((p for p, _ in prime_power_factorization(rule.modulus) if g % p != 0), None)
 
 
 def is_sensitive_additive(rule: AdditiveRule) -> bool:
-    g = off_center_gcd(rule)
-    return any(g % p != 0 for p, _ in prime_power_factorization(rule.modulus))
-
-
-def is_equicontinuous_additive(rule: AdditiveRule) -> bool:
-    return not is_sensitive_additive(rule)
+    return _sensitivity_witness(rule) is not None
 
 
 @dataclass(frozen=True)
@@ -89,10 +87,6 @@ def decompose_crt(rule: AdditiveRule) -> tuple[PrimePowerFactor, ...]:
         reduced = AdditiveRule(q, rule.radius, {j: c % q for j, c in rule.coeffs.items()})
         factors.append(PrimePowerFactor(p, k, reduced))
     return tuple(factors)
-
-
-def crt_split_letter(c: int, moduli: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(c % q for q in moduli)
 
 
 def crt_join_letter(residues: tuple[int, ...], moduli: tuple[int, ...]) -> int:
@@ -237,19 +231,15 @@ def classify_additive(rule: AdditiveRule, h_max: int | None = None) -> Classific
     are reported false because both imply surjectivity, and the strict
     temporal periodicity verdict is left unknown.
     """
-    g = rule.modulus
-    for c in rule.coeffs.values():
-        g = gcd(g, c)
+    g = _coefficient_gcd(rule)
     surjective = g == 1
-    off_g = off_center_gcd(rule)
-    primes = [p for p, _ in prime_power_factorization(rule.modulus)]
-    witness = next((p for p in primes if off_g % p != 0), None)
+    witness = _sensitivity_witness(rule)
     sensitive = witness is not None
     certificates: dict = {
         "surjectivity": {"criterion": "gcd of modulus and coefficients", "gcd": g},
         "sensitivity": {
             "criterion": "some prime of the modulus misses the off-center gcd",
-            "off_center_gcd": off_g,
+            "off_center_gcd": off_center_gcd(rule),
             "witness_prime": witness,
         },
     }

@@ -20,7 +20,6 @@ denote.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
 
 
@@ -149,15 +148,6 @@ class EpConfig:
 Config = CyclicConfig | EpConfig
 
 
-def canonicalize_ep(x: EpConfig) -> EpConfig:
-    """Canonical form of an eventually periodic configuration.
-
-    Constructors already canonicalise, so this rebuild is the identity on
-    well-formed values; it exists to make the normalisation explicit.
-    """
-    return EpConfig(x.alphabet_size, x.left, x.mid, x.right, x.start)
-
-
 def value_at(x: Config, i: int) -> int:
     """Letter at coordinate ``i``."""
     if isinstance(x, CyclicConfig):
@@ -196,28 +186,6 @@ def equals(x: Config, y: Config) -> bool:
     if type(x) is type(y):
         return x == y
     return _as_ep(x) == _as_ep(y)
-
-
-@dataclass(frozen=True)
-class Below:
-    """Distance marker: the metric value is at most ``2**-depth``."""
-
-    depth: int
-
-
-def metric_distance(x: Config, y: Config, depth: int = 64) -> Fraction | Below:
-    """Cantor-metric distance ``2**-min{ |i| : x_i != y_i }``, exactly.
-
-    Returns ``Fraction(0)`` when the configurations are equal, the exact
-    dyadic distance when they first differ within ``depth`` coordinates of
-    the origin, and ``Below(depth)`` otherwise.
-    """
-    if equals(x, y):
-        return Fraction(0)
-    for n in range(depth):
-        if value_at(x, n) != value_at(y, n) or value_at(x, -n) != value_at(y, -n):
-            return Fraction(1, 2**n)
-    return Below(depth)
 
 
 def map_letters(x: Config, fn, alphabet_size: int) -> Config:
@@ -267,44 +235,11 @@ def join_letterwise(components, fn, alphabet_size: int) -> Config:
     return EpConfig(alphabet_size, left, mid, right, start)
 
 
-@dataclass(frozen=True)
-class ProductConfig:
-    """Pair of configurations evolving under a product rule."""
-
-    first: Config
-    second: Config
-
-    def fused(self) -> Config:
-        """Single configuration over the product alphabet ``a*k2 + b``."""
-        return product_config(self.first, self.second)
-
-
 def product_config(x: Config, y: Config) -> Config:
     k2 = y.alphabet_size
     return join_letterwise(
         (x, y), lambda a, b: a * k2 + b, x.alphabet_size * k2
     )
-
-
-def split_product_config(z: Config, k1: int, k2: int) -> ProductConfig:
-    if z.alphabet_size != k1 * k2:
-        raise ValueError("alphabet mismatch")
-    first = map_letters(z, lambda c: c // k2, k1)
-    second = map_letters(z, lambda c: c % k2, k2)
-    return ProductConfig(first, second)
-
-
-def product_metric_distance(a: ProductConfig, b: ProductConfig, depth: int = 64):
-    """Max (sup) metric on pairs: ``max(d(first), d(second))``."""
-    d1 = metric_distance(a.first, b.first, depth)
-    d2 = metric_distance(a.second, b.second, depth)
-    if isinstance(d1, Below) and isinstance(d2, Below):
-        return Below(min(d1.depth, d2.depth))
-    if isinstance(d1, Below):
-        return d1 if d2 <= Fraction(1, 2**d1.depth) else d2
-    if isinstance(d2, Below):
-        return d2 if d1 <= Fraction(1, 2**d2.depth) else d1
-    return max(d1, d2)
 
 
 def _word_to_text(word) -> str:

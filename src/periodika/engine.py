@@ -12,61 +12,42 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .configs import Config, CyclicConfig, EpConfig, value_at
-from .rules import TableRule
+from .rules import TableRule, _image
+
+
+def _cyclic_image(rule: TableRule, word) -> list[int]:
+    """One step of the spatially periodic configuration repeating ``word``
+    from coordinate 0, read over coordinates ``0 .. len(word) - 1``."""
+    n, lo = len(word), rule.offset - rule.radius
+    cells = [word[i % n] for i in range(lo, lo + n + rule.width - 1)]
+    return _image(rule.table, rule.alphabet_size, rule.width, cells)
 
 
 def step_cyclic(rule: TableRule, x: CyclicConfig) -> CyclicConfig:
     if rule.alphabet_size != x.alphabet_size:
         raise ValueError("alphabet mismatch")
-    k = rule.alphabet_size
-    lo = rule.offset - rule.radius
-    width = rule.width
-    word, n = x.word, len(x.word)
-    table = rule.table
-    out = []
-    for i in range(n):
-        idx = 0
-        for t in range(width):
-            idx = idx * k + word[(i + lo + t) % n]
-        out.append(table[idx])
-    return CyclicConfig(k, tuple(out), 0)
+    return CyclicConfig(x.alphabet_size, tuple(_cyclic_image(rule, x.word)))
 
 
 def step_ep(rule: TableRule, x: EpConfig) -> EpConfig:
     if rule.alphabet_size != x.alphabet_size:
         raise ValueError("alphabet mismatch")
-    k = rule.alphabet_size
-    r, o = rule.radius, rule.offset
-    lo = o - r
-    width = rule.width
-    table = rule.table
+    r = rule.radius
     left, right = x.left, x.right
     ell, rho = len(left), len(right)
-    start, end = x.start, x.end
-
-    def image_left(i):
-        idx = 0
-        for t in range(width):
-            idx = idx * k + left[(i + lo + t - start) % ell]
-        return table[idx]
-
-    def image_right(i):
-        idx = 0
-        for t in range(width):
-            idx = idx * k + right[(i + lo + t - end) % rho]
-        return table[idx]
-
-    new_start = start - o - r
-    new_end = end - o + r
-    new_left = tuple(image_left(new_start - ell + j) for j in range(ell))
-    new_right = tuple(image_right(new_end + j) for j in range(rho))
-    mid = []
-    for i in range(new_start, new_end):
-        idx = 0
-        for t in range(width):
-            idx = idx * k + value_at(x, i + lo + t)
-        mid.append(table[idx])
-    return EpConfig(k, new_left, tuple(mid), new_right, new_start)
+    # Cells start - 2r - ell .. end + 2r + rho - 1; the image then covers the
+    # new left tail period, the new mid and the new right tail period.
+    cells = [left[i % ell] for i in range(-2 * r - ell, 0)]
+    cells += x.mid
+    cells += [right[i % rho] for i in range(2 * r + rho)]
+    img = _image(rule.table, x.alphabet_size, rule.width, cells)
+    return EpConfig(
+        x.alphabet_size,
+        tuple(img[:ell]),
+        tuple(img[ell : len(img) - rho]),
+        tuple(img[len(img) - rho :]),
+        x.start - rule.offset - r,
+    )
 
 
 def step(rule: TableRule, x: Config) -> Config:

@@ -9,14 +9,13 @@ tables of rule powers.  Both are exact-or-Unknown; neither ever guesses.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .rules import (
     ResourceCapError,
     TableRule,
     canonicalize_table,
     compose_table,
-    decode_word,
-    encode_word,
     identity_rule,
     pad_table,
 )
@@ -116,10 +115,8 @@ def product_rule(f: TableRule, g: TableRule, max_cells: int = 250_000) -> TableR
         raise ResourceCapError("product table too large")
     fp = pad_table(f, radius, 0)
     gp = pad_table(g, radius, 0)
-    table = []
-    for idx in range(k**width):
-        word = decode_word(idx, k, width)
-        fa = fp.table[encode_word((d // kg for d in word), kf)]
-        gb = gp.table[encode_word((d % kg for d in word), kg)]
-        table.append(fa * kg + gb)
-    return TableRule(k, radius, tuple(table))
+    table = tuple(
+        fp(d // kg for d in word) * kg + gp(d % kg for d in word)
+        for word in product(range(k), repeat=width)
+    )
+    return TableRule(k, radius, table)

@@ -42,7 +42,7 @@ from .configs import (
     product_config,
     value_at,
 )
-from .engine import CycleResult, CycleTimeout, step, temporal_cycle
+from .engine import CycleResult, CycleTimeout, _cyclic_image, step, temporal_cycle
 from .oracles import (
     EquicontinuityCert,
     equicontinuity_oracle,
@@ -54,9 +54,9 @@ from .rules import (
     NotSurjectiveError,
     ResourceCapError,
     TableRule,
+    _fibres,
     canonicalize_table,
     compose_table,
-    decode_word,
     encode_word,
     essential_span,
     identity_rule,
@@ -99,19 +99,8 @@ def jointly_periodic_points(
     states = k**n
     if states > max_states:
         raise ResourceCapError(f"{states} words of length {n} exceed the census cap")
-    lo = rule.offset - rule.radius
-    width = rule.width
-    table = rule.table
-    succ = []
-    for idx in range(states):
-        word = decode_word(idx, k, n)
-        out = []
-        for i in range(n):
-            val = 0
-            for t in range(width):
-                val = val * k + word[(i + lo + t) % n]
-            out.append(table[val])
-        succ.append(encode_word(out, k))
+    # product() yields the words in index order
+    succ = [encode_word(_cyclic_image(rule, w), k) for w in product(range(k), repeat=n)]
     done = bytearray(states)
     cycle_period: dict[int, int] = {}
     for s in range(states):
@@ -132,10 +121,11 @@ def jointly_periodic_points(
         for node in path:
             done[node] = 1
     points: dict[CyclicConfig, int] = {}
-    for idx, t in cycle_period.items():
-        if t > t_max:
+    for idx, w in enumerate(product(range(k), repeat=n)):
+        t = cycle_period.get(idx)
+        if t is None or t > t_max:
             continue
-        cfg = CyclicConfig(k, decode_word(idx, k, n))
+        cfg = CyclicConfig(k, w)
         prev = points.get(cfg)
         if prev is None:
             points[cfg] = t
@@ -292,13 +282,18 @@ def stp_witness(
     The witness is re-verified by stepping the engine ``t`` more times and
     comparing canonical forms, independently of the cycle detection.
     """
-    k = rule.alphabet_size
     u = tuple(u)
     if not u:
         raise ValueError("seed word must be nonempty")
     if not surjectivity_oracle(rule):
         raise NotSurjectiveError("witness construction requires a surjective rule")
-    y = EpConfig(k, cert.word, u, cert.word, 0)
+    return _seeded_witness(rule, cert.word, u, t_max, max_mid)
+
+
+def _seeded_witness(rule: TableRule, background, u, t_max: int, max_mid: int = 10_000):
+    """The witness search of ``stp_witness`` over the background word
+    ``background``, for a rule already known to be surjective."""
+    y = EpConfig(rule.alphabet_size, background, u, background, 0)
     if is_spatially_periodic(y):
         raise DegenerateUError(
             "seed word dissolves into the background word; pick u that breaks the tail pattern"
@@ -336,8 +331,7 @@ def stp_witness_additive(rule: AdditiveRule, t_max: int = 64) -> StpWitness | Wi
         )
     moduli = tuple(f.modulus for f in factors)
     u_letter = crt_join_letter(tuple(1 if fl else 0 for fl in flags), moduli)
-    seed = BlockingCert((0,), 0, max(rule.radius, 1), 0, 0, BlockingStatus.BOUNDED_VERIFIED)
-    return stp_witness(table_from_additive(rule), seed, (u_letter,), t_max)
+    return _seeded_witness(table_from_additive(rule), (0,), (u_letter,), t_max)
 
 
 # ---------------------------------------------------------------------------
@@ -362,16 +356,8 @@ class ScanResult:
 def _bijective_at(rule: TableRule, pos: int) -> bool:
     """Whether the table is bijective in the window variable at absolute
     position ``pos`` for every assignment of the other variables."""
-    k, width = rule.alphabet_size, rule.width
-    idx = pos - (rule.offset - rule.radius)
-    stride = k ** (width - 1 - idx)
-    table = rule.table
-    block = stride * k
-    for base in range(0, len(table), block):
-        for low in range(base, base + stride):
-            if len({table[low + t * stride] for t in range(k)}) != k:
-                return False
-    return True
+    k = rule.alphabet_size
+    return all(n == k for n in _fibres(rule, pos - (rule.offset - rule.radius)))
 
 
 def _drift_sides(rule: TableRule) -> tuple[int | None, int | None]:

@@ -18,9 +18,9 @@ Wolfram numbering for ``k=2, r=1``.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass, field
+from itertools import product
 
 
 class RuleSpecError(ValueError):
@@ -33,6 +33,29 @@ class NotSurjectiveError(ValueError):
 
 class ResourceCapError(RuntimeError):
     """Raised when an exact computation would exceed its resource cap."""
+
+
+MAX_TABLE_ENTRIES = 2_000_000
+
+
+def _table_size(alphabet_size: int, width: int) -> int:
+    """``alphabet_size ** width``, refused before any table of that size is built."""
+    # alphabet_size >= 2, so the bit-length test bounds width before the power is taken
+    if width >= MAX_TABLE_ENTRIES.bit_length() or alphabet_size**width > MAX_TABLE_ENTRIES:
+        raise ResourceCapError(
+            f"a table of {alphabet_size}^{width} entries exceeds the cap of {MAX_TABLE_ENTRIES}"
+        )
+    return alphabet_size**width
+
+
+def _image(table: tuple[int, ...], k: int, width: int, cells) -> list[int]:
+    """Outputs of a window rule on a finite letter sequence, one per full
+    window: entry ``i`` is ``table`` at the big-endian index of
+    ``cells[i : i + width]``."""
+    top = k ** (width - 1)
+    idx = 0
+    # the first width - 1 lookups read incomplete windows and are dropped
+    return [table[idx := idx % top * k + a] for a in cells][width - 1 :]
 
 
 def _validate_letters(letters, alphabet_size, what):
@@ -90,12 +113,14 @@ class TableRule:
         """
         if alphabet_size < 2 or radius < 0:
             raise ValueError("need alphabet_size >= 2 and radius >= 0")
-        entries = alphabet_size ** (2 * radius + 1)
-        limit = alphabet_size ** entries
-        if not 0 <= code < limit:
-            raise ValueError(f"rule code {code} outside 0..{limit - 1}")
-        table = tuple((code // alphabet_size**v) % alphabet_size for v in range(entries))
-        return cls(alphabet_size, radius, table)
+        entries = _table_size(alphabet_size, 2 * radius + 1)
+        table, rest = [], code
+        for _ in range(entries):
+            rest, a = divmod(rest, alphabet_size)
+            table.append(a)
+        if code < 0 or rest:
+            raise ValueError(f"rule code {code} outside 0..{alphabet_size**entries - 1}")
+        return cls(alphabet_size, radius, tuple(table))
 
     def wolfram_code(self) -> int:
         if self.offset != 0:
@@ -109,14 +134,6 @@ def encode_word(word, alphabet_size: int) -> int:
     for a in word:
         idx = idx * alphabet_size + a
     return idx
-
-
-def decode_word(idx: int, alphabet_size: int, length: int) -> tuple[int, ...]:
-    out = []
-    for _ in range(length):
-        out.append(idx % alphabet_size)
-        idx //= alphabet_size
-    return tuple(reversed(out))
 
 
 def identity_rule(alphabet_size: int) -> TableRule:
@@ -175,12 +192,12 @@ def table_from_additive(rule: AdditiveRule) -> TableRule:
     """Expand an additive rule into an explicit table over Z_m."""
     m, r = rule.modulus, rule.radius
     width = 2 * r + 1
+    _table_size(m, width)
     dense = rule.coefficient_list()
-    table = []
-    for idx in range(m**width):
-        word = decode_word(idx, m, width)
-        table.append(sum(c * a for c, a in zip(dense, word)) % m)
-    return TableRule(m, r, tuple(table))
+    table = tuple(
+        sum(c * a for c, a in zip(dense, word)) % m for word in product(range(m), repeat=width)
+    )
+    return TableRule(m, r, table)
 
 
 def compose_additive(f: AdditiveRule, g: AdditiveRule) -> AdditiveRule:
@@ -211,30 +228,23 @@ def power_additive(f: AdditiveRule, h: int) -> AdditiveRule:
     return acc
 
 
+def _fibres(rule: TableRule, j: int):
+    """For each assignment of the window positions other than ``j`` (0-based,
+    left to right), the number of distinct outputs as position ``j`` runs
+    over the alphabet."""
+    k, table = rule.alphabet_size, rule.table
+    stride = k ** (rule.width - 1 - j)
+    block = stride * k
+    return (
+        len(set(table[low : low + block : stride]))
+        for base in range(0, len(table), block)
+        for low in range(base, base + stride)
+    )
+
+
 def _essential_positions(rule: TableRule) -> list[int]:
     """Window positions (0-based, left to right) the table depends on."""
-    k, width = rule.alphabet_size, rule.width
-    table = rule.table
-    total = len(table)
-    essential = []
-    for j in range(width):
-        stride = k ** (width - 1 - j)
-        block = stride * k
-        found = False
-        for base in range(0, total, block):
-            for low in range(base, base + stride):
-                first = table[low]
-                for t in range(1, k):
-                    if table[low + t * stride] != first:
-                        found = True
-                        break
-                if found:
-                    break
-            if found:
-                break
-        if found:
-            essential.append(j)
-    return essential
+    return [j for j in range(rule.width) if any(n > 1 for n in _fibres(rule, j))]
 
 
 def essential_span(rule: TableRule) -> tuple[int, int] | None:
@@ -246,6 +256,27 @@ def essential_span(rule: TableRule) -> tuple[int, int] | None:
     return (lo + ess[0], lo + ess[-1])
 
 
+def _rewindow(rule: TableRule, radius: int, offset: int) -> TableRule:
+    """``rule`` re-expressed over the window ``offset +- radius``.
+
+    Positions of the new window outside the old one are ignored; positions
+    of the old window outside the new one read as letter 0.
+    """
+    k = rule.alphabet_size
+    old_lo, old_hi = rule.window
+    lo, hi = offset - radius, offset + radius
+    keep_lo, keep_hi = max(lo, old_lo), min(hi, old_hi)
+    # new index -> drop the ignored right positions, keep the shared ones,
+    # append zeros for the old right positions
+    new_right = k ** (hi - keep_hi)
+    kept = k ** (keep_hi - keep_lo + 1)
+    old_right = k ** (old_hi - keep_hi)
+    old = rule.table
+    size = _table_size(k, 2 * radius + 1)
+    table = tuple(old[idx // new_right % kept * old_right] for idx in range(size))
+    return TableRule(k, radius, table, offset)
+
+
 def canonicalize_table(rule: TableRule) -> TableRule:
     """Minimal-window form of a table rule.
 
@@ -255,29 +286,14 @@ def canonicalize_table(rule: TableRule) -> TableRule:
     Two table rules induce the same global map iff their canonical forms
     are identical.
     """
-    k = rule.alphabet_size
     span = essential_span(rule)
     if span is None:
-        return TableRule(k, 0, (rule.table[0],) * k)
+        return TableRule(rule.alphabet_size, 0, (rule.table[0],) * rule.alphabet_size)
     lo, hi = span
     if (hi - lo) % 2 == 1:
         hi += 1
     new_r = (hi - lo) // 2
-    new_o = lo + new_r
-    old_lo, old_hi = rule.window
-    new_width = 2 * new_r + 1
-    table = []
-    for idx in range(k**new_width):
-        word = decode_word(idx, k, new_width)
-        old_word = tuple(
-            word[p - lo] if lo <= p <= hi else 0 for p in range(old_lo, old_hi + 1)
-        )
-        table.append(rule.table[encode_word(old_word, k)])
-    return TableRule(k, new_r, tuple(table), new_o)
-
-
-def same_global_map(a: TableRule, b: TableRule) -> bool:
-    return canonicalize_table(a) == canonicalize_table(b)
+    return _rewindow(rule, new_r, lo + new_r)
 
 
 def pad_table(rule: TableRule, radius: int, offset: int = 0) -> TableRule:
@@ -286,17 +302,9 @@ def pad_table(rule: TableRule, radius: int, offset: int = 0) -> TableRule:
     The new window must contain the old one.
     """
     old_lo, old_hi = rule.window
-    new_lo, new_hi = offset - radius, offset + radius
-    if new_lo > old_lo or new_hi < old_hi:
+    if offset - radius > old_lo or offset + radius < old_hi:
         raise ValueError("padded window must contain the original window")
-    k = rule.alphabet_size
-    width = 2 * radius + 1
-    table = []
-    for idx in range(k**width):
-        word = decode_word(idx, k, width)
-        sub = word[old_lo - new_lo : old_hi - new_lo + 1]
-        table.append(rule.table[encode_word(sub, k)])
-    return TableRule(k, radius, tuple(table), offset)
+    return _rewindow(rule, radius, offset)
 
 
 def compose_table(f: TableRule, g: TableRule) -> TableRule:
@@ -305,19 +313,13 @@ def compose_table(f: TableRule, g: TableRule) -> TableRule:
         raise ValueError("cannot compose rules over different alphabets")
     k = f.alphabet_size
     radius = f.radius + g.radius
-    offset = f.offset + g.offset
     width = 2 * radius + 1
-    comb_lo = offset - radius
-    g_lo, g_width = g.offset - g.radius, g.width
-    table = []
-    for idx in range(k**width):
-        word = decode_word(idx, k, width)
-        inner = []
-        for p in range(f.offset - f.radius, f.offset + f.radius + 1):
-            start = p + g_lo - comb_lo
-            inner.append(g.table[encode_word(word[start : start + g_width], k)])
-        table.append(f.table[encode_word(inner, k)])
-    return TableRule(k, radius, tuple(table), offset)
+    _table_size(k, width)
+    ft, fw, gt, gw = f.table, f.width, g.table, g.width
+    table = tuple(
+        _image(ft, k, fw, _image(gt, k, gw, word))[0] for word in product(range(k), repeat=width)
+    )
+    return TableRule(k, radius, table, f.offset + g.offset)
 
 
 @dataclass(frozen=True)
@@ -328,21 +330,8 @@ class Permutativity:
 
 def is_permutative(rule: TableRule) -> Permutativity:
     """Whether the table is bijective in its leftmost / rightmost variable."""
-    k, width = rule.alphabet_size, rule.width
-    table = rule.table
-
-    def bijective(stride: int) -> bool:
-        block = stride * k
-        for base in range(0, len(table), block):
-            for low in range(base, base + stride):
-                seen = {table[low + t * stride] for t in range(k)}
-                if len(seen) != k:
-                    return False
-        return True
-
-    left = bijective(k ** (width - 1))
-    right = bijective(1) if width > 1 else left
-    return Permutativity(left, right)
+    k = rule.alphabet_size
+    return Permutativity(*(all(n == k for n in _fibres(rule, j)) for j in (0, rule.width - 1)))
 
 
 _ADDITIVE_RE = re.compile(r"^m=(\d+);r=(\d+);c=(-?\d+(?:,-?\d+)*)$")
@@ -407,10 +396,3 @@ def render_rule_spec(rule: TableRule | AdditiveRule) -> str:
         c = ",".join(str(v) for v in rule.coefficient_list())
         return f"additive:m={rule.modulus};r={rule.radius};c={c}"
     return f"wolfram:{rule.wolfram_code()};k={rule.alphabet_size};r={rule.radius}"
-
-
-def gcd_all(values, start: int = 0) -> int:
-    g = start
-    for v in values:
-        g = math.gcd(g, v)
-    return g

@@ -21,11 +21,9 @@ from periodika.additive import (
     crt_join,
     crt_join_letter,
     crt_split,
-    crt_split_letter,
     decompose_crt,
     enumerate_additive_rules,
     identity_power,
-    is_equicontinuous_additive,
     is_sensitive_additive,
     is_surjective_additive,
     off_center_gcd,
@@ -68,7 +66,6 @@ def test_sensitivity_examples():
     assert is_sensitive_additive(RULE90)
     assert not is_sensitive_additive(M4_RULE)
     assert is_sensitive_additive(M6_RULE)
-    assert is_equicontinuous_additive(M4_RULE)
 
 
 def test_off_center_gcd():
@@ -102,11 +99,10 @@ def test_decompose_crt_identity_mod_12():
 
 
 def test_crt_letter_round_trip():
-    assert crt_split_letter(5, (2, 3)) == (1, 2)
     assert crt_join_letter((1, 2), (2, 3)) == 5
     for m, moduli in ((6, (2, 3)), (12, (4, 3))):
         for c in range(m):
-            assert crt_join_letter(crt_split_letter(c, moduli), moduli) == c
+            assert crt_join_letter(tuple(c % q for q in moduli), moduli) == c
 
 
 def test_crt_join_letter_rejects_bad_residues():

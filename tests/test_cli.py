@@ -368,6 +368,19 @@ def test_exit_resource_on_huge_census(capsys):
     assert "resource cap:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "rule",
+    [
+        "additive:m=9;r=5;c=1,0,0,0,0,0,0,0,0,0,1",  # 9^11 table entries
+        "wolfram:0;k=10;r=5",  # 10^11 entries, rule codes up to 10^(10^11)
+    ],
+)
+def test_exit_resource_on_huge_table(capsys, rule):
+    argv = ["simulate", "--rule", rule, "--config", "cyclic:0", "--steps", "1"]
+    assert main(argv) == EXIT_RESOURCE
+    assert "resource cap:" in capsys.readouterr().err
+
+
 def test_exit_parse_on_unknown_command(capsys):
     assert main(["frobnicate"]) == EXIT_PARSE
     capsys.readouterr()

@@ -1,33 +1,26 @@
-"""Configuration representations: canonical forms, equality, shift, the
-Cantor metric, products, and literals."""
+"""Configuration representations: canonical forms, equality, shift,
+products, and literals."""
 
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from math import lcm
 
 import pytest
 
 from periodika.configs import (
-    Below,
     ConfigSpecError,
     CyclicConfig,
     EpConfig,
-    canonicalize_ep,
     equals,
     is_spatially_periodic,
     join_letterwise,
     map_letters,
-    metric_distance,
     parse_config,
     primitive_root,
     product_config,
-    product_metric_distance,
-    ProductConfig,
     render_config,
     shift,
-    split_product_config,
     value_at,
 )
 
@@ -99,11 +92,6 @@ def test_ep_rejects_empty_tails():
         EpConfig(2, (), (1,), (0,))
     with pytest.raises(ValueError):
         EpConfig(2, (0,), (1,), ())
-
-
-def test_canonicalize_ep_is_identity_on_constructed_values():
-    x = EpConfig(2, (0, 1), (1, 1), (0,), -2)
-    assert canonicalize_ep(x) == x
 
 
 def test_ep_construction_preserves_denotation():
@@ -200,45 +188,6 @@ def test_equals_across_classes():
 
 
 # ---------------------------------------------------------------------------
-# metric
-
-
-def test_metric_examples():
-    zero = CyclicConfig(2, (0,))
-    defect = EpConfig(2, (0,), (1,), (0,), 0)
-    assert metric_distance(zero, defect) == Fraction(1)
-    far = EpConfig(2, (0,), (1,), (0,), 2)
-    assert metric_distance(zero, far) == Fraction(1, 4)
-    assert metric_distance(zero, CyclicConfig(2, (0, 0))) == Fraction(0)
-
-
-def test_metric_below_marker():
-    zero = CyclicConfig(2, (0,))
-    distant = EpConfig(2, (0,), (1,), (0,), 100)
-    out = metric_distance(zero, distant, depth=5)
-    assert isinstance(out, Below) and out.depth == 5
-
-
-def test_metric_is_symmetric_and_ultrametric():
-    samples = [
-        CyclicConfig(2, (0,)),
-        CyclicConfig(2, (0, 1)),
-        EpConfig(2, (0,), (1,), (0,), 0),
-        EpConfig(2, (0,), (1, 1), (0,), -2),
-        EpConfig(2, (1,), (), (0,), 0),
-    ]
-    for x in samples:
-        for y in samples:
-            dxy = metric_distance(x, y)
-            assert dxy == metric_distance(y, x)
-            assert (dxy == 0) == equals(x, y)
-            for z in samples:
-                dxz = metric_distance(x, z)
-                dzy = metric_distance(z, y)
-                assert dxy <= max(dxz, dzy)
-
-
-# ---------------------------------------------------------------------------
 # letterwise maps and products
 
 
@@ -273,21 +222,8 @@ def test_product_split_round_trip():
     y = CyclicConfig(3, (0, 2))
     fused = product_config(x, y)
     assert fused.alphabet_size == 6
-    back = split_product_config(fused, 2, 3)
-    assert equals(back.first, x) and equals(back.second, y)
-    with pytest.raises(ValueError):
-        split_product_config(fused, 3, 3)
-
-
-def test_product_metric_is_the_max_metric():
-    x1 = CyclicConfig(2, (0,))
-    x2 = EpConfig(2, (0,), (1,), (0,), 1)
-    y1 = CyclicConfig(2, (0,))
-    a = ProductConfig(x1, y1)
-    b = ProductConfig(x2, y1)
-    assert product_metric_distance(a, b) == Fraction(1, 2)
-    same = product_metric_distance(a, a, depth=4)
-    assert same == Fraction(0)
+    assert equals(map_letters(fused, lambda c: c // 3, 2), x)
+    assert equals(map_letters(fused, lambda c: c % 3, 3), y)
 
 
 # ---------------------------------------------------------------------------

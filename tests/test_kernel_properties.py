@@ -1,0 +1,128 @@
+"""Property tests that pin the window kernel to definitions that do not use
+it: stepping, composition, padding, canonicalisation and the per-variable
+scans are each checked against a direct reading of the table through
+``encode_word`` and ``value_at``."""
+
+from __future__ import annotations
+
+from itertools import product
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from periodika.configs import CyclicConfig, EpConfig, equals, value_at
+from periodika.engine import step
+from periodika.periodicity import _bijective_at
+from periodika.rules import (
+    TableRule,
+    _essential_positions,
+    canonicalize_table,
+    compose_table,
+    encode_word,
+    is_permutative,
+    pad_table,
+)
+
+SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def table_rules(draw, k=None):
+    """Random rules over ``k`` letters that read only a random subset of
+    their window, so dummy variables and one-sided rules are common."""
+    if k is None:
+        k = draw(st.integers(2, 3))
+    radius = draw(st.integers(0, 2 if k == 2 else 1))
+    offset = draw(st.integers(-2, 2))
+    width = 2 * radius + 1
+    kept = [j for j in range(width) if draw(st.booleans())]
+    inner = draw(st.lists(st.integers(0, k - 1), min_size=k ** len(kept), max_size=k ** len(kept)))
+    table = tuple(
+        inner[encode_word([w[j] for j in kept], k)] for w in product(range(k), repeat=width)
+    )
+    return TableRule(k, radius, table, offset)
+
+
+def words(k, min_size, max_size):
+    return st.lists(st.integers(0, k - 1), min_size=min_size, max_size=max_size).map(tuple)
+
+
+def configs(k):
+    cyclic = st.builds(CyclicConfig, st.just(k), words(k, 1, 6), st.integers(-6, 6))
+    ep = st.builds(
+        EpConfig, st.just(k), words(k, 1, 3), words(k, 0, 5), words(k, 1, 3), st.integers(-5, 5)
+    )
+    return st.one_of(cyclic, ep)
+
+
+@st.composite
+def rule_and_config(draw):
+    rule = draw(table_rules())
+    return rule, draw(configs(rule.alphabet_size))
+
+
+def _coordinates(x, margin):
+    if isinstance(x, CyclicConfig):
+        return range(-margin, len(x.word) + margin)
+    return range(x.start - margin, x.end + margin)
+
+
+@SETTINGS
+@given(rule_and_config())
+def test_step_reads_the_table_at_every_window(case):
+    rule, x = case
+    lo, hi = rule.window
+    y = step(rule, x)
+    for i in _coordinates(x, 12 + rule.width + abs(rule.offset)):
+        window = [value_at(x, c) for c in range(i + lo, i + hi + 1)]
+        assert value_at(y, i) == rule.table[encode_word(window, rule.alphabet_size)]
+
+
+@st.composite
+def rule_pair_and_config(draw):
+    f = draw(table_rules())
+    g = draw(table_rules(f.alphabet_size))
+    return f, g, draw(configs(f.alphabet_size))
+
+
+@SETTINGS
+@given(rule_pair_and_config())
+def test_composed_table_steps_like_two_steps(case):
+    f, g, x = case
+    assert equals(step(compose_table(f, g), x), step(f, step(g, x)))
+
+
+@SETTINGS
+@given(rule_and_config(), st.integers(0, 2), st.integers(-2, 2))
+def test_padding_and_canonical_form_keep_the_image(case, grow, shift):
+    rule, x = case
+    shift = max(-grow, min(grow, shift))  # the padded window must contain the old one
+    padded = pad_table(rule, rule.radius + grow, rule.offset + shift)
+    image = step(rule, x)
+    assert equals(step(padded, x), image)
+    assert equals(step(canonicalize_table(rule), x), image)
+    assert canonicalize_table(padded) == canonicalize_table(rule)
+
+
+def _outputs_along(rule, j):
+    """Output tuples as window position ``j`` runs over the alphabet, one per
+    assignment of the other positions."""
+    k = rule.alphabet_size
+    for w in product(range(k), repeat=rule.width):
+        if w[j] == 0:
+            yield tuple(
+                rule.table[encode_word(w[:j] + (a,) + w[j + 1 :], k)] for a in range(k)
+            )
+
+
+@SETTINGS
+@given(table_rules())
+def test_variable_scans_match_single_position_perturbation(rule):
+    k, width = rule.alphabet_size, rule.width
+    essential = [j for j in range(width) if any(len(set(o)) > 1 for o in _outputs_along(rule, j))]
+    assert _essential_positions(rule) == essential
+    bijective = [all(len(set(o)) == k for o in _outputs_along(rule, j)) for j in range(width)]
+    lo = rule.offset - rule.radius
+    assert [_bijective_at(rule, lo + j) for j in range(width)] == bijective
+    perm = is_permutative(rule)
+    assert (perm.leftmost, perm.rightmost) == (bijective[0], bijective[-1])

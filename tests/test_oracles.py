@@ -7,7 +7,7 @@ from itertools import product
 
 import pytest
 
-from periodika.configs import CyclicConfig, EpConfig, equals, product_config, split_product_config
+from periodika.configs import CyclicConfig, EpConfig, equals, map_letters, product_config
 from periodika.engine import step
 from periodika.oracles import (
     EquicontinuityCert,
@@ -23,16 +23,14 @@ from periodika.rules import (
     TableRule,
     canonicalize_table,
     compose_table,
-    decode_word,
     identity_rule,
     pad_table,
-    same_global_map,
     table_from_additive,
 )
 
 RULE90 = table_from_additive(AdditiveRule(2, 1, {-1: 1, 1: 1}))
 M4_TABLE = table_from_additive(AdditiveRule(4, 1, {-1: 2, 0: 1, 1: 2}))
-AND_RULE = TableRule(2, 1, tuple(decode_word(i, 2, 3)[1] * decode_word(i, 2, 3)[2] for i in range(8)))
+AND_RULE = TableRule(2, 1, tuple(w[1] * w[2] for w in product(range(2), repeat=3)))
 
 
 def _all_additive(m: int):
@@ -104,7 +102,7 @@ def test_equicontinuity_certs_for_all_small_equicontinuous_rules():
 def test_product_of_identities_is_the_product_identity():
     prod = product_rule(identity_rule(2), identity_rule(2))
     assert prod.alphabet_size == 4
-    assert same_global_map(prod, identity_rule(4))
+    assert canonicalize_table(prod) == canonicalize_table(identity_rule(4))
 
 
 def test_product_rule_steps_componentwise():
@@ -128,9 +126,8 @@ def test_product_rule_steps_componentwise():
             stepped = step(prod, fused)
             expected = product_config(step(f, x), step(g, y))
             assert equals(stepped, expected)
-            back = split_product_config(stepped, kf, kg)
-            assert equals(back.first, step(f, x))
-            assert equals(back.second, step(g, y))
+            assert equals(map_letters(stepped, lambda c: c // kg, kf), step(f, x))
+            assert equals(map_letters(stepped, lambda c: c % kg, kg), step(g, y))
 
 
 def test_product_rule_resource_cap():

@@ -4,6 +4,8 @@ witnesses."""
 
 from __future__ import annotations
 
+from itertools import product
+
 import pytest
 
 from periodika.configs import (
@@ -36,7 +38,6 @@ from periodika.rules import (
     NotSurjectiveError,
     ResourceCapError,
     TableRule,
-    decode_word,
     identity_rule,
     table_from_additive,
 )
@@ -49,7 +50,7 @@ SHIFT2_ADD = AdditiveRule(2, 1, {1: 1})
 RULE90 = table_from_additive(RULE90_ADD)
 M4_TABLE = table_from_additive(M4_ADD)
 SHIFT2 = table_from_additive(SHIFT2_ADD)
-AND_RULE = TableRule(2, 1, tuple(decode_word(i, 2, 3)[1] * decode_word(i, 2, 3)[2] for i in range(8)))
+AND_RULE = TableRule(2, 1, tuple(w[1] * w[2] for w in product(range(2), repeat=3)))
 
 
 def _rendered(points):

@@ -12,22 +12,20 @@ from periodika.configs import CyclicConfig, equals
 from periodika.engine import step_cyclic
 from periodika.rules import (
     AdditiveRule,
+    ResourceCapError,
     RuleSpecError,
     TableRule,
     canonicalize_table,
     compose_additive,
     compose_table,
-    decode_word,
     encode_word,
     essential_span,
-    gcd_all,
     identity_rule,
     is_permutative,
     pad_table,
     parse_rule_spec,
     power_additive,
     render_rule_spec,
-    same_global_map,
     table_from_additive,
 )
 
@@ -43,15 +41,12 @@ SHIFT2 = AdditiveRule(2, 1, {1: 1})
 def test_encode_decode_round_trip():
     for k in (2, 3, 4):
         for length in (0, 1, 3):
-            for idx in range(k**length):
-                word = decode_word(idx, k, length)
-                assert len(word) == length
+            for idx, word in enumerate(product(range(k), repeat=length)):
                 assert encode_word(word, k) == idx
 
 
 def test_encoding_is_big_endian():
     assert encode_word((1, 0, 1), 2) == 5
-    assert decode_word(5, 2, 3) == (1, 0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -91,6 +86,20 @@ def test_wolfram_code_bounds():
         TableRule.from_wolfram(256)
     with pytest.raises(ValueError):
         TableRule.from_wolfram(-1)
+
+
+def test_table_builders_refuse_oversized_tables():
+    assert len(TableRule.from_wolfram(0, alphabet_size=2, radius=9).table) == 2**19
+    rule90 = TableRule.from_wolfram(90)
+    wide = pad_table(rule90, 5)  # composing it with itself needs 2^21 entries
+    for build in (
+        lambda: TableRule.from_wolfram(0, alphabet_size=10, radius=5),
+        lambda: table_from_additive(AdditiveRule(9, 5, {-5: 1, 5: 1})),
+        lambda: compose_table(wide, wide),
+        lambda: pad_table(rule90, 10),
+    ):
+        with pytest.raises(ResourceCapError):
+            build()
 
 
 def test_window_accounts_for_offset():
@@ -257,7 +266,7 @@ def test_compose_table_matches_additive_composition():
             continue
         via_tables = compose_table(table_from_additive(f), table_from_additive(g))
         via_coeffs = table_from_additive(compose_additive(f, g))
-        assert same_global_map(via_tables, via_coeffs)
+        assert canonicalize_table(via_tables) == canonicalize_table(via_coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +275,7 @@ def test_compose_table_matches_additive_composition():
 
 def test_canonicalize_strips_dummy_variables():
     # f(a, b, c) = b
-    middle = TableRule(2, 1, tuple(decode_word(i, 2, 3)[1] for i in range(8)))
+    middle = TableRule(2, 1, tuple(w[1] for w in product(range(2), repeat=3)))
     canon = canonicalize_table(middle)
     assert canon.radius == 0 and canon.offset == 0
     assert canon.table == (0, 1)
@@ -280,7 +289,7 @@ def test_canonicalize_keeps_essential_variables():
 
 def test_canonicalize_records_one_sided_dependence():
     # f(a, b, c) = c
-    shift = TableRule(2, 1, tuple(decode_word(i, 2, 3)[2] for i in range(8)))
+    shift = TableRule(2, 1, tuple(w[2] for w in product(range(2), repeat=3)))
     canon = canonicalize_table(shift)
     assert canon.radius == 0 and canon.offset == 1
     assert essential_span(shift) == (1, 1)
@@ -303,7 +312,7 @@ def test_padding_preserves_the_global_map():
     rule90 = TableRule.from_wolfram(90)
     padded = pad_table(rule90, 3)
     assert padded.radius == 3
-    assert same_global_map(padded, rule90)
+    assert canonicalize_table(padded) == canonicalize_table(rule90)
     with pytest.raises(ValueError):
         pad_table(rule90, 0)
 
@@ -316,7 +325,7 @@ def test_permutativity_examples():
     both = is_permutative(TableRule.from_wolfram(90))
     assert both.leftmost and both.rightmost
     # f(a, b, c) = b * c
-    produces = TableRule(2, 1, tuple(w[1] * w[2] for w in map(lambda i: decode_word(i, 2, 3), range(8))))
+    produces = TableRule(2, 1, tuple(w[1] * w[2] for w in product(range(2), repeat=3)))
     neither = is_permutative(produces)
     assert not neither.leftmost and not neither.rightmost
     shift = table_from_additive(SHIFT2)
@@ -343,9 +352,3 @@ def test_permutativity_tracks_unit_coefficients_for_prime_modulus():
 def test_identity_rule():
     ident = identity_rule(4)
     assert ident.radius == 0 and ident.table == (0, 1, 2, 3)
-
-
-def test_gcd_all():
-    assert gcd_all((4, 6), 8) == 2
-    assert gcd_all((), 0) == 0
-    assert gcd_all((3,), 0) == 3
