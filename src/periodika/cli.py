@@ -313,13 +313,14 @@ def _sweep_one(spec: str, check_oracles: bool) -> tuple:
 
 
 def _resolve_workers(requested: int) -> int:
+    """``--workers``, capped by ``CA_PERIODIKA_THREADS`` and the CPU count."""
     cap = os.environ.get("CA_PERIODIKA_THREADS")
     if cap is not None:
         try:
             requested = min(requested, max(1, int(cap)))
         except ValueError:
-            pass
-    return max(1, requested)
+            print(f"warning: ignoring invalid CA_PERIODIKA_THREADS={cap!r}", file=sys.stderr)
+    return max(1, min(requested, os.cpu_count() or 1))
 
 
 def _cmd_sweep(args) -> int:

@@ -22,15 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 
+from .rules import _validate_letters
+
 
 class ConfigSpecError(ValueError):
     """Raised when a configuration literal cannot be parsed."""
-
-
-def _check_letters(word, alphabet_size, what):
-    for a in word:
-        if not isinstance(a, int) or not 0 <= a < alphabet_size:
-            raise ValueError(f"{what} contains letter {a!r} outside 0..{alphabet_size - 1}")
 
 
 def primitive_root(word: tuple[int, ...]) -> tuple[int, ...]:
@@ -68,7 +64,7 @@ class CyclicConfig:
         word = tuple(self.word)
         if not word:
             raise ValueError("cyclic word must be nonempty")
-        _check_letters(word, self.alphabet_size, "word")
+        _validate_letters(word, self.alphabet_size, "word")
         n = len(word)
         phase = self.phase % n
         root = primitive_root(word)
@@ -104,7 +100,7 @@ class EpConfig:
         if not left or not right:
             raise ValueError("tail words must be nonempty")
         for word, what in ((left, "left"), (mid, "mid"), (right, "right")):
-            _check_letters(word, self.alphabet_size, what)
+            _validate_letters(word, self.alphabet_size, what)
         start = self.start
 
         left = primitive_root(left)
@@ -242,33 +238,40 @@ def product_config(x: Config, y: Config) -> Config:
     )
 
 
-def _word_to_text(word) -> str:
-    return "".join(str(a) for a in word)
+def _word_to_text(word, alphabet_size: int) -> str:
+    """One digit per letter, or ``.``-separated numbers past ten letters."""
+    return ("." if alphabet_size > 10 else "").join(str(a) for a in word)
 
 
 def _text_to_word(text: str, alphabet_size: int, what: str) -> tuple[int, ...]:
     if alphabet_size > 10:
-        raise ConfigSpecError("literal parsing supports alphabets of at most 10 letters")
+        tokens = text.split(".") if text else []
+    else:
+        tokens = list(text)
     out = []
-    for ch in text:
-        if not ch.isdigit() or int(ch) >= alphabet_size:
-            raise ConfigSpecError(f"bad letter {ch!r} in {what} for alphabet {alphabet_size}")
-        out.append(int(ch))
+    for tok in tokens:
+        if not (tok.isascii() and tok.isdigit()) or int(tok) >= alphabet_size:
+            raise ConfigSpecError(f"bad letter {tok!r} in {what} for alphabet {alphabet_size}")
+        out.append(int(tok))
     return tuple(out)
 
 
 def render_config(x: Config) -> str:
     """Canonical literal for a configuration."""
+    k = x.alphabet_size
     if isinstance(x, CyclicConfig):
-        return f"cyclic:{_word_to_text(x.word)}@{x.phase}"
+        return f"cyclic:{_word_to_text(x.word, k)}@{x.phase}"
     return (
-        f"ep:{_word_to_text(x.left)}|{_word_to_text(x.mid)}|{_word_to_text(x.right)}"
+        f"ep:{_word_to_text(x.left, k)}|{_word_to_text(x.mid, k)}|{_word_to_text(x.right, k)}"
         f"@{x.start}"
     )
 
 
 def parse_config(text: str, alphabet_size: int) -> Config:
-    """Parse ``cyclic:<word>[@phase]`` or ``ep:<left>|<mid>|<right>[@start]``."""
+    """Parse ``cyclic:<word>[@phase]`` or ``ep:<left>|<mid>|<right>[@start]``.
+
+    Words are one digit per letter; over more than ten letters they are
+    ``.``-separated numbers instead (``cyclic:10.11.1@0``)."""
     if text.startswith("cyclic:"):
         body = text[len("cyclic:") :]
         phase = 0

@@ -89,20 +89,33 @@ def equicontinuity_oracle(
     cell count) bound the work; hitting a cap yields ``OracleUnknown``,
     never a wrong verdict.
     """
+    return _power_walk(rule, budget, max_radius, max_cells)[0]
+
+
+def _power_walk(
+    rule: TableRule,
+    budget: int = 64,
+    max_radius: int = 12,
+    max_cells: int = 30_000,
+) -> tuple[EquicontinuityCert | OracleUnknown, list[TableRule]]:
+    """``equicontinuity_oracle``'s search, returning with its result the
+    canonical tables of ``F^0, F^1, ...`` it built; after a certificate
+    ``(q, p)`` they are exactly ``F^0 .. F^(q+p)``."""
     k = rule.alphabet_size
     cur = identity_rule(k)
+    powers = [cur]
     memo = {cur: 0}
     for n in range(1, budget + 1):
         new_radius = cur.radius + rule.radius
         if new_radius > max_radius or k ** (2 * new_radius + 1) > max_cells:
-            return OracleUnknown(f"table cap reached at power {n}", n - 1)
-        nxt = canonicalize_table(compose_table(rule, cur))
-        if nxt in memo:
-            q = memo[nxt]
-            return EquicontinuityCert(q, n - q)
-        memo[nxt] = n
-        cur = nxt
-    return OracleUnknown("power budget exhausted", budget)
+            return OracleUnknown(f"table cap reached at power {n}", n - 1), powers
+        cur = canonicalize_table(compose_table(rule, cur))
+        powers.append(cur)
+        if cur in memo:
+            q = memo[cur]
+            return EquicontinuityCert(q, n - q), powers
+        memo[cur] = n
+    return OracleUnknown("power budget exhausted", budget), powers
 
 
 def product_rule(f: TableRule, g: TableRule, max_cells: int = 250_000) -> TableRule:

@@ -45,7 +45,7 @@ from .configs import (
 from .engine import CycleResult, CycleTimeout, _cyclic_image, step, temporal_cycle
 from .oracles import (
     EquicontinuityCert,
-    equicontinuity_oracle,
+    _power_walk,
     product_rule,
     surjectivity_oracle,
 )
@@ -54,12 +54,9 @@ from .rules import (
     NotSurjectiveError,
     ResourceCapError,
     TableRule,
-    _fibres,
-    canonicalize_table,
-    compose_table,
+    _is_bijective,
     encode_word,
     essential_span,
-    identity_rule,
     table_from_additive,
 )
 
@@ -165,15 +162,6 @@ class BlockingMiss:
     steps: int
 
 
-def _canonical_powers(rule: TableRule, upto: int) -> list[TableRule]:
-    cur = identity_rule(rule.alphabet_size)
-    out = [cur]
-    for _ in range(upto):
-        cur = canonicalize_table(compose_table(rule, cur))
-        out.append(cur)
-    return out
-
-
 def _spans_fit(spans, j: int, s: int, word_len: int) -> bool:
     """Whether every power's dependence window, shifted into the observed
     column, stays inside the word ``[0, word_len)``."""
@@ -228,11 +216,10 @@ def blocking_word_search(
     """
     k = rule.alphabet_size
     s = max(rule.radius, 1)
-    cert = equicontinuity_oracle(rule, oracle_budget)
+    cert, powers = _power_walk(rule, oracle_budget)
     spans = None
     verified_steps = steps
     if isinstance(cert, EquicontinuityCert):
-        powers = _canonical_powers(rule, cert.q + cert.p)
         spans = [essential_span(t) for t in powers]
         verified_steps = cert.q + cert.p
     for word_len in range(s, k_max + 1):
@@ -356,8 +343,7 @@ class ScanResult:
 def _bijective_at(rule: TableRule, pos: int) -> bool:
     """Whether the table is bijective in the window variable at absolute
     position ``pos`` for every assignment of the other variables."""
-    k = rule.alphabet_size
-    return all(n == k for n in _fibres(rule, pos - (rule.offset - rule.radius)))
+    return _is_bijective(rule, pos - (rule.offset - rule.radius))
 
 
 def _drift_sides(rule: TableRule) -> tuple[int | None, int | None]:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import chain, cycle, product, repeat
 
 
 class RuleSpecError(ValueError):
@@ -59,6 +59,8 @@ def _image(table: tuple[int, ...], k: int, width: int, cells) -> list[int]:
 
 
 def _validate_letters(letters, alphabet_size, what):
+    """Raise ``ValueError`` naming the first entry of ``letters`` that is not
+    an int in ``0 .. alphabet_size - 1``."""
     for a in letters:
         if not isinstance(a, int) or not 0 <= a < alphabet_size:
             raise ValueError(f"{what} contains letter {a!r} outside 0..{alphabet_size - 1}")
@@ -228,32 +230,58 @@ def power_additive(f: AdditiveRule, h: int) -> AdditiveRule:
     return acc
 
 
-def _fibres(rule: TableRule, j: int):
-    """For each assignment of the window positions other than ``j`` (0-based,
-    left to right), the number of distinct outputs as position ``j`` runs
-    over the alphabet."""
+def _fibres(rule: TableRule, j: int) -> list[tuple[int, ...]]:
+    """The outputs along window position ``j`` (0-based, left to right): one
+    tuple per letter ``a``, holding the output with ``a`` at ``j`` for every
+    assignment of the other positions, in the same order in all ``k`` tuples.
+
+    Column ``i`` of the tuples is the fibre of assignment ``i``: position
+    ``j`` is essential iff the tuples differ, bijective iff every column
+    holds ``k`` distinct outputs."""
     k, table = rule.alphabet_size, rule.table
+    n = len(table)
     stride = k ** (rule.width - 1 - j)
     block = stride * k
-    return (
-        len(set(table[low : low + block : stride]))
-        for base in range(0, len(table), block)
-        for low in range(base, base + stride)
-    )
+    # index = base + a * stride + low; read whichever of base / low has the
+    # fewer values as the outer loop, so the slices stay long
+    if stride <= n // block:
+        return [
+            tuple(chain.from_iterable(table[a * stride + low :: block] for low in range(stride)))
+            for a in range(k)
+        ]
+    return [
+        tuple(
+            chain.from_iterable(
+                table[base + a * stride : base + a * stride + stride]
+                for base in range(0, n, block)
+            )
+        )
+        for a in range(k)
+    ]
 
 
-def _essential_positions(rule: TableRule) -> list[int]:
-    """Window positions (0-based, left to right) the table depends on."""
-    return [j for j in range(rule.width) if any(n > 1 for n in _fibres(rule, j))]
+def _is_essential(rule: TableRule, j: int) -> bool:
+    """Whether the table depends on window position ``j`` (0-based, left to
+    right): some letter's outputs there differ from letter 0's."""
+    return (out := _fibres(rule, j)).count(out[0]) < len(out)
+
+
+def _is_bijective(rule: TableRule, j: int) -> bool:
+    """Whether the table is bijective in window position ``j`` for every
+    assignment of the other positions."""
+    return all(len(set(col)) == rule.alphabet_size for col in zip(*_fibres(rule, j)))
 
 
 def essential_span(rule: TableRule) -> tuple[int, int] | None:
     """Exact dependence span relative to the cell, or None for constant rules."""
-    ess = _essential_positions(rule)
-    if not ess:
+    # only the outermost essential positions matter: scan in from both ends
+    width = rule.width
+    first = next((j for j in range(width) if _is_essential(rule, j)), None)
+    if first is None:
         return None
+    last = next(j for j in reversed(range(first, width)) if _is_essential(rule, j))
     lo = rule.offset - rule.radius
-    return (lo + ess[0], lo + ess[-1])
+    return (lo + first, lo + last)
 
 
 def _rewindow(rule: TableRule, radius: int, offset: int) -> TableRule:
@@ -262,19 +290,23 @@ def _rewindow(rule: TableRule, radius: int, offset: int) -> TableRule:
     Positions of the new window outside the old one are ignored; positions
     of the old window outside the new one read as letter 0.
     """
+    if (radius, offset) == (rule.radius, rule.offset):
+        return rule
     k = rule.alphabet_size
     old_lo, old_hi = rule.window
     lo, hi = offset - radius, offset + radius
     keep_lo, keep_hi = max(lo, old_lo), min(hi, old_hi)
-    # new index -> drop the ignored right positions, keep the shared ones,
-    # append zeros for the old right positions
+    size = _table_size(k, 2 * radius + 1)
     new_right = k ** (hi - keep_hi)
     kept = k ** (keep_hi - keep_lo + 1)
     old_right = k ** (old_hi - keep_hi)
-    old = rule.table
-    size = _table_size(k, 2 * radius + 1)
-    table = tuple(old[idx // new_right % kept * old_right] for idx in range(size))
-    return TableRule(k, radius, table, offset)
+    # one output per word on the shared positions, old positions outside
+    # them at letter 0; each repeats for every word on the ignored right
+    # positions, and the whole run for every word on the ignored left ones
+    table = rule.table[: kept * old_right : old_right]
+    if new_right > 1:
+        table = tuple(chain.from_iterable(repeat(a, new_right) for a in table))
+    return TableRule(k, radius, tuple(table) * (size // (kept * new_right)), offset)
 
 
 def canonicalize_table(rule: TableRule) -> TableRule:
@@ -313,13 +345,17 @@ def compose_table(f: TableRule, g: TableRule) -> TableRule:
         raise ValueError("cannot compose rules over different alphabets")
     k = f.alphabet_size
     radius = f.radius + g.radius
-    width = 2 * radius + 1
-    _table_size(k, width)
-    ft, fw, gt, gw = f.table, f.width, g.table, g.width
-    table = tuple(
-        _image(ft, k, fw, _image(gt, k, gw, word))[0] for word in product(range(k), repeat=width)
-    )
-    return TableRule(k, radius, table, f.offset + g.offset)
+    _table_size(k, 2 * radius + 1)
+    gt = g.table
+    # idx[j] is the big-endian index of the g-image of word j.  It starts as
+    # g's own table (words of width g.width) and grows one cell per level:
+    # idx[j] = idx[j // k] * k + gt[j % k**g.width], where the second term
+    # runs through the k-sized blocks of gt cyclically.
+    blocks = [gt[b : b + k] for b in range(0, len(gt), k)]
+    idx = gt
+    for _ in range(f.width - 1):
+        idx = [i + a for i, block in zip((i * k for i in idx), cycle(blocks)) for a in block]
+    return TableRule(k, radius, tuple(map(f.table.__getitem__, idx)), f.offset + g.offset)
 
 
 @dataclass(frozen=True)
@@ -330,8 +366,7 @@ class Permutativity:
 
 def is_permutative(rule: TableRule) -> Permutativity:
     """Whether the table is bijective in its leftmost / rightmost variable."""
-    k = rule.alphabet_size
-    return Permutativity(*(all(n == k for n in _fibres(rule, j)) for j in (0, rule.width - 1)))
+    return Permutativity(_is_bijective(rule, 0), _is_bijective(rule, rule.width - 1))
 
 
 _ADDITIVE_RE = re.compile(r"^m=(\d+);r=(\d+);c=(-?\d+(?:,-?\d+)*)$")

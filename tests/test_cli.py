@@ -338,9 +338,22 @@ def test_sweep_worker_env_cap(capsys, monkeypatch):
     assert payload["rules"] == 8
 
 
-def test_resolve_workers():
-    assert _resolve_workers(0) == 1
-    assert _resolve_workers(3) == 3
+def test_resolve_workers(capsys, monkeypatch):
+    monkeypatch.delenv("CA_PERIODIKA_THREADS", raising=False)
+    monkeypatch.setattr("periodika.cli.os.cpu_count", lambda: 4)
+    assert [_resolve_workers(n) for n in (0, 1, 3, 4, 8)] == [1, 1, 3, 4, 4]
+    monkeypatch.setattr("periodika.cli.os.cpu_count", lambda: None)
+    assert _resolve_workers(8) == 1
+    monkeypatch.setattr("periodika.cli.os.cpu_count", lambda: 4)
+    monkeypatch.setenv("CA_PERIODIKA_THREADS", "2")
+    assert _resolve_workers(8) == 2
+    monkeypatch.setenv("CA_PERIODIKA_THREADS", "0")
+    assert _resolve_workers(8) == 1
+    assert capsys.readouterr().err == ""
+    monkeypatch.setenv("CA_PERIODIKA_THREADS", "two")
+    assert _resolve_workers(8) == 4
+    err = capsys.readouterr().err
+    assert err == "warning: ignoring invalid CA_PERIODIKA_THREADS='two'\n"
 
 
 def test_sweep_text(capsys):

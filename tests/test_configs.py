@@ -7,6 +7,8 @@ import random
 from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from periodika.configs import (
     ConfigSpecError,
@@ -254,7 +256,42 @@ def test_parse_config_errors():
         ("ep:|1|0", 2),
         ("ep:0|1|0@x", 2),
         ("nope:0", 2),
-        ("cyclic:0", 11),
+        ("cyclic:0.11", 11),
+        ("cyclic:0..1", 11),
+        ("cyclic:0.1.", 11),
+        ("cyclic:", 12),
+        ("ep:1|2.x|3", 12),
+        ("ep:1|23|3", 12),
     ):
         with pytest.raises(ConfigSpecError):
             parse_config(text, k)
+
+
+def test_literals_past_ten_letters_separate_letters_with_dots():
+    x = CyclicConfig(12, (10, 11, 1))
+    assert render_config(x) == "cyclic:10.11.1@0"
+    assert parse_config("cyclic:10.11.1", 12) == x
+    y = EpConfig(11, (10,), (), (0, 3), 2)
+    assert render_config(y) == "ep:10||0.3@2"
+    assert parse_config(render_config(y), 11) == y
+    # one digit per cell up to ten letters
+    assert render_config(CyclicConfig(10, (9, 1))) == "cyclic:91@0"
+
+
+def _letter_words(k, min_size):
+    return st.lists(st.integers(0, k - 1), min_size=min_size, max_size=6).map(tuple)
+
+
+@st.composite
+def _configs_any_alphabet(draw):
+    k = draw(st.integers(2, 16))
+    if draw(st.booleans()):
+        return CyclicConfig(k, draw(_letter_words(k, 1)), draw(st.integers(-6, 6)))
+    left, mid, right = (draw(_letter_words(k, n)) for n in (1, 0, 1))
+    return EpConfig(k, left, mid, right, draw(st.integers(-5, 5)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_configs_any_alphabet())
+def test_literals_round_trip_for_every_alphabet(x):
+    assert parse_config(render_config(x), x.alphabet_size) == x

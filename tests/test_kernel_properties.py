@@ -15,10 +15,11 @@ from periodika.engine import step
 from periodika.periodicity import _bijective_at
 from periodika.rules import (
     TableRule,
-    _essential_positions,
+    _is_essential,
     canonicalize_table,
     compose_table,
     encode_word,
+    essential_span,
     is_permutative,
     pad_table,
 )
@@ -120,9 +121,10 @@ def _outputs_along(rule, j):
 def test_variable_scans_match_single_position_perturbation(rule):
     k, width = rule.alphabet_size, rule.width
     essential = [j for j in range(width) if any(len(set(o)) > 1 for o in _outputs_along(rule, j))]
-    assert _essential_positions(rule) == essential
-    bijective = [all(len(set(o)) == k for o in _outputs_along(rule, j)) for j in range(width)]
+    assert [j for j in range(width) if _is_essential(rule, j)] == essential
     lo = rule.offset - rule.radius
+    assert essential_span(rule) == ((lo + essential[0], lo + essential[-1]) if essential else None)
+    bijective = [all(len(set(o)) == k for o in _outputs_along(rule, j)) for j in range(width)]
     assert [_bijective_at(rule, lo + j) for j in range(width)] == bijective
     perm = is_permutative(rule)
     assert (perm.leftmost, perm.rightmost) == (bijective[0], bijective[-1])

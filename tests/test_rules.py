@@ -3,13 +3,15 @@ canonicalization, and permutativity."""
 
 from __future__ import annotations
 
+import inspect
 import random
 from itertools import product
 
 import pytest
 
-from periodika.configs import CyclicConfig, equals
+from periodika.configs import CyclicConfig, EpConfig, equals
 from periodika.engine import step_cyclic
+from periodika.oracles import equicontinuity_oracle
 from periodika.rules import (
     AdditiveRule,
     ResourceCapError,
@@ -62,6 +64,27 @@ def test_table_rule_rejects_bad_shapes():
         TableRule(2, 1, (0, 1))  # 2 entries, needs 8
     with pytest.raises(ValueError):
         TableRule(2, 0, (0, 2))  # letter out of range
+
+
+@pytest.mark.parametrize("bad, shown", [(1.0, "1.0"), (-1, "-1"), (2, "2"), ("1", "'1'")])
+def test_letter_validation_names_the_bad_letter(bad, shown):
+    with pytest.raises(ValueError, match=rf"^table contains letter {shown} outside 0\.\.1$"):
+        TableRule(2, 0, (0, bad))
+    with pytest.raises(ValueError, match=rf"^word contains letter {shown} outside 0\.\.1$"):
+        CyclicConfig(2, (1, bad, 0))
+    for where, parts in (
+        ("left", ((bad,), (), (0,))),
+        ("mid", ((0,), (bad,), (0,))),
+        ("right", ((0,), (1,), (0, bad))),
+    ):
+        with pytest.raises(ValueError, match=rf"^{where} contains letter {shown} outside 0\.\.1$"):
+            EpConfig(2, *parts)
+
+
+def test_letter_validation_accepts_bools():
+    assert TableRule(2, 0, (False, True)).table == (0, 1)
+    assert CyclicConfig(2, (True, False)) == CyclicConfig(2, (1, 0))
+    assert EpConfig(2, (False,), (True,), (False,)) == EpConfig(2, (0,), (1,), (0,))
 
 
 def test_wolfram_code_expansion():
@@ -267,6 +290,37 @@ def test_compose_table_matches_additive_composition():
         via_tables = compose_table(table_from_additive(f), table_from_additive(g))
         via_coeffs = table_from_additive(compose_additive(f, g))
         assert canonicalize_table(via_tables) == canonicalize_table(via_coeffs)
+
+
+def _canonical_additive_power(rule, n):
+    """Canonical table of ``F^n`` built from the coefficients of the n-th
+    power, over the window of their support only."""
+    m, coeffs = rule.modulus, power_additive(rule, n).coeffs
+    lo, hi = (min(coeffs), max(coeffs)) if coeffs else (0, 0)
+    centre = (lo + hi) // 2
+    r = max(centre - lo, hi - centre)
+    centred = AdditiveRule(m, r, {j - centre: c for j, c in coeffs.items()})
+    return canonicalize_table(TableRule(m, r, table_from_additive(centred).table, centre))
+
+
+def test_table_powers_match_additive_powers_up_to_the_oracle_cap():
+    # the oracle's walk F^n = canonical(F o F^(n-1)), at every width it reaches
+    caps = inspect.signature(equicontinuity_oracle).parameters
+    budget, max_radius, max_cells = (caps[p].default for p in ("budget", "max_radius", "max_cells"))
+    widest = 0
+    for m in (2, 3, 4):
+        for coeffs in product(range(m), repeat=3):
+            rule = AdditiveRule(m, 1, {j - 1: c for j, c in enumerate(coeffs)})
+            table = table_from_additive(rule)
+            cur = identity_rule(m)
+            for n in range(1, budget + 1):
+                width = 2 * (cur.radius + 1) + 1
+                if cur.radius + 1 > max_radius or m**width > max_cells:
+                    break
+                cur = canonicalize_table(compose_table(table, cur))
+                assert cur == _canonical_additive_power(rule, n), (m, coeffs, n)
+                widest = max(widest, width)
+    assert widest == 13  # m = 2 reaches the oracle's widest tables, 2^13 entries
 
 
 # ---------------------------------------------------------------------------
