@@ -32,10 +32,8 @@ class ConfigSpecError(ValueError):
 def primitive_root(word: tuple[int, ...]) -> tuple[int, ...]:
     """Shortest ``u`` with ``word = u * (len(word) // len(u))``."""
     n = len(word)
-    for d in range(1, n + 1):
-        if n % d == 0 and all(word[i] == word[i % d] for i in range(n)):
-            return word[:d]
-    return word
+    periods = (d for d in range(1, n + 1) if n % d == 0 and word[d:] == word[: n - d])
+    return word[: next(periods, n)]
 
 
 def _rot_left(word):
@@ -65,12 +63,9 @@ class CyclicConfig:
         if not word:
             raise ValueError("cyclic word must be nonempty")
         _validate_letters(word, self.alphabet_size, "word")
-        n = len(word)
-        phase = self.phase % n
         root = primitive_root(word)
-        d = len(root)
-        anchored = tuple(word[(phase + j) % n] for j in range(d))
-        object.__setattr__(self, "word", anchored)
+        phase = self.phase % len(root)
+        object.__setattr__(self, "word", root[phase:] + root[:phase])
         object.__setattr__(self, "phase", 0)
 
     @property
@@ -116,9 +111,8 @@ class EpConfig:
         if not mid:
             if len(left) == len(right) and left == right:
                 # Spatially periodic: anchor the root at coordinate 0.
-                d = len(left)
-                anchored = tuple(left[(j - start) % d] for j in range(d))
-                left = right = anchored
+                phase = -start % len(left)
+                left = right = left[phase:] + left[:phase]
                 start = 0
             else:
                 # Two-regime configuration: slide the boundary leftmost.

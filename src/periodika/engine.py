@@ -66,8 +66,17 @@ class CycleResult:
 
 @dataclass(frozen=True)
 class CycleTimeout:
+    """No repeat of the orbit within its first ``steps_examined`` steps."""
+
     steps_examined: int
     reason: str = "step budget exhausted"
+
+
+def _key(x: Config):
+    """State up to translation, and the translation."""
+    if isinstance(x, CyclicConfig):
+        return x, 0
+    return (x.left, x.mid, x.right), x.start
 
 
 def temporal_cycle(
@@ -81,18 +90,28 @@ def temporal_cycle(
     Canonical forms make state comparison exact, so the first repeat gives
     the true minimal preperiod and period.  Returns ``CycleTimeout`` when
     the step budget runs out or an eventually periodic mid outgrows
-    ``max_mid``.
+    ``max_mid``; its ``steps_examined`` is the bound within which the orbit
+    has no repeat.
+
+    States are memoised up to translation.  A state that recurs shifted
+    ends the walk at once with the full budget as bound: the global map
+    commutes with the shift, so from then on the orbit is a rigid
+    translation of the states in between, none of them spatially periodic
+    (those are anchored at start 0), and no state ever recurs exactly nor
+    grows a wider mid.
     """
-    seen = {x: 0}
+    key, start = _key(x)
+    seen = {key: (0, start)}
     cur = x
     for n in range(1, max_steps + 1):
         cur = step(rule, cur)
         if isinstance(cur, EpConfig) and len(cur.mid) > max_mid:
             return CycleTimeout(n, "mid width cap exceeded")
-        if cur in seen:
-            q = seen[cur]
-            return CycleResult(q, n - q)
-        seen[cur] = n
+        key, start = _key(cur)
+        if key in seen:
+            q, s = seen[key]
+            return CycleResult(q, n - q) if s == start else CycleTimeout(max_steps)
+        seen[key] = (n, start)
     return CycleTimeout(max_steps)
 
 

@@ -385,45 +385,6 @@ def _right_defect(y: EpConfig) -> int:
     raise AssertionError("configuration equals its right tail everywhere")
 
 
-def _scan_orbit(rule: TableRule, y0: EpConfig, t_max: int) -> int | None:
-    """Exact period if the orbit returns to ``y0`` within ``t_max`` steps.
-
-    Detects two abort conditions early: an exact repeat of an earlier state
-    (the orbit entered a cycle that misses ``y0``) and a repeat up to
-    translation.  In the latter case the tail of the orbit is a rigid
-    conveyor -- every further state is a known state shifted by a multiple
-    of the translation -- so the remaining return times are solvable in
-    closed form and walking can stop unless one lies within the bound.
-    """
-    key0 = (y0.left, y0.mid, y0.right)
-    seen: dict[tuple, list[tuple[int, int]]] = {key0: [(0, y0.start)]}
-    cur: EpConfig = y0
-    for t in range(1, t_max + 1):
-        cur = step(rule, cur)
-        if cur == y0:
-            return t
-        kk = (cur.left, cur.mid, cur.right)
-        entries = seen.get(kk)
-        if entries is not None:
-            t0, s0 = entries[0]
-            delta = cur.start - s0
-            if delta == 0:
-                return None
-            period_steps = t - t0
-            pending = False
-            for tj, sj in seen.get(key0, ()):
-                if tj < t0:
-                    continue
-                q, rem = divmod(y0.start - sj, delta)
-                if rem == 0 and q >= 1 and tj + q * period_steps <= t_max:
-                    pending = True
-                    break
-            if not pending:
-                return None
-        seen.setdefault(kk, []).append((t, cur.start))
-    return None
-
-
 def stp_empty_scan(
     rule: TableRule | AdditiveRule,
     tail_period_max: int = 2,
@@ -508,9 +469,11 @@ def stp_empty_scan(
 
     for y in candidates():
         examined += 1
-        t = _scan_orbit(table, y, t_max)
-        if t is None:
+        # the mid grows by at most width - 1 per step, so this cap never binds
+        res = temporal_cycle(table, y, t_max, mid_len_max + (table.width - 1) * t_max)
+        if not isinstance(res, CycleResult) or res.preperiod != 0:
             continue
+        t = res.period
         z: Config = y
         for _ in range(t):
             z = step(table, z)

@@ -184,10 +184,20 @@ def test_temporal_cycle_result_is_minimal():
         assert orbit[res.preperiod + p] != orbit[res.preperiod]
 
 
+# (rule, start, step budget): the defect travels forever, so the orbit never
+# revisits a state; the first translated repeat already proves it for the
+# whole budget, including the default one
+TRANSLATING_ORBITS = [
+    (SHIFT2, EpConfig(2, (0,), (1,), (0,), 0), 4),
+    (TableRule.from_wolfram(170), EpConfig(2, (0,), (1,), (0,), 0), 100_000),
+    # x_i <- x_{i-2}: window offset -2, the defect travels right
+    (TableRule(2, 0, (0, 1), -2), EpConfig(2, (0, 1), (1, 1, 0), (1,), 3), 1000),
+]
+
+
 def test_temporal_cycle_step_budget_timeout():
-    # the lone defect travels forever, so the orbit never revisits a state
-    res = temporal_cycle(SHIFT2, EpConfig(2, (0,), (1,), (0,), 0), max_steps=4)
-    assert res == CycleTimeout(4)
+    for rule, x, max_steps in TRANSLATING_ORBITS:
+        assert temporal_cycle(rule, x, max_steps) == CycleTimeout(max_steps)
 
 
 def test_temporal_cycle_mid_growth_timeout():

@@ -1,7 +1,8 @@
 """Property tests that pin the window kernel to definitions that do not use
 it: stepping, composition, padding, canonicalisation and the per-variable
 scans are each checked against a direct reading of the table through
-``encode_word`` and ``value_at``."""
+``encode_word`` and ``value_at``, and orbit detection against a walk that
+memoises every state exactly."""
 
 from __future__ import annotations
 
@@ -11,9 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from periodika.configs import CyclicConfig, EpConfig, equals, value_at
-from periodika.engine import step
+from periodika.engine import CycleResult, CycleTimeout, step, temporal_cycle
 from periodika.periodicity import _bijective_at
 from periodika.rules import (
+    AdditiveRule,
     TableRule,
     _is_essential,
     canonicalize_table,
@@ -22,6 +24,8 @@ from periodika.rules import (
     essential_span,
     is_permutative,
     pad_table,
+    parse_rule_spec,
+    table_from_additive,
 )
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -48,12 +52,15 @@ def words(k, min_size, max_size):
     return st.lists(st.integers(0, k - 1), min_size=min_size, max_size=max_size).map(tuple)
 
 
-def configs(k):
-    cyclic = st.builds(CyclicConfig, st.just(k), words(k, 1, 6), st.integers(-6, 6))
-    ep = st.builds(
+def ep_configs(k):
+    return st.builds(
         EpConfig, st.just(k), words(k, 1, 3), words(k, 0, 5), words(k, 1, 3), st.integers(-5, 5)
     )
-    return st.one_of(cyclic, ep)
+
+
+def configs(k):
+    cyclic = st.builds(CyclicConfig, st.just(k), words(k, 1, 6), st.integers(-6, 6))
+    return st.one_of(cyclic, ep_configs(k))
 
 
 @st.composite
@@ -128,3 +135,40 @@ def test_variable_scans_match_single_position_perturbation(rule):
     assert [_bijective_at(rule, lo + j) for j in range(width)] == bijective
     perm = is_permutative(rule)
     assert (perm.leftmost, perm.rightmost) == (bijective[0], bijective[-1])
+
+
+SHIFT_RULES = [
+    table_from_additive(rule) if isinstance(rule, AdditiveRule) else rule
+    for rule in map(
+        parse_rule_spec,
+        ("wolfram:170", "additive:m=3;r=1;c=0,0,2", "wolfram:15", "additive:m=5;r=1;c=3,0,0"),
+    )
+]
+
+
+@st.composite
+def orbit_cases(draw):
+    rule = draw(st.one_of(table_rules(), st.sampled_from(SHIFT_RULES)))
+    # eventually periodic starts are the ones that can recur translated
+    x = draw(st.one_of(configs(rule.alphabet_size), ep_configs(rule.alphabet_size)))
+    return rule, x, draw(st.integers(1, 24)), draw(st.integers(0, 8))
+
+
+def _full_walk(rule, x, max_steps, max_mid):
+    """Orbit shape by memoising every state exactly, to the full budget."""
+    seen = {x: 0}
+    for n in range(1, max_steps + 1):
+        x = step(rule, x)
+        if isinstance(x, EpConfig) and len(x.mid) > max_mid:
+            return CycleTimeout(n, "mid width cap exceeded")
+        if x in seen:
+            return CycleResult(seen[x], n - seen[x])
+        seen[x] = n
+    return CycleTimeout(max_steps)
+
+
+@settings(SETTINGS, max_examples=300)
+@given(orbit_cases())
+def test_temporal_cycle_matches_a_full_state_walk(case):
+    rule, x, max_steps, max_mid = case
+    assert temporal_cycle(rule, x, max_steps, max_mid) == _full_walk(rule, x, max_steps, max_mid)

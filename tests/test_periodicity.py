@@ -16,7 +16,8 @@ from periodika.configs import (
     render_config,
     value_at,
 )
-from periodika.engine import step
+from periodika import periodicity
+from periodika.engine import CycleResult, CycleTimeout, step
 from periodika.oracles import product_rule
 from periodika.periodicity import (
     BlockingCert,
@@ -312,6 +313,24 @@ def test_scan_table_and_additive_inputs_agree():
     assert {render_config(w.config) for w in table_result.violations} == {
         render_config(w.config) for w in additive_result.violations
     }
+
+
+def _first_return(rule, x, max_steps, max_mid=None):
+    """Orbit shape as far as a scan needs it: only an exact return to ``x``."""
+    cur = x
+    for n in range(1, max_steps + 1):
+        cur = step(rule, cur)
+        if cur == x:
+            return CycleResult(0, n)
+    return CycleTimeout(max_steps)
+
+
+def test_scan_agrees_with_a_plain_return_walk_on_every_elementary_rule(monkeypatch):
+    # an early exit of the orbit detector must never drop a violation
+    results = [stp_empty_scan(TableRule.from_wolfram(n), 2, 2, 16) for n in range(256)]
+    monkeypatch.setattr(periodicity, "temporal_cycle", _first_return)
+    assert results == [stp_empty_scan(TableRule.from_wolfram(n), 2, 2, 16) for n in range(256)]
+    assert sum(len(r.violations) for r in results) > 0
 
 
 # ---------------------------------------------------------------------------
