@@ -44,6 +44,47 @@ def _rot_right(word):
     return word[-1:] + word[:-1]
 
 
+def _canonical_word(word: tuple[int, ...], phase: int) -> tuple[int, ...]:
+    """Canonical word of the cyclic configuration ``x_i = word[(phase + i)
+    mod n]``: its primitive root read off from coordinate 0."""
+    root = primitive_root(word)
+    phase %= len(root)
+    return root[phase:] + root[:phase]
+
+
+def _canonical_ep(left, mid, right, start: int):
+    """Canonical ``(left, mid, right, start)`` of the eventually periodic
+    configuration ``^inf(left) . mid . (right)^inf`` with the mid at
+    ``start``; all three are tuples and both tails are nonempty."""
+    left = primitive_root(left)
+    right = primitive_root(right)
+    # Absorb border letters that already match the adjacent tail.
+    while mid and mid[0] == left[0]:
+        left = _rot_left(left)
+        mid = mid[1:]
+        start += 1
+    while mid and mid[-1] == right[-1]:
+        right = _rot_right(right)
+        mid = mid[:-1]
+    if not mid:
+        if len(left) == len(right) and left == right:
+            # Spatially periodic: anchor the root at coordinate 0.
+            phase = -start % len(left)
+            left = right = left[phase:] + left[:phase]
+            start = 0
+        else:
+            # Two-regime configuration: slide the boundary leftmost.
+            guard = lcm(len(left), len(right))
+            while left[-1] == right[-1]:
+                left = _rot_right(left)
+                right = _rot_right(right)
+                start -= 1
+                guard -= 1
+                if guard < 0:  # pragma: no cover - primitivity rules this out
+                    raise AssertionError("boundary slide failed to terminate")
+    return left, mid, right, start
+
+
 @dataclass(frozen=True)
 class CyclicConfig:
     """Spatially periodic configuration ``x_i = word[(phase + i) mod n]``.
@@ -63,9 +104,7 @@ class CyclicConfig:
         if not word:
             raise ValueError("cyclic word must be nonempty")
         _validate_letters(word, self.alphabet_size, "word")
-        root = primitive_root(word)
-        phase = self.phase % len(root)
-        object.__setattr__(self, "word", root[phase:] + root[:phase])
+        object.__setattr__(self, "word", _canonical_word(word, self.phase))
         object.__setattr__(self, "phase", 0)
 
     @property
@@ -96,34 +135,7 @@ class EpConfig:
             raise ValueError("tail words must be nonempty")
         for word, what in ((left, "left"), (mid, "mid"), (right, "right")):
             _validate_letters(word, self.alphabet_size, what)
-        start = self.start
-
-        left = primitive_root(left)
-        right = primitive_root(right)
-        # Absorb border letters that already match the adjacent tail.
-        while mid and mid[0] == left[0]:
-            left = _rot_left(left)
-            mid = mid[1:]
-            start += 1
-        while mid and mid[-1] == right[-1]:
-            right = _rot_right(right)
-            mid = mid[:-1]
-        if not mid:
-            if len(left) == len(right) and left == right:
-                # Spatially periodic: anchor the root at coordinate 0.
-                phase = -start % len(left)
-                left = right = left[phase:] + left[:phase]
-                start = 0
-            else:
-                # Two-regime configuration: slide the boundary leftmost.
-                guard = lcm(len(left), len(right))
-                while left[-1] == right[-1]:
-                    left = _rot_right(left)
-                    right = _rot_right(right)
-                    start -= 1
-                    guard -= 1
-                    if guard < 0:  # pragma: no cover - primitivity rules this out
-                        raise AssertionError("boundary slide failed to terminate")
+        left, mid, right, start = _canonical_ep(left, mid, right, self.start)
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "mid", mid)
         object.__setattr__(self, "right", right)

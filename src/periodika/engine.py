@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .configs import Config, CyclicConfig, EpConfig, value_at
+from .configs import Config, CyclicConfig, EpConfig, _canonical_ep, _canonical_word, value_at
 from .rules import TableRule, _image
 
 
@@ -29,25 +29,29 @@ def step_cyclic(rule: TableRule, x: CyclicConfig) -> CyclicConfig:
     return CyclicConfig(x.alphabet_size, tuple(_cyclic_image(rule, x.word)))
 
 
-def step_ep(rule: TableRule, x: EpConfig) -> EpConfig:
-    if rule.alphabet_size != x.alphabet_size:
-        raise ValueError("alphabet mismatch")
+def _ep_image(rule: TableRule, left, mid, right, start: int):
+    """One step of ``^inf(left) . mid . (right)^inf`` with the mid at
+    ``start``, as raw (not yet canonical) ``left, mid, right, start``."""
     r = rule.radius
-    left, right = x.left, x.right
     ell, rho = len(left), len(right)
     # Cells start - 2r - ell .. end + 2r + rho - 1; the image then covers the
     # new left tail period, the new mid and the new right tail period.
     cells = [left[i % ell] for i in range(-2 * r - ell, 0)]
-    cells += x.mid
+    cells += mid
     cells += [right[i % rho] for i in range(2 * r + rho)]
-    img = _image(rule.table, x.alphabet_size, rule.width, cells)
-    return EpConfig(
-        x.alphabet_size,
+    img = _image(rule.table, rule.alphabet_size, rule.width, cells)
+    return (
         tuple(img[:ell]),
         tuple(img[ell : len(img) - rho]),
         tuple(img[len(img) - rho :]),
-        x.start - rule.offset - r,
+        start - rule.offset - r,
     )
+
+
+def step_ep(rule: TableRule, x: EpConfig) -> EpConfig:
+    if rule.alphabet_size != x.alphabet_size:
+        raise ValueError("alphabet mismatch")
+    return EpConfig(x.alphabet_size, *_ep_image(rule, x.left, x.mid, x.right, x.start))
 
 
 def step(rule: TableRule, x: Config) -> Config:
@@ -72,13 +76,6 @@ class CycleTimeout:
     reason: str = "step budget exhausted"
 
 
-def _key(x: Config):
-    """State up to translation, and the translation."""
-    if isinstance(x, CyclicConfig):
-        return x, 0
-    return (x.left, x.mid, x.right), x.start
-
-
 def temporal_cycle(
     rule: TableRule,
     x: Config,
@@ -100,14 +97,32 @@ def temporal_cycle(
     (those are anchored at start 0), and no state ever recurs exactly nor
     grows a wider mid.
     """
-    key, start = _key(x)
+    if rule.alphabet_size != x.alphabet_size:
+        raise ValueError("alphabet mismatch")
+    if max_steps < 0:
+        raise ValueError("max_steps must be non-negative")
+    # States are canonical tuples, stepped without building configurations:
+    # image letters come from the validated table.  A cyclic state is its
+    # word at start 0; an eventually periodic one is (left, mid, right) at
+    # its start.
+    if isinstance(x, CyclicConfig):
+        key, start = x.word, 0
+
+        def advance(word, _):
+            return _canonical_word(tuple(_cyclic_image(rule, word)), 0), 0, False
+
+    else:
+        key, start = (x.left, x.mid, x.right), x.start
+
+        def advance(key, start):
+            left, mid, right, start = _canonical_ep(*_ep_image(rule, *key, start))
+            return (left, mid, right), start, len(mid) > max_mid
+
     seen = {key: (0, start)}
-    cur = x
     for n in range(1, max_steps + 1):
-        cur = step(rule, cur)
-        if isinstance(cur, EpConfig) and len(cur.mid) > max_mid:
+        key, start, too_wide = advance(key, start)
+        if too_wide:
             return CycleTimeout(n, "mid width cap exceeded")
-        key, start = _key(cur)
         if key in seen:
             q, s = seen[key]
             return CycleResult(q, n - q) if s == start else CycleTimeout(max_steps)
@@ -127,6 +142,8 @@ def space_time(rule: TableRule, x: Config, steps: int, lo: int, hi: int) -> Spac
     """Sampled orbit segment: ``steps + 1`` rows over coordinates ``lo..hi``."""
     if hi < lo:
         raise ValueError("window must satisfy lo <= hi")
+    if steps < 0:
+        raise ValueError("steps must be non-negative")
     rows = []
     cur = x
     for n in range(steps + 1):

@@ -42,7 +42,7 @@ from .configs import (
     product_config,
     value_at,
 )
-from .engine import CycleResult, CycleTimeout, _cyclic_image, step, temporal_cycle
+from .engine import CycleResult, CycleTimeout, step, temporal_cycle
 from .oracles import (
     EquicontinuityCert,
     _power_walk,
@@ -55,7 +55,7 @@ from .rules import (
     ResourceCapError,
     TableRule,
     _is_bijective,
-    encode_word,
+    _window_images,
     essential_span,
     table_from_additive,
 )
@@ -92,44 +92,63 @@ def jointly_periodic_points(
     """
     if n < 1:
         raise ValueError("word length must be positive")
+    if t_max < 0:
+        raise ValueError("t_max must be non-negative")
     k = rule.alphabet_size
     states = k**n
     if states > max_states:
         raise ResourceCapError(f"{states} words of length {n} exceed the census cap")
-    # product() yields the words in index order
-    succ = [encode_word(_cyclic_image(rule, w), k) for w in product(range(k), repeat=n)]
-    done = bytearray(states)
-    cycle_period: dict[int, int] = {}
-    for s in range(states):
-        if done[s]:
-            continue
-        path: list[int] = []
-        pos: dict[int, int] = {}
-        v = s
-        while not done[v] and v not in pos:
-            pos[v] = len(path)
-            path.append(v)
+    succ = _successors(rule, n)
+    # Walk from every word, stamping each new word with the walk's number,
+    # until a stamped word: one stamped by this walk closes a new cycle.
+    period = [0] * states  # cycle length on cycle words, 0 elsewhere
+    mark = [0] * states
+    for s in range(1, states + 1):
+        v = s - 1
+        while not mark[v]:
+            mark[v] = s
             v = succ[v]
-        if not done[v]:
-            first = pos[v]
-            length = len(path) - first
-            for node in path[first:]:
-                cycle_period[node] = length
-        for node in path:
-            done[node] = 1
-    points: dict[CyclicConfig, int] = {}
-    for idx, w in enumerate(product(range(k), repeat=n)):
-        t = cycle_period.get(idx)
-        if t is None or t > t_max:
-            continue
-        cfg = CyclicConfig(k, w)
-        prev = points.get(cfg)
-        if prev is None:
-            points[cfg] = t
-        elif prev != t:  # pragma: no cover - one configuration, one orbit
-            raise AssertionError("inconsistent periods for one configuration")
-    ordered = sorted(points.items(), key=lambda it: (it[1], len(it[0].word), it[0].word))
+        if mark[v] == s:
+            cycle = [v]
+            u = succ[v]
+            while u != v:
+                cycle.append(u)
+                u = succ[u]
+            for u in cycle:
+                period[u] = len(cycle)
+    # distinct words of one length are distinct configurations; product()
+    # yields the words in index order
+    words = product(range(k), repeat=n)
+    points = [(CyclicConfig(k, w), t) for w, t in zip(words, period) if 0 < t <= t_max]
+    ordered = sorted(points, key=lambda it: (it[1], len(it[0].word), it[0].word))
     return JpCensus(k, n, t_max, tuple(ordered))
+
+
+def _successors(rule: TableRule, n: int) -> list[int]:
+    """Entry ``j`` is the index of the image of the cyclic word ``j`` of
+    length ``n``, built level by level for all ``k**n`` words at once."""
+    k, w, table = rule.alphabet_size, rule.width, rule.table
+    states = k**n
+    # G, the image with each window starting at its own cell.  Cells
+    # 0 .. n - w read the word linearly; each later cell wraps around and
+    # reads its window out of X, the word repeated reps times, which is
+    # at least n + w - 1 cells long (also when n < w).
+    succ = _window_images(table, k, w, n) if n >= w else [0] * states
+    reps = -(-(n + w - 1) // n)
+    cells = reps * n
+    repunit = (k**cells - 1) // (k**n - 1)  # X = word index * repunit
+    top = k**w
+    xs = range(0, states * repunit, repunit)
+    for i in range(max(0, n - w + 1), n):
+        d = k ** (cells - w - i)
+        succ = [g * k + table[x // d % top] for g, x in zip(succ, xs)]
+    # the map commutes with rotation: cell c of the image is cell
+    # c + offset - radius of G, so rotate every index left by that much
+    s = (rule.offset - rule.radius) % n
+    if s:
+        low, high = k ** (n - s), k**s
+        succ = [g % low * high + g // low for g in succ]
+    return succ
 
 
 # ---------------------------------------------------------------------------

@@ -339,6 +339,19 @@ def pad_table(rule: TableRule, radius: int, offset: int = 0) -> TableRule:
     return _rewindow(rule, radius, offset)
 
 
+def _window_images(table, k: int, width: int, length: int) -> list[int]:
+    """Entry ``j`` is the big-endian index of the image of word ``j`` of
+    ``length >= width`` cells, one output letter per full window."""
+    # It starts as the table itself (words of one window) and grows one cell
+    # per level: idx[j] = idx[j // k] * k + table[j % k**width], where the
+    # second term runs through the k-sized blocks of the table cyclically.
+    blocks = [table[b : b + k] for b in range(0, len(table), k)]
+    idx = list(table)
+    for _ in range(length - width):
+        idx = [i + a for i, block in zip((i * k for i in idx), cycle(blocks)) for a in block]
+    return idx
+
+
 def compose_table(f: TableRule, g: TableRule) -> TableRule:
     """Table of the composed map F o G (apply ``g`` first)."""
     if f.alphabet_size != g.alphabet_size:
@@ -346,15 +359,7 @@ def compose_table(f: TableRule, g: TableRule) -> TableRule:
     k = f.alphabet_size
     radius = f.radius + g.radius
     _table_size(k, 2 * radius + 1)
-    gt = g.table
-    # idx[j] is the big-endian index of the g-image of word j.  It starts as
-    # g's own table (words of width g.width) and grows one cell per level:
-    # idx[j] = idx[j // k] * k + gt[j % k**g.width], where the second term
-    # runs through the k-sized blocks of gt cyclically.
-    blocks = [gt[b : b + k] for b in range(0, len(gt), k)]
-    idx = gt
-    for _ in range(f.width - 1):
-        idx = [i + a for i, block in zip((i * k for i in idx), cycle(blocks)) for a in block]
+    idx = _window_images(g.table, k, g.width, 2 * radius + 1)
     return TableRule(k, radius, tuple(map(f.table.__getitem__, idx)), f.offset + g.offset)
 
 

@@ -376,6 +376,22 @@ def test_exit_parse_on_bad_config(capsys):
     assert main(argv) == EXIT_PARSE
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--rule", "wolfram:90", "--config", "ep:0|1|0", "--steps", "-1"],
+        ["jp", "--rule", "wolfram:90", "--length", "3", "--t-max", "-1"],
+        # the scan and the witness search hand their budget to temporal_cycle
+        ["scan", "--rule", "wolfram:90", "--t-max", "-1"],
+        ["witness", "--rule", "additive:m=4;r=1;c=2,1,2", "--t-max", "-1"],
+    ],
+)
+def test_exit_parse_on_negative_budgets(capsys, argv):
+    assert main(argv) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error:" in captured.err
+
+
 def test_exit_resource_on_huge_census(capsys):
     assert main(["jp", "--rule", "wolfram:90", "--length", "21"]) == EXIT_RESOURCE
     assert "resource cap:" in capsys.readouterr().err

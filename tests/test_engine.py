@@ -200,6 +200,15 @@ def test_temporal_cycle_step_budget_timeout():
         assert temporal_cycle(rule, x, max_steps) == CycleTimeout(max_steps)
 
 
+def test_temporal_cycle_refuses_bad_inputs_before_stepping():
+    # an alphabet mismatch is refused even when no step would be taken
+    with pytest.raises(ValueError, match="alphabet mismatch"):
+        temporal_cycle(RULE90, CyclicConfig(3, (0, 1, 2)), max_steps=0)
+    with pytest.raises(ValueError, match="max_steps"):
+        temporal_cycle(RULE90, CyclicConfig(2, (0, 1)), max_steps=-1)
+    assert temporal_cycle(RULE90, CyclicConfig(2, (0, 1)), max_steps=0) == CycleTimeout(0)
+
+
 def test_temporal_cycle_mid_growth_timeout():
     res = temporal_cycle(RULE90, EpConfig(2, (0,), (1,), (0,), 0), max_mid=4)
     assert isinstance(res, CycleTimeout)
@@ -233,6 +242,12 @@ def test_space_time_shift_rows():
 def test_space_time_rejects_bad_window():
     with pytest.raises(ValueError):
         space_time(RULE90, CyclicConfig(2, (0,)), 1, 2, 1)
+
+
+def test_space_time_rejects_negative_steps():
+    with pytest.raises(ValueError, match="steps"):
+        space_time(RULE90, CyclicConfig(2, (0,)), -1, 0, 1)
+    assert len(space_time(RULE90, CyclicConfig(2, (0,)), 0, 0, 1).rows) == 1
 
 
 def test_ascii_render():

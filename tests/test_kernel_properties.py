@@ -1,8 +1,9 @@
 """Property tests that pin the window kernel to definitions that do not use
 it: stepping, composition, padding, canonicalisation and the per-variable
 scans are each checked against a direct reading of the table through
-``encode_word`` and ``value_at``, and orbit detection against a walk that
-memoises every state exactly."""
+``encode_word`` and ``value_at``, orbit detection against a walk that
+memoises every state exactly, and the canonical form of eventually periodic
+configurations against other presentations of the same configuration."""
 
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ from itertools import product
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from periodika.configs import CyclicConfig, EpConfig, equals, value_at
+from periodika.configs import CyclicConfig, EpConfig, _canonical_ep, equals, shift, value_at
 from periodika.engine import CycleResult, CycleTimeout, step, temporal_cycle
 from periodika.periodicity import _bijective_at
 from periodika.rules import (
@@ -84,6 +85,54 @@ def test_step_reads_the_table_at_every_window(case):
     for i in _coordinates(x, 12 + rule.width + abs(rule.offset)):
         window = [value_at(x, c) for c in range(i + lo, i + hi + 1)]
         assert value_at(y, i) == rule.table[encode_word(window, rule.alphabet_size)]
+
+
+@SETTINGS
+@given(table_rules().flatmap(lambda rule: st.tuples(st.just(rule), ep_configs(rule.alphabet_size))),
+       st.integers(-6, 6))
+def test_step_commutes_with_shift_on_eventually_periodic_configs(case, n):
+    rule, x = case
+    assert step(rule, shift(x, n)) == shift(step(rule, x), n)
+
+
+def _raw_value(left, mid, right, start, i):
+    """Letter at coordinate ``i`` of ``^inf(left) . mid . (right)^inf`` with
+    the mid at ``start``, read off the presentation as given."""
+    if i < start:
+        return left[(i - start) % len(left)]
+    if i < start + len(mid):
+        return mid[i - start]
+    return right[(i - start - len(mid)) % len(right)]
+
+
+@st.composite
+def ep_presentations(draw):
+    """A raw presentation and another one of the same configuration: its
+    tails repeated, then border letters moved from the tails into the mid,
+    which rotates the tails and shifts the start."""
+    k = draw(st.integers(2, 3))
+    left, mid, right = draw(words(k, 1, 3)), draw(words(k, 0, 4)), draw(words(k, 1, 3))
+    if draw(st.booleans()):
+        right = left  # spatially periodic when the mid is absorbed
+    start = draw(st.integers(-5, 5))
+    left2, mid2, right2 = left * draw(st.integers(1, 3)), mid, right * draw(st.integers(1, 3))
+    start2 = start
+    for _ in range(draw(st.integers(0, 4))):
+        mid2, left2, start2 = left2[-1:] + mid2, left2[-1:] + left2[:-1], start2 - 1
+    for _ in range(draw(st.integers(0, 4))):
+        mid2, right2 = mid2 + right2[:1], right2[1:] + right2[:1]
+    return k, (left, mid, right, start), (left2, mid2, right2, start2)
+
+
+@settings(SETTINGS, max_examples=200)
+@given(ep_presentations())
+def test_equal_denotations_give_equal_canonical_configs(case):
+    k, raw, other = case
+    x, y = EpConfig(k, *raw), EpConfig(k, *other)
+    for i in range(min(raw[3], other[3]) - 24, other[3] + len(other[1]) + 24):
+        assert value_at(x, i) == value_at(y, i) == _raw_value(*raw, i) == _raw_value(*other, i)
+    assert x == y
+    assert _canonical_ep(*raw) == _canonical_ep(*other) == (x.left, x.mid, x.right, x.start)
 
 
 @st.composite

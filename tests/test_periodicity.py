@@ -4,6 +4,7 @@ witnesses."""
 
 from __future__ import annotations
 
+import random
 from itertools import product
 
 import pytest
@@ -40,6 +41,7 @@ from periodika.rules import (
     ResourceCapError,
     TableRule,
     identity_rule,
+    encode_word,
     table_from_additive,
 )
 
@@ -117,6 +119,52 @@ def test_jp_census_input_validation():
         jointly_periodic_points(RULE90, 0, 8)
     with pytest.raises(ResourceCapError):
         jointly_periodic_points(RULE90, 21, 8)
+
+
+def test_jp_census_rejects_a_negative_t_max():
+    with pytest.raises(ValueError, match="t_max"):
+        jointly_periodic_points(RULE90, 3, -1)
+    assert jointly_periodic_points(RULE90, 3, 0).points == ()
+
+
+def _window_indices(k, width, lo, n):
+    """For each cyclic word of length ``n``, in index order, the index of the
+    window of every cell: cell ``i`` reads cells ``i + lo .. i + lo + width - 1``."""
+    return [
+        [encode_word([w[(i + lo + d) % n] for d in range(width)], k) for i in range(n)]
+        for w in product(range(k), repeat=n)
+    ]
+
+
+def _census_kernel_cases():
+    rng = random.Random(2024)
+
+    def random_rule(k, radius, offset):
+        table = tuple(rng.randrange(k) for _ in range(k ** (2 * radius + 1)))
+        return TableRule(k, radius, table, offset)
+
+    cases = [(TableRule.from_wolfram(code), 10) for code in range(256)]
+    for offset in range(-3, 4):
+        cases.append((random_rule(3, 1, offset), 6))
+        cases.append((random_rule(2, 2, offset), 8))
+        cases += [(random_rule(k, 0, offset), n_max) for k, n_max in ((2, 8), (3, 6), (4, 5))]
+    return cases
+
+
+def test_census_successors_match_a_per_word_reference():
+    # the per-word reference looks up every cell's window of each word and
+    # encodes the image word; words shorter than the window wrap around
+    # more than once
+    windows = {}  # shared by the rules that read the same windows
+    for rule, n_max in _census_kernel_cases():
+        k = rule.alphabet_size
+        for n in range(1, n_max + 1):
+            geometry = (k, rule.width, rule.offset - rule.radius, n)
+            if geometry not in windows:
+                windows[geometry] = _window_indices(*geometry)
+            table = rule.table
+            expected = [encode_word([table[v] for v in cells], k) for cells in windows[geometry]]
+            assert periodicity._successors(rule, n) == expected, (rule, n)
 
 
 # ---------------------------------------------------------------------------
