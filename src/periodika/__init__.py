@@ -13,7 +13,6 @@ from .additive import (
     ClassificationReport,
     FactorClass,
     FactorReport,
-    NotFoundWithin,
     PermutativePowerCert,
     PrimePowerFactor,
     StpVerdict,
@@ -25,7 +24,6 @@ from .additive import (
     crt_split,
     decompose_crt,
     enumerate_additive_rules,
-    is_sensitive_additive,
     is_surjective_additive,
     permutative_power,
     prime_power_factorization,
@@ -56,8 +54,6 @@ from .engine import (
     pgm_render,
     space_time,
     step,
-    step_cyclic,
-    step_ep,
     temporal_cycle,
 )
 from .oracles import (
@@ -87,7 +83,6 @@ from .periodicity import (
 from .rules import (
     AdditiveRule,
     NotSurjectiveError,
-    Permutativity,
     ResourceCapError,
     RuleSpecError,
     TableRule,
@@ -97,7 +92,6 @@ from .rules import (
     encode_word,
     essential_span,
     identity_rule,
-    is_permutative,
     pad_table,
     parse_rule_spec,
     power_additive,

@@ -63,10 +63,6 @@ def _sensitivity_witness(rule: AdditiveRule) -> int | None:
     return next((p for p, _ in prime_power_factorization(rule.modulus) if g % p != 0), None)
 
 
-def is_sensitive_additive(rule: AdditiveRule) -> bool:
-    return _sensitivity_witness(rule) is not None
-
-
 @dataclass(frozen=True)
 class PrimePowerFactor:
     """The reduction of an additive rule mod one prime power of its modulus."""
@@ -155,31 +151,25 @@ class PermutativePowerCert:
     rule: AdditiveRule
 
 
-@dataclass(frozen=True)
-class NotFoundWithin:
-    """Bounded search ended without a hit; not a disproof."""
+def permutative_power(factor: PrimePowerFactor) -> PermutativePowerCert:
+    """Least ``h`` whose power is permutative with support ``[h*L, h*R]``.
 
-    bound: int
-
-
-def permutative_power(
-    factor: PrimePowerFactor, h_max: int | None = None
-) -> PermutativePowerCert | NotFoundWithin:
-    """Least ``h`` whose power is permutative with support ``[h*L, h*R]``."""
-    if h_max is None:
-        h_max = 4 * factor.modulus
+    Some ``h <= p**(e-1)`` works: f = g (mod p) for the g that keeps only
+    the coefficients coprime to p, a = b (mod p) gives a**(p**(e-1)) =
+    b**(p**(e-1)) (mod p**e) in any commutative ring, and g**h has unit
+    extreme coefficients at h*L and h*R.
+    """
     L, R = boundary_indices(factor)
     p = factor.prime
     cur = factor.rule
-    for h in range(1, h_max + 1):
+    for h in range(1, p ** (factor.exponent - 1) + 1):
         support = cur.support
         lo_ok = cur.coeffs.get(h * L, 0) % p != 0
         hi_ok = cur.coeffs.get(h * R, 0) % p != 0
         if lo_ok and hi_ok and support[0] >= h * L and support[-1] <= h * R:
             return PermutativePowerCert(h, cur)
-        if h < h_max:
-            cur = compose_additive(cur, factor.rule)
-    return NotFoundWithin(h_max)
+        cur = compose_additive(cur, factor.rule)
+    raise AssertionError("no permutative power within the proven bound")  # pragma: no cover
 
 
 class StpVerdict(Enum):
@@ -196,7 +186,7 @@ class FactorReport:
     factor_class: FactorClass
     L: int
     R: int
-    h: int | None
+    h: int
 
 
 @dataclass(frozen=True)
@@ -212,18 +202,23 @@ class ClassificationReport:
     certificates: dict
 
 
-def identity_power(rule: AdditiveRule, bound: int) -> int | None:
-    """Least ``t <= bound`` with ``rule**t`` the identity rule, if any."""
+def identity_power(rule: AdditiveRule) -> int | None:
+    """Least ``t`` with ``rule**t`` the identity rule, or None if there is none.
+
+    Such a t is below m**2 when it exists: the rule is then equicontinuous,
+    so on each factor f = c0 (mod p) for a unit c0, f**(p**(e-1)) is the
+    unit c0**(p**(e-1)) (see ``permutative_power``), and t divides the lcm
+    over factors of p**(e-1) * phi(p**e) < p**(2e).
+    """
     cur = rule
-    for t in range(1, bound + 1):
+    for t in range(1, rule.modulus**2 + 1):
         if cur.coeffs == {0: 1}:
             return t
-        if t < bound:
-            cur = compose_additive(cur, rule)
+        cur = compose_additive(cur, rule)
     return None
 
 
-def classify_additive(rule: AdditiveRule, h_max: int | None = None) -> ClassificationReport:
+def classify_additive(rule: AdditiveRule) -> ClassificationReport:
     """Full verdict set for an additive rule.
 
     Non-surjective rules keep their sensitivity verdict (the dichotomy
@@ -265,8 +260,7 @@ def classify_additive(rule: AdditiveRule, h_max: int | None = None) -> Classific
     for factor in decompose_crt(rule):
         L, R = boundary_indices(factor)
         cls = classify_prime_power(factor)
-        cert = permutative_power(factor, h_max)
-        h = cert.h if isinstance(cert, PermutativePowerCert) else None
+        h = permutative_power(factor).h
         factor_reports.append(FactorReport(factor.prime, factor.exponent, cls, L, R, h))
         classes.append(cls)
     any_eq = any(c is FactorClass.EQUICONTINUOUS for c in classes)
@@ -296,7 +290,7 @@ def classify_additive(rule: AdditiveRule, h_max: int | None = None) -> Classific
     if all_eq:
         certificates["equicontinuity"] = {
             "criterion": "some power of the rule is the identity",
-            "identity_power": identity_power(rule, 4 * rule.modulus**2),
+            "identity_power": identity_power(rule),
         }
     return ClassificationReport(
         rule=rule,

@@ -10,10 +10,12 @@ Seven batch-oriented subcommands::
     scan       falsification scan for empty-STP verdicts
     sweep      exhaustive classification of all rules for one (m, r)
 
-Exit status: 0 on success, 2 on unparseable input, 3 when a resource cap
-stops an exact computation.  All searches follow the fixed lexicographic
-orders of their modules, so output is deterministic given the same flags;
-JSON output re-parses and re-serializes byte-identically.
+Exit status: 0 on success; 1 when valid input is refused (a witness asked
+of a rule that is not surjective, or a seed word that dissolves into its
+background); 2 on unparseable input or a negative step budget; 3 when a
+resource cap stops an exact computation.  All searches follow the fixed
+lexicographic orders of their modules, so output is deterministic given
+the same flags; JSON output re-parses and re-serializes byte-identically.
 """
 
 from __future__ import annotations
@@ -31,11 +33,12 @@ from .additive import (
     report_to_dict,
     report_to_json,
 )
-from .configs import ConfigSpecError, parse_config, render_config
+from .configs import parse_config, render_config
 from .engine import ascii_render, pgm_render, space_time
 from .oracles import EquicontinuityCert, equicontinuity_oracle, surjectivity_oracle
 from .periodicity import (
     BlockingCert,
+    DegenerateUError,
     StpWitness,
     blocking_word_search,
     jointly_periodic_points,
@@ -45,6 +48,7 @@ from .periodicity import (
 )
 from .rules import (
     AdditiveRule,
+    NotSurjectiveError,
     ResourceCapError,
     RuleSpecError,
     TableRule,
@@ -54,6 +58,7 @@ from .rules import (
 )
 
 EXIT_OK = 0
+EXIT_REFUSED = 1
 EXIT_PARSE = 2
 EXIT_RESOURCE = 3
 
@@ -114,7 +119,7 @@ def _cmd_classify(args) -> int:
     rule = parse_rule_spec(args.rule)
     if not isinstance(rule, AdditiveRule):
         raise RuleSpecError("classify works on additive rules; pass an additive: spec")
-    report = classify_additive(rule, args.h_max)
+    report = classify_additive(rule)
     if args.format == "json":
         _emit(args, report_to_json(report) + "\n")
     else:
@@ -313,13 +318,7 @@ def _sweep_one(spec: str, check_oracles: bool) -> tuple:
 
 
 def _resolve_workers(requested: int) -> int:
-    """``--workers``, capped by ``CA_PERIODIKA_THREADS`` and the CPU count."""
-    cap = os.environ.get("CA_PERIODIKA_THREADS")
-    if cap is not None:
-        try:
-            requested = min(requested, max(1, int(cap)))
-        except ValueError:
-            print(f"warning: ignoring invalid CA_PERIODIKA_THREADS={cap!r}", file=sys.stderr)
+    """``--workers``, capped by the CPU count."""
     return max(1, min(requested, os.cpu_count() or 1))
 
 
@@ -383,7 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="classify an additive rule")
     p.add_argument("--rule", required=True)
-    p.add_argument("--h-max", type=int, default=None)
     common(p, ["json", "text"])
     p.set_defaults(fn=_cmd_classify)
 
@@ -469,10 +467,10 @@ def main(argv=None) -> int:
     except ResourceCapError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (RuleSpecError, ConfigSpecError, ValueError) as exc:
+    except (NotSurjectiveError, DegenerateUError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except OSError as exc:
+        return EXIT_REFUSED
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

@@ -23,12 +23,6 @@ def _cyclic_image(rule: TableRule, word) -> list[int]:
     return _image(rule.table, rule.alphabet_size, rule.width, cells)
 
 
-def step_cyclic(rule: TableRule, x: CyclicConfig) -> CyclicConfig:
-    if rule.alphabet_size != x.alphabet_size:
-        raise ValueError("alphabet mismatch")
-    return CyclicConfig(x.alphabet_size, tuple(_cyclic_image(rule, x.word)))
-
-
 def _ep_image(rule: TableRule, left, mid, right, start: int):
     """One step of ``^inf(left) . mid . (right)^inf`` with the mid at
     ``start``, as raw (not yet canonical) ``left, mid, right, start``."""
@@ -48,16 +42,12 @@ def _ep_image(rule: TableRule, left, mid, right, start: int):
     )
 
 
-def step_ep(rule: TableRule, x: EpConfig) -> EpConfig:
+def step(rule: TableRule, x: Config) -> Config:
     if rule.alphabet_size != x.alphabet_size:
         raise ValueError("alphabet mismatch")
-    return EpConfig(x.alphabet_size, *_ep_image(rule, x.left, x.mid, x.right, x.start))
-
-
-def step(rule: TableRule, x: Config) -> Config:
     if isinstance(x, CyclicConfig):
-        return step_cyclic(rule, x)
-    return step_ep(rule, x)
+        return CyclicConfig(x.alphabet_size, tuple(_cyclic_image(rule, x.word)))
+    return EpConfig(x.alphabet_size, *_ep_image(rule, x.left, x.mid, x.right, x.start))
 
 
 @dataclass(frozen=True)

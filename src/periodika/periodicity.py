@@ -52,9 +52,9 @@ from .oracles import (
 from .rules import (
     AdditiveRule,
     NotSurjectiveError,
-    ResourceCapError,
     TableRule,
     _is_bijective,
+    _table_size,
     _window_images,
     essential_span,
     table_from_additive,
@@ -81,23 +81,21 @@ class JpCensus:
     points: tuple[tuple[CyclicConfig, int], ...]
 
 
-def jointly_periodic_points(
-    rule: TableRule, n: int, t_max: int, max_states: int = 2_000_000
-) -> JpCensus:
+def jointly_periodic_points(rule: TableRule, n: int, t_max: int) -> JpCensus:
     """Exhaustive census over all ``|A|^n`` cyclic words of length ``n``.
 
     The rule induces a map on a finite set, so every word is eventually
     periodic; exactly the words sitting on cycles are temporally periodic.
-    Functional-graph traversal finds every cycle and its length.
+    Functional-graph traversal finds every cycle and its length.  More
+    words than ``rules.MAX_TABLE_ENTRIES`` are refused before anything is
+    allocated.
     """
     if n < 1:
         raise ValueError("word length must be positive")
     if t_max < 0:
         raise ValueError("t_max must be non-negative")
     k = rule.alphabet_size
-    states = k**n
-    if states > max_states:
-        raise ResourceCapError(f"{states} words of length {n} exceed the census cap")
+    states = _table_size(k, n)
     succ = _successors(rule, n)
     # Walk from every word, stamping each new word with the walk's number,
     # until a stamped word: one stamped by this walk closes a new cycle.
@@ -309,13 +307,18 @@ def _seeded_witness(rule: TableRule, background, u, t_max: int, max_mid: int = 1
         return WitnessMiss(t_max, f"no return within bounds ({res.reason})")
     if res.preperiod != 0:
         return WitnessMiss(t_max, f"orbit is preperiodic (preperiod {res.preperiod})")
-    t = res.period
-    z: Config = y
+    _verify_return(rule, y, res.period)
+    return StpWitness(y, res.period)
+
+
+def _verify_return(rule: TableRule, y: Config, t: int) -> None:
+    """Re-check with the engine, independently of any cycle detection, that
+    ``y`` returns to itself after ``t`` steps and is not spatially periodic."""
+    z = y
     for _ in range(t):
         z = step(rule, z)
     if not equals(z, y) or is_spatially_periodic(y):  # pragma: no cover
-        raise AssertionError("witness failed re-verification")
-    return StpWitness(y, t)
+        raise AssertionError(f"{y} failed exact re-verification at period {t}")
 
 
 def stp_witness_additive(rule: AdditiveRule, t_max: int = 64) -> StpWitness | WitnessMiss:
@@ -492,13 +495,8 @@ def stp_empty_scan(
         res = temporal_cycle(table, y, t_max, mid_len_max + (table.width - 1) * t_max)
         if not isinstance(res, CycleResult) or res.preperiod != 0:
             continue
-        t = res.period
-        z: Config = y
-        for _ in range(t):
-            z = step(table, z)
-        if not equals(z, y) or is_spatially_periodic(y):  # pragma: no cover
-            raise AssertionError("violation failed re-verification")
-        violations.append(StpWitness(y, t))
+        _verify_return(table, y, res.period)
+        violations.append(StpWitness(y, res.period))
         if len(violations) >= max_violations:
             truncated = True
             break
@@ -584,11 +582,7 @@ def product_witness_scan(
             if t > t_max:
                 continue
             fused = product_config(wf.config, cg)
-            z: Config = fused
-            for _ in range(t):
-                z = step(prod, z)
-            if not equals(z, fused) or is_spatially_periodic(fused):  # pragma: no cover
-                raise AssertionError("product witness failed exact verification")
+            _verify_return(prod, fused, t)
             res = temporal_cycle(prod, fused, max_steps=t)
             period = t
             if isinstance(res, CycleResult) and res.preperiod == 0:

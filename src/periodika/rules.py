@@ -363,17 +363,6 @@ def compose_table(f: TableRule, g: TableRule) -> TableRule:
     return TableRule(k, radius, tuple(map(f.table.__getitem__, idx)), f.offset + g.offset)
 
 
-@dataclass(frozen=True)
-class Permutativity:
-    leftmost: bool
-    rightmost: bool
-
-
-def is_permutative(rule: TableRule) -> Permutativity:
-    """Whether the table is bijective in its leftmost / rightmost variable."""
-    return Permutativity(_is_bijective(rule, 0), _is_bijective(rule, rule.width - 1))
-
-
 _ADDITIVE_RE = re.compile(r"^m=(\d+);r=(\d+);c=(-?\d+(?:,-?\d+)*)$")
 
 

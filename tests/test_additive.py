@@ -5,13 +5,13 @@ the strict-temporal-periodicity verdict."""
 from __future__ import annotations
 
 import json
+from math import lcm
 
 import pytest
 
 from periodika.additive import (
     FactorClass,
     FactorReport,
-    NotFoundWithin,
     PermutativePowerCert,
     PrimePowerFactor,
     StpVerdict,
@@ -24,7 +24,6 @@ from periodika.additive import (
     decompose_crt,
     enumerate_additive_rules,
     identity_power,
-    is_sensitive_additive,
     is_surjective_additive,
     off_center_gcd,
     permutative_power,
@@ -63,9 +62,11 @@ def test_surjectivity_examples():
 
 
 def test_sensitivity_examples():
-    assert is_sensitive_additive(RULE90)
-    assert not is_sensitive_additive(M4_RULE)
-    assert is_sensitive_additive(M6_RULE)
+    assert classify_additive(RULE90).sensitive
+    assert not classify_additive(M4_RULE).sensitive
+    assert classify_additive(M6_RULE).sensitive
+    # the dichotomy does not need surjectivity
+    assert not classify_additive(AdditiveRule(4, 1, {0: 2})).sensitive
 
 
 def test_off_center_gcd():
@@ -172,11 +173,6 @@ def test_permutative_power_examples():
     assert cert.h == 3 and cert.rule.coeffs == {0: 1}
 
 
-def test_permutative_power_bounded_miss():
-    factor = decompose_crt(M4_RULE)[0]
-    assert permutative_power(factor, h_max=1) == NotFoundWithin(1)
-
-
 def test_permutative_power_cert_invariants():
     for m in (2, 3, 4, 5, 6):
         for rule in enumerate_additive_rules(m):
@@ -198,9 +194,34 @@ def test_permutative_power_cert_invariants():
 
 
 def test_identity_power():
-    assert identity_power(M4_RULE, 16) == 2
-    assert identity_power(AdditiveRule(4, 0, {0: 1}), 16) == 1
-    assert identity_power(RULE90, 8) is None
+    assert identity_power(M4_RULE) == 2
+    assert identity_power(AdditiveRule(4, 0, {0: 1})) == 1
+    # (2 + 3x)**t = 2**t + 3t * 2**(t-1) x (mod 9): 6 | t and 3 | t
+    assert identity_power(AdditiveRule(9, 1, {-1: 3, 0: 2})) == 6
+    assert identity_power(RULE90) is None
+    assert identity_power(AdditiveRule(4, 1, {0: 2})) is None
+
+
+def _phi(p: int, e: int) -> int:
+    return p ** (e - 1) * (p - 1)
+
+
+def test_power_walks_stop_within_their_proven_bounds():
+    for m in (2, 3, 4, 5, 6):
+        for rule in enumerate_additive_rules(m):
+            if not is_surjective_additive(rule):
+                continue
+            factors = decompose_crt(rule)
+            for f in factors:
+                assert permutative_power(f).h <= f.prime ** (f.exponent - 1)
+            report = classify_additive(rule)
+            if not report.equicontinuous:
+                assert identity_power(rule) is None
+                continue
+            t = report.certificates["equicontinuity"]["identity_power"]
+            assert t == identity_power(rule)
+            bound = lcm(*(f.prime ** (f.exponent - 1) * _phi(f.prime, f.exponent) for f in factors))
+            assert bound % t == 0 and bound < m**2
 
 
 # ---------------------------------------------------------------------------

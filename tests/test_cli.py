@@ -4,6 +4,7 @@ artifact files, deterministic JSON, and the exit-code contract."""
 from __future__ import annotations
 
 import json
+import shlex
 from pathlib import Path
 
 import pytest
@@ -11,12 +12,14 @@ import pytest
 from periodika.cli import (
     EXIT_OK,
     EXIT_PARSE,
+    EXIT_REFUSED,
     EXIT_RESOURCE,
     _resolve_workers,
     main,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
+README = Path(__file__).parent.parent / "README.md"
 
 
 def run(capsys, argv, expect=EXIT_OK):
@@ -330,30 +333,11 @@ def test_sweep_parallel_output_matches_serial(capsys):
     assert serial == parallel
 
 
-def test_sweep_worker_env_cap(capsys, monkeypatch):
-    monkeypatch.setenv("CA_PERIODIKA_THREADS", "1")
-    assert _resolve_workers(8) == 1
-    # the capped run must still produce the same artifact
-    payload = run_json(capsys, ["sweep", "--m", "2", "--workers", "8"])
-    assert payload["rules"] == 8
-
-
-def test_resolve_workers(capsys, monkeypatch):
-    monkeypatch.delenv("CA_PERIODIKA_THREADS", raising=False)
+def test_resolve_workers(monkeypatch):
     monkeypatch.setattr("periodika.cli.os.cpu_count", lambda: 4)
     assert [_resolve_workers(n) for n in (0, 1, 3, 4, 8)] == [1, 1, 3, 4, 4]
     monkeypatch.setattr("periodika.cli.os.cpu_count", lambda: None)
     assert _resolve_workers(8) == 1
-    monkeypatch.setattr("periodika.cli.os.cpu_count", lambda: 4)
-    monkeypatch.setenv("CA_PERIODIKA_THREADS", "2")
-    assert _resolve_workers(8) == 2
-    monkeypatch.setenv("CA_PERIODIKA_THREADS", "0")
-    assert _resolve_workers(8) == 1
-    assert capsys.readouterr().err == ""
-    monkeypatch.setenv("CA_PERIODIKA_THREADS", "two")
-    assert _resolve_workers(8) == 4
-    err = capsys.readouterr().err
-    assert err == "warning: ignoring invalid CA_PERIODIKA_THREADS='two'\n"
 
 
 def test_sweep_text(capsys):
@@ -363,12 +347,62 @@ def test_sweep_text(capsys):
 
 
 # ---------------------------------------------------------------------------
+# README
+
+
+def _readme_commands() -> list[tuple[list[str], list[str]]]:
+    """Each ``periodika`` line of the README's command-line block, as argv,
+    with the ``# `` lines right below it: the output the README shows."""
+    text = README.read_text().split("## Command line", 1)[1]
+    block = text.split("```sh\n", 1)[1].split("```", 1)[0]
+    commands: list[tuple[list[str], list[str]]] = []
+    shown = None
+    for line in block.splitlines():
+        if line.startswith("periodika "):
+            shown = []
+            commands.append((shlex.split(line)[1:], shown))
+        elif shown is not None and line.startswith("# "):
+            shown.append(line[2:])
+        else:
+            shown = None
+    return commands
+
+
+def test_readme_command_lines_run(capsys):
+    commands = _readme_commands()
+    assert sorted(argv[0] for argv, _ in commands) == sorted(
+        ["classify", "simulate", "jp", "blocking", "witness", "scan", "sweep"]
+    )
+    for argv, shown in commands:
+        out = run(capsys, argv)
+        if argv[0] == "simulate":
+            assert len(shown) == 3 and out.splitlines() == shown
+        else:
+            assert not shown
+
+
+# ---------------------------------------------------------------------------
 # exit codes
 
 
 def test_exit_parse_on_bad_rule(capsys):
     assert main(["classify", "--rule", "additive:m=1;r=1;c=0,0,0"]) == EXIT_PARSE
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # every coefficient is even: the rule is not surjective
+        ["witness", "--rule", "additive:m=4;r=1;c=2,2,2"],
+        # seed word 0 over the blocking word 0 is the constant configuration
+        ["witness", "--rule", "additive:m=4;r=1;c=2,1,2", "--u", "0"],
+    ],
+)
+def test_exit_refused_on_valid_input_without_a_witness(capsys, argv):
+    assert main(argv) == EXIT_REFUSED
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
 
 
 def test_exit_parse_on_bad_config(capsys):

@@ -21,8 +21,6 @@ from periodika.engine import (
     pgm_render,
     space_time,
     step,
-    step_cyclic,
-    step_ep,
     temporal_cycle,
 )
 from periodika.rules import (
@@ -43,32 +41,34 @@ SHIFT2 = table_from_additive(AdditiveRule(2, 1, {1: 1}))
 
 
 def test_step_cyclic_examples():
-    assert step_cyclic(RULE90, CyclicConfig(2, (1, 1, 0))) == CyclicConfig(2, (1, 1, 0))
-    assert equals(step_cyclic(RULE90, CyclicConfig(2, (1, 1, 1))), CyclicConfig(2, (0,)))
+    assert step(RULE90, CyclicConfig(2, (1, 1, 0))) == CyclicConfig(2, (1, 1, 0))
+    assert equals(step(RULE90, CyclicConfig(2, (1, 1, 1))), CyclicConfig(2, (0,)))
     x = CyclicConfig(4, (0, 3, 1))
-    assert step_cyclic(identity_rule(4), x) == x
+    assert step(identity_rule(4), x) == x
 
 
 def test_step_cyclic_checks_alphabet():
     with pytest.raises(ValueError):
-        step_cyclic(RULE90, CyclicConfig(3, (0, 1)))
+        step(RULE90, CyclicConfig(3, (0, 1)))
+    with pytest.raises(ValueError):
+        step(RULE90, EpConfig(3, (0,), (2,), (1,), 0))
 
 
 def test_step_ep_widens_the_defect():
     y = EpConfig(4, (0,), (1,), (0,), 0)
-    img = step_ep(M4_TABLE, y)
+    img = step(M4_TABLE, y)
     assert img == EpConfig(4, (0,), (2, 1, 2), (0,), -1)
 
 
 def test_step_ep_shift_moves_the_defect():
     y = EpConfig(2, (0,), (1,), (0,), 0)
-    img = step_ep(SHIFT2, y)
+    img = step(SHIFT2, y)
     assert img == EpConfig(2, (0,), (1,), (0,), -1)
 
 
 def test_step_ep_fixes_the_quiescent_configuration():
     y = EpConfig(2, (0,), (), (0,), 0)
-    assert step_ep(RULE90, y) == y
+    assert step(RULE90, y) == y
 
 
 def test_step_dispatches_on_class():
@@ -83,9 +83,9 @@ def test_step_handles_offset_rules():
     one_sided = canonicalize_table(SHIFT2)
     assert one_sided.offset == 1 and one_sided.radius == 0
     x = CyclicConfig(2, (1, 1, 0))
-    assert step_cyclic(one_sided, x) == step_cyclic(SHIFT2, x)
+    assert step(one_sided, x) == step(SHIFT2, x)
     y = EpConfig(2, (0,), (1, 1), (0,), 0)
-    assert step_ep(one_sided, y) == step_ep(SHIFT2, y)
+    assert step(one_sided, y) == step(SHIFT2, y)
 
 
 def test_cyclic_image_period_divides_input_period():
@@ -94,7 +94,7 @@ def test_cyclic_image_period_divides_input_period():
         for n in range(1, 7):
             for word in product(range(k), repeat=n):
                 x = CyclicConfig(k, word)
-                y = step_cyclic(rule, x)
+                y = step(rule, x)
                 assert len(x.word) % len(y.word) == 0
 
 
@@ -103,8 +103,8 @@ def test_step_cyclic_agrees_with_step_ep_on_periodic_inputs():
         k = rule.alphabet_size
         for n in range(1, 5):
             for word in product(range(k), repeat=n):
-                as_cyclic = step_cyclic(rule, CyclicConfig(k, word))
-                as_ep = step_ep(rule, EpConfig(k, word, (), word, 0))
+                as_cyclic = step(rule, CyclicConfig(k, word))
+                as_ep = step(rule, EpConfig(k, word, (), word, 0))
                 assert equals(as_cyclic, as_ep)
 
 

@@ -8,22 +8,24 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from periodika.configs import CyclicConfig, EpConfig, equals
-from periodika.engine import step_cyclic
+from periodika.engine import step
 from periodika.oracles import equicontinuity_oracle
 from periodika.rules import (
     AdditiveRule,
     ResourceCapError,
     RuleSpecError,
     TableRule,
+    _is_bijective,
     canonicalize_table,
     compose_additive,
     compose_table,
     encode_word,
     essential_span,
     identity_rule,
-    is_permutative,
     pad_table,
     parse_rule_spec,
     power_additive,
@@ -200,6 +202,33 @@ def test_render_parse_round_trip():
     assert again == table
 
 
+@st.composite
+def rule_literals(draw):
+    """``wolfram:`` literals with explicit or default ``k``/``r`` in either
+    order, and ``additive:`` literals whose coefficients may be negative or
+    at least the modulus."""
+    if draw(st.booleans()):
+        k, r = draw(st.sampled_from([(2, 0), (2, 1), (2, 2), (3, 0), (3, 1), (4, 1), (11, 0)]))
+        code = draw(st.integers(0, k ** (k ** (2 * r + 1)) - 1))
+        options = [f"k={k}"] if k != 2 or draw(st.booleans()) else []
+        options += [f"r={r}"] if r != 1 or draw(st.booleans()) else []
+        if draw(st.booleans()):
+            options.reverse()
+        return ";".join([f"wolfram:{code}", *options])
+    m, r = draw(st.integers(2, 40)), draw(st.integers(0, 3))
+    coeffs = draw(st.lists(st.integers(-3 * m, 3 * m), min_size=2 * r + 1, max_size=2 * r + 1))
+    return f"additive:m={m};r={r};c=" + ",".join(map(str, coeffs))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(rule_literals())
+def test_rendered_rule_literals_are_fixed_points(text):
+    rule = parse_rule_spec(text)
+    rendered = render_rule_spec(rule)
+    assert parse_rule_spec(rendered) == rule
+    assert render_rule_spec(parse_rule_spec(rendered)) == rendered
+
+
 # ---------------------------------------------------------------------------
 # table expansion
 
@@ -267,7 +296,7 @@ def test_composition_commutes_with_stepping_exhaustively_mod_2():
             lhs_table = table_from_additive(compose_additive(f, g))
             ft, gt = table_from_additive(f), table_from_additive(g)
             for x in configs:
-                assert equals(step_cyclic(lhs_table, x), step_cyclic(ft, step_cyclic(gt, x)))
+                assert equals(step(lhs_table, x), step(ft, step(gt, x)))
 
 
 def test_composition_commutes_with_stepping_sampled():
@@ -280,7 +309,7 @@ def test_composition_commutes_with_stepping_sampled():
         x = CyclicConfig(m, word)
         composed = table_from_additive(compose_additive(f, g))
         ft, gt = table_from_additive(f), table_from_additive(g)
-        assert equals(step_cyclic(composed, x), step_cyclic(ft, step_cyclic(gt, x)))
+        assert equals(step(composed, x), step(ft, step(gt, x)))
 
 
 def test_compose_table_matches_additive_composition():
@@ -375,28 +404,27 @@ def test_padding_preserves_the_global_map():
 # permutativity
 
 
+def _permutative_sides(rule: TableRule) -> tuple[bool, bool]:
+    """Whether the table is bijective in its leftmost / rightmost variable."""
+    return (_is_bijective(rule, 0), _is_bijective(rule, rule.width - 1))
+
+
 def test_permutativity_examples():
-    both = is_permutative(TableRule.from_wolfram(90))
-    assert both.leftmost and both.rightmost
+    assert _permutative_sides(TableRule.from_wolfram(90)) == (True, True)
     # f(a, b, c) = b * c
     produces = TableRule(2, 1, tuple(w[1] * w[2] for w in product(range(2), repeat=3)))
-    neither = is_permutative(produces)
-    assert not neither.leftmost and not neither.rightmost
-    shift = table_from_additive(SHIFT2)
-    one_sided = is_permutative(shift)
-    assert not one_sided.leftmost and one_sided.rightmost
+    assert _permutative_sides(produces) == (False, False)
+    assert _permutative_sides(table_from_additive(SHIFT2)) == (False, True)
 
 
 def test_permutativity_tracks_unit_coefficients_for_prime_modulus():
     for m in (2, 3):
         for rule in _all_additive(m):
-            perm = is_permutative(table_from_additive(rule))
-            right = rule.coeffs.get(1, 0)
-            left = rule.coeffs.get(-1, 0)
+            left, right = _permutative_sides(table_from_additive(rule))
             # for prime m a nonzero coefficient is a unit, so the variable
             # permutes the alphabet; a zero coefficient makes it inert
-            assert perm.rightmost == (right != 0)
-            assert perm.leftmost == (left != 0)
+            assert right == (rule.coeffs.get(1, 0) != 0)
+            assert left == (rule.coeffs.get(-1, 0) != 0)
 
 
 # ---------------------------------------------------------------------------
