@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import product
+from itertools import islice, product
 from math import lcm
 
 from .additive import (
@@ -38,7 +38,6 @@ from .configs import (
     equals,
     is_spatially_periodic,
     map_letters,
-    primitive_root,
     product_config,
     value_at,
 )
@@ -179,18 +178,6 @@ class BlockingMiss:
     steps: int
 
 
-def _spans_fit(spans, j: int, s: int, word_len: int) -> bool:
-    """Whether every power's dependence window, shifted into the observed
-    column, stays inside the word ``[0, word_len)``."""
-    for span in spans:
-        if span is None:
-            continue
-        lo, hi = span
-        if j + lo < 0 or j + s - 1 + hi > word_len - 1:
-            return False
-    return True
-
-
 def _column_constant(rule: TableRule, u, j: int, s: int, bg_period: int, steps: int) -> bool:
     """Simulate all eventually periodic contexts ``^inf(a) . u . (b)^inf``
     with tail periods up to ``bg_period`` and compare the observed columns."""
@@ -220,34 +207,35 @@ def blocking_word_search(
     k_max: int = 4,
     bg_period: int = 2,
     steps: int = 16,
-    oracle_budget: int = 64,
 ) -> BlockingCert | BlockingMiss:
     """First word (lexicographic in ``(k, u, j)``) whose column is constant
     across all tested contexts.
 
     When the rule carries an equicontinuity certificate ``F^q = F^(q+p)``
-    the candidate is checked exactly: if the dependence span of every power
+    the check is exact: if the dependence span of every power
     ``F^0 .. F^(q+p)`` stays inside the word, the column is determined by
-    the word for *all* times, and the certificate is marked Exact.  Without
-    a certificate the check is bounded simulation, marked BoundedVerified.
+    the word for *all* times, and the certificate is marked Exact.  That
+    test never reads the letters, so the first such word is all zeros,
+    just long enough for the widest spans around the column.  Without a
+    certificate the check is bounded simulation, marked BoundedVerified.
     """
+    if min(k_max, steps) < 0 or bg_period < 1:
+        raise ValueError("k_max and steps must be non-negative and bg_period positive")
     k = rule.alphabet_size
     s = max(rule.radius, 1)
-    cert, powers = _power_walk(rule, oracle_budget)
-    spans = None
-    verified_steps = steps
+    cert, powers = _power_walk(rule)
     if isinstance(cert, EquicontinuityCert):
-        spans = [essential_span(t) for t in powers]
-        verified_steps = cert.q + cert.p
+        # F^0 spans [0, 0], so lo <= 0 <= hi and the column fits at j = -lo
+        spans = [span for span in map(essential_span, powers) if span is not None]
+        j = -min(lo for lo, _ in spans)
+        word_len = j + s + max(hi for _, hi in spans)
+        if word_len > k_max:
+            return BlockingMiss(k_max, bg_period, steps)
+        return BlockingCert((0,) * word_len, j, s, 0, cert.q + cert.p, BlockingStatus.EXACT)
     for word_len in range(s, k_max + 1):
         for u in product(range(k), repeat=word_len):
             for j in range(0, word_len - s + 1):
-                if spans is not None:
-                    if _spans_fit(spans, j, s, word_len):
-                        return BlockingCert(
-                            u, j, s, 0, verified_steps, BlockingStatus.EXACT
-                        )
-                elif _column_constant(rule, u, j, s, bg_period, steps):
+                if _column_constant(rule, u, j, s, bg_period, steps):
                     return BlockingCert(
                         u, j, s, bg_period, steps, BlockingStatus.BOUNDED_VERIFIED
                     )
@@ -278,7 +266,6 @@ def stp_witness(
     cert: BlockingCert,
     u,
     t_max: int = 64,
-    max_mid: int = 10_000,
 ) -> StpWitness | WitnessMiss:
     """Seed ``y = ^inf(w) . u . (w)^inf`` over the blocking word ``w`` and
     detect an exact return of the orbit to ``y``.
@@ -291,10 +278,10 @@ def stp_witness(
         raise ValueError("seed word must be nonempty")
     if not surjectivity_oracle(rule):
         raise NotSurjectiveError("witness construction requires a surjective rule")
-    return _seeded_witness(rule, cert.word, u, t_max, max_mid)
+    return _seeded_witness(rule, cert.word, u, t_max)
 
 
-def _seeded_witness(rule: TableRule, background, u, t_max: int, max_mid: int = 10_000):
+def _seeded_witness(rule: TableRule, background, u, t_max: int):
     """The witness search of ``stp_witness`` over the background word
     ``background``, for a rule already known to be surjective."""
     y = EpConfig(rule.alphabet_size, background, u, background, 0)
@@ -302,7 +289,7 @@ def _seeded_witness(rule: TableRule, background, u, t_max: int, max_mid: int = 1
         raise DegenerateUError(
             "seed word dissolves into the background word; pick u that breaks the tail pattern"
         )
-    res = temporal_cycle(rule, y, max_steps=t_max, max_mid=max_mid)
+    res = temporal_cycle(rule, y, max_steps=t_max)
     if isinstance(res, CycleTimeout):
         return WitnessMiss(t_max, f"no return within bounds ({res.reason})")
     if res.preperiod != 0:
@@ -386,25 +373,30 @@ def _drift_sides(rule: TableRule) -> tuple[int | None, int | None]:
     return (left, right)
 
 
-def _left_defect(y: EpConfig) -> int:
-    """First coordinate where ``y`` deviates from its left tail pattern."""
+def _prune_sides(table: TableRule, additive: AdditiveRule | None):
+    """Drift sides ``(modulus, left, right)`` that rule out every return:
+    the rule's own, or else those of all its prime-power factors; empty when
+    neither applies."""
+    own = _drift_sides(table)
+    if own != (None, None):
+        return [(table.alphabet_size, *own)]
+    if additive is None:
+        return []
+    factors = decompose_crt(additive)
+    sides = [(f.modulus, *_drift_sides(table_from_additive(f.rule))) for f in factors]
+    return sides if all(dl is not None or dr is not None for _, dl, dr in sides) else []
+
+
+def _defects(y: EpConfig) -> tuple[int, int]:
+    """First coordinate where ``y`` deviates from its left tail pattern and
+    last one where it deviates from its right tail pattern, for ``y`` not
+    spatially periodic.  A canonical mid ends on a letter unlike the right
+    tail's, and so does the left tail where the mid is empty."""
     if y.mid:
-        return y.start
+        return y.start, y.end - 1
     l, r = y.left, y.right
-    for i in range(y.start, y.start + lcm(len(l), len(r))):
-        if r[(i - y.start) % len(r)] != l[(i - y.start) % len(l)]:
-            return i
-    raise AssertionError("configuration equals its left tail everywhere")
-
-
-def _right_defect(y: EpConfig) -> int:
-    """Last coordinate where ``y`` deviates from its right tail pattern."""
-    l, r = y.left, y.right
-    end = y.end
-    for i in range(end - 1, y.start - lcm(len(l), len(r)) - 1, -1):
-        if value_at(y, i) != r[(i - end) % len(r)]:
-            return i
-    raise AssertionError("configuration equals its right tail everywhere")
+    first = next(i for i in range(lcm(len(l), len(r))) if l[i % len(l)] != r[i % len(r)])
+    return y.start + first, y.end - 1
 
 
 def stp_empty_scan(
@@ -419,9 +411,9 @@ def stp_empty_scan(
     Enumerates, up to shift, the canonical eventually periodic
     configurations whose tails have primitive period ``<= tail_period_max``
     and whose middle has length ``<= mid_len_max``, and reports every one
-    that returns to itself within ``t_max`` steps.  Tails that are not
-    themselves temporally periodic within the bound are excluded up front
-    (a periodic orbit forces periodic tails).
+    that returns to itself within ``t_max`` steps, up to ``max_violations``
+    of them.  The tails are the jointly periodic words within the bound (a
+    periodic orbit forces periodic tails).
 
     Two prunes shortcut the orbit walks, both backed by the monotone-defect
     argument of ``_drift_sides`` and spot-checked against single engine
@@ -431,64 +423,53 @@ def stp_empty_scan(
     a return of the full configuration forces a return of every residue
     and at least one residue is not spatially periodic.
     """
+    if min(tail_period_max, mid_len_max, t_max) < 0:
+        raise ValueError("scan bounds must be non-negative")
+    if max_violations < 1:
+        raise ValueError("max_violations must be positive")
     additive = rule if isinstance(rule, AdditiveRule) else None
     table = table_from_additive(additive) if additive is not None else rule
     k = table.alphabet_size
     bounds = ScanBounds(tail_period_max, mid_len_max, t_max)
     tails: list[tuple[tuple[int, ...], int]] = []
     for n in range(1, tail_period_max + 1):
-        for w in product(range(k), repeat=n):
-            if len(primitive_root(w)) != n:
-                continue
-            res = temporal_cycle(table, CyclicConfig(k, w), max_steps=t_max)
-            if isinstance(res, CycleResult) and res.preperiod == 0 and res.period <= t_max:
-                tails.append((w, res.period))
-    drift_left, drift_right = _drift_sides(table)
-    drifting = drift_left is not None or drift_right is not None
-    factor_sides = None
-    if not drifting and additive is not None:
-        factors = decompose_crt(additive)
-        sides = [_drift_sides(table_from_additive(f.rule)) for f in factors]
-        if all(dl is not None or dr is not None for dl, dr in sides):
-            factor_sides = list(zip((f.modulus for f in factors), sides))
-    examined = 0
-    violations: list[StpWitness] = []
-    truncated = False
+        census = jointly_periodic_points(table, n, t_max).points
+        tails += sorted((cfg.word, t) for cfg, t in census if len(cfg.word) == n)
+    pairs = [(a, b) for a, ta in tails for b, tb in tails if lcm(ta, tb) <= t_max]
 
     def candidates():
-        for a, ta in tails:
-            for b, tb in tails:
-                if lcm(ta, tb) > t_max:
-                    continue
-                if a != b:
-                    yield EpConfig(k, a, (), b, 0)
-                for n in range(1, mid_len_max + 1):
-                    for mid in product(range(k), repeat=n):
-                        if mid[0] == a[0] or mid[-1] == b[-1]:
-                            continue  # not canonical: would absorb into a tail
-                        yield EpConfig(k, a, mid, b, 0)
+        for a, b in pairs:
+            if a != b:
+                yield EpConfig(k, a, (), b, 0)
+            for n in range(1, mid_len_max + 1):
+                for mid in product(range(k), repeat=n):
+                    if mid[0] == a[0] or mid[-1] == b[-1]:
+                        continue  # not canonical: would absorb into a tail
+                    yield EpConfig(k, a, mid, b, 0)
 
-    if drifting or factor_sides is not None:
+    sides = _prune_sides(table, additive)
+    if sides:
         # No candidate can return: some defect boundary moves strictly every
         # step.  Spot-check the first few against one engine step each and
-        # count the remainder without building them.
-        for y in candidates():
-            examined += 1
-            if examined > 32:
-                break
+        # count the family without building it.
+        for y in islice(candidates(), 32):
             img = step(table, y)
-            if drifting:
-                _check_drift(y, img, drift_left, drift_right)
-            else:
-                for q, (dl, dr) in factor_sides:
-                    ry = map_letters(y, lambda a, q=q: a % q, q)
-                    if is_spatially_periodic(ry):
-                        continue
-                    rimg = map_letters(img, lambda a, q=q: a % q, q)
-                    _check_drift(ry, rimg, dl, dr)
-        examined = _candidate_count(k, tails, mid_len_max, t_max)
+            for q, dl, dr in sides:
+                ry, rimg = (map_letters(z, lambda a, q=q: a % q, q) for z in (y, img))
+                if is_spatially_periodic(ry):
+                    continue
+                (y_lo, y_hi), (img_lo, img_hi) = _defects(ry), _defects(rimg)
+                if not (img_lo == y_lo - dr if dr is not None else img_hi == y_hi - dl):
+                    raise AssertionError("defect drift disagrees with one engine step")
+        # a canonical mid starts unlike a[0] and ends unlike b[-1]
+        longer = sum((k - 1) ** 2 * k ** (n - 2) for n in range(2, mid_len_max + 1))
+        examined = sum(
+            (a != b) + (mid_len_max > 0) * (k - 2 + (a[0] == b[-1])) + longer for a, b in pairs
+        )
         return ScanResult(bounds, examined, (), False)
 
+    examined = 0
+    violations: list[StpWitness] = []
     for y in candidates():
         examined += 1
         # the mid grows by at most width - 1 per step, so this cap never binds
@@ -497,35 +478,9 @@ def stp_empty_scan(
             continue
         _verify_return(table, y, res.period)
         violations.append(StpWitness(y, res.period))
-        if len(violations) >= max_violations:
-            truncated = True
-            break
-    return ScanResult(bounds, examined, tuple(violations), truncated)
-
-
-def _check_drift(y: EpConfig, img: EpConfig, drift_left: int | None, drift_right: int | None):
-    if drift_right is not None:
-        if _left_defect(img) != _left_defect(y) - drift_right:
-            raise AssertionError("defect drift disagrees with one engine step")
-    elif _right_defect(img) != _right_defect(y) - drift_left:
-        raise AssertionError("defect drift disagrees with one engine step")
-
-
-def _candidate_count(k: int, tails, mid_len_max: int, t_max: int) -> int:
-    """Closed-form size of the candidate family ``stp_empty_scan`` walks."""
-    total = 0
-    for a, ta in tails:
-        for b, tb in tails:
-            if lcm(ta, tb) > t_max:
-                continue
-            if a != b:
-                total += 1
-            for n in range(1, mid_len_max + 1):
-                if n == 1:
-                    total += k - 1 if a[0] == b[-1] else k - 2
-                else:
-                    total += (k - 1) * (k - 1) * k ** (n - 2)
-    return total
+        if len(violations) == max_violations:
+            return ScanResult(bounds, examined, tuple(violations), True)
+    return ScanResult(bounds, examined, tuple(violations), False)
 
 
 # ---------------------------------------------------------------------------
@@ -553,27 +508,24 @@ def product_witness_scan(
     cert = blocking_word_search(f, k_max, bg_period, steps)
     if not isinstance(cert, BlockingCert):
         return ()
+    seeds = (u for n in range(1, u_len_max + 1) for u in product(range(f.alphabet_size), repeat=n))
     f_wits: list[StpWitness] = []
-    for n in range(1, u_len_max + 1):
-        for u in product(range(f.alphabet_size), repeat=n):
-            try:
-                wit = stp_witness(f, cert, u, t_max)
-            except DegenerateUError:
-                continue
-            if isinstance(wit, StpWitness):
-                f_wits.append(wit)
-                if len(f_wits) >= 3:
-                    break
-        if len(f_wits) >= 3:
-            break
-    g_points: list[tuple[CyclicConfig, int]] = []
-    seen: set[CyclicConfig] = set()
-    for n in range(1, jp_len_max + 1):
-        census = jointly_periodic_points(g, n, t_max)
-        for cfg, t in census.points:
-            if cfg not in seen:
-                seen.add(cfg)
-                g_points.append((cfg, t))
+    for u in seeds:
+        try:
+            wit = stp_witness(f, cert, u, t_max)
+        except DegenerateUError:
+            continue
+        if isinstance(wit, StpWitness):
+            f_wits.append(wit)
+            if len(f_wits) == 3:
+                break
+    # each census repeats the shorter words whose length divides its own
+    g_points = [
+        (cfg, t)
+        for n in range(1, jp_len_max + 1)
+        for cfg, t in jointly_periodic_points(g, n, t_max).points
+        if len(cfg.word) == n
+    ]
     prod = product_rule(f, g)
     out: list[StpWitness] = []
     for wf in f_wits:
@@ -582,11 +534,9 @@ def product_witness_scan(
             if t > t_max:
                 continue
             fused = product_config(wf.config, cg)
-            _verify_return(prod, fused, t)
-            res = temporal_cycle(prod, fused, max_steps=t)
-            period = t
-            if isinstance(res, CycleResult) and res.preperiod == 0:
-                period = res.period
+            # F^t fixes the fused point, so its orbit returns within t steps
+            period = temporal_cycle(prod, fused, max_steps=t).period
+            _verify_return(prod, fused, period)
             out.append(StpWitness(fused, period))
             if len(out) >= max_witnesses:
                 return tuple(out)

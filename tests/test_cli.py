@@ -418,6 +418,15 @@ def test_exit_parse_on_bad_config(capsys):
         # the scan and the witness search hand their budget to temporal_cycle
         ["scan", "--rule", "wolfram:90", "--t-max", "-1"],
         ["witness", "--rule", "additive:m=4;r=1;c=2,1,2", "--t-max", "-1"],
+        # the scan and the blocking search check their own bounds up front
+        ["scan", "--rule", "wolfram:90", "--tail-period-max", "-1"],
+        ["scan", "--rule", "wolfram:90", "--mid-len-max", "-1"],
+        ["scan", "--rule", "additive:m=4;r=1;c=2,1,2", "--max-violations", "0"],
+        ["blocking", "--rule", "wolfram:90", "--k-max", "-1"],
+        ["blocking", "--rule", "wolfram:90", "--steps", "-1"],
+        ["blocking", "--rule", "wolfram:90", "--bg-period", "0"],
+        ["blocking", "--rule", "additive:m=4;r=1;c=2,1,2", "--bg-period", "0"],
+        ["witness", "--rule", "additive:m=4;r=1;c=2,1,2", "--u", "1", "--k-max", "-1"],
     ],
 )
 def test_exit_parse_on_negative_budgets(capsys, argv):

@@ -5,7 +5,7 @@ witnesses."""
 from __future__ import annotations
 
 import random
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -19,7 +19,8 @@ from periodika.configs import (
 )
 from periodika import periodicity
 from periodika.engine import CycleResult, CycleTimeout, step
-from periodika.oracles import product_rule
+from periodika.additive import is_surjective_additive
+from periodika.oracles import EquicontinuityCert, _power_walk, product_rule
 from periodika.periodicity import (
     BlockingCert,
     BlockingMiss,
@@ -42,12 +43,18 @@ from periodika.rules import (
     TableRule,
     identity_rule,
     encode_word,
+    essential_span,
     table_from_additive,
 )
 
 RULE90_ADD = AdditiveRule(2, 1, {-1: 1, 1: 1})
 M4_ADD = AdditiveRule(4, 1, {-1: 2, 0: 1, 1: 2})
 M6_ADD = AdditiveRule(6, 1, {-1: 4, 0: 1, 1: 4})
+RADIUS1_ADDS = [
+    AdditiveRule(m, 1, dict(zip((-1, 0, 1), c)))
+    for m in range(2, 7)
+    for c in product(range(m), repeat=3)
+]
 SHIFT2_ADD = AdditiveRule(2, 1, {1: 1})
 
 RULE90 = table_from_additive(RULE90_ADD)
@@ -200,6 +207,47 @@ def test_blocking_word_bounded_verification_without_certificate():
     cert = blocking_word_search(AND_RULE)
     assert cert.word == (0,) and cert.status is BlockingStatus.BOUNDED_VERIFIED
     assert cert.verified_background_period == 2 and cert.verified_steps == 16
+
+
+def _spans_fit(spans, j, s, word_len):
+    """Whether every power's dependence window, shifted into the observed
+    column, stays inside the word ``[0, word_len)``."""
+    for span in spans:
+        if span is None:
+            continue
+        lo, hi = span
+        if j + lo < 0 or j + s - 1 + hi > word_len - 1:
+            return False
+    return True
+
+
+def _first_fitting_word(rule, k_max):
+    """The exact branch as a plain search: the first ``(word_len, u, j)``
+    whose column holds the dependence window of every power."""
+    cert, powers = _power_walk(rule)
+    spans = [essential_span(t) for t in powers]
+    s = max(rule.radius, 1)
+    for word_len in range(s, k_max + 1):
+        for u in product(range(rule.alphabet_size), repeat=word_len):
+            for j in range(0, word_len - s + 1):
+                if _spans_fit(spans, j, s, word_len):
+                    return BlockingCert(u, j, s, 0, cert.q + cert.p, BlockingStatus.EXACT)
+    return BlockingMiss(k_max, 2, 16)
+
+
+def test_exact_blocking_word_is_the_first_word_whose_column_fits():
+    rules = [TableRule.from_wolfram(n) for n in range(256)]
+    rules += [table_from_additive(rule) for rule in RADIUS1_ADDS]
+    # the k = 3 rules that permute the centre letter
+    rules += [
+        TableRule(3, 1, tuple(p[w // 3 % 3] for w in range(27))) for p in permutations(range(3))
+    ]
+    certified = [rule for rule in rules if isinstance(_power_walk(rule)[0], EquicontinuityCert)]
+    assert len(certified) == 70
+    for rule in certified:
+        for k_max in range(9):
+            expected = _first_fitting_word(rule, k_max)
+            assert blocking_word_search(rule, k_max) == expected, (rule, k_max)
 
 
 def test_blocking_column_is_identical_across_contexts():
@@ -355,6 +403,19 @@ def test_scan_truncates_at_the_violation_cap():
     assert len(result.violations) == 10 and result.truncated
 
 
+def test_scan_walks_tails_by_length_then_word():
+    # swapping letters 0 and 1 gives the tail 2 the shortest temporal
+    # period, so an order by period would walk it first
+    swap = TableRule(3, 1, tuple((1, 0, 2)[w // 3 % 3] for w in range(27)))
+    result = stp_empty_scan(swap, 1, 1, 4, max_violations=3)
+    assert [render_config(w.config) for w in result.violations] == [
+        "ep:0|1|0@0",
+        "ep:0|2|0@0",
+        "ep:0||1@0",
+    ]
+    assert result.examined == 3 and result.truncated
+
+
 def test_scan_table_and_additive_inputs_agree():
     table_result = stp_empty_scan(M4_TABLE, 1, 1, 4)
     additive_result = stp_empty_scan(M4_ADD, 1, 1, 4)
@@ -374,10 +435,15 @@ def _first_return(rule, x, max_steps, max_mid=None):
 
 
 def test_scan_agrees_with_a_plain_return_walk_on_every_elementary_rule(monkeypatch):
-    # an early exit of the orbit detector must never drop a violation
-    results = [stp_empty_scan(TableRule.from_wolfram(n), 2, 2, 16) for n in range(256)]
+    # an early exit of the orbit detector must never drop a violation, and
+    # with no drift sides every candidate is walked: a prune must neither
+    # drop a violation nor count other than the family it skips
+    cases = [(TableRule.from_wolfram(n), (2, 2, 16)) for n in range(256)]
+    cases += [(rule, (1, 1, 2)) for rule in RADIUS1_ADDS if is_surjective_additive(rule)]
+    results = [stp_empty_scan(rule, *bounds) for rule, bounds in cases]
     monkeypatch.setattr(periodicity, "temporal_cycle", _first_return)
-    assert results == [stp_empty_scan(TableRule.from_wolfram(n), 2, 2, 16) for n in range(256)]
+    monkeypatch.setattr(periodicity, "_drift_sides", lambda rule: (None, None))
+    assert results == [stp_empty_scan(rule, *bounds) for rule, bounds in cases]
     assert sum(len(r.violations) for r in results) > 0
 
 
