@@ -161,6 +161,36 @@ def value_at(x: Config, i: int) -> int:
     return x.right[(i - x.end) % len(x.right)]
 
 
+def _state(x: Config):
+    """Canonical ``(left, mid, right, start)`` of ``x``; the cyclic word ``w``
+    is ``(w, (), w, 0)``, its canonical form as an ``EpConfig``."""
+    if isinstance(x, CyclicConfig):
+        return x.word, (), x.word, 0
+    return x.left, x.mid, x.right, x.start
+
+
+def _repeat(word, phase: int, n: int) -> tuple[int, ...]:
+    """``n`` letters of ``word`` repeated, from ``word[phase % len(word)]``;
+    empty when ``n <= 0``."""
+    phase %= len(word)
+    return (word * -(-(phase + n) // len(word)))[phase : phase + n]
+
+
+def _cells(left, mid, right, start: int, lo: int, hi: int) -> list[int]:
+    """Letters at coordinates ``lo .. hi - 1`` of the state ``(left, mid,
+    right, start)``; empty when ``hi <= lo``.  A list, so that a long mid is
+    copied once."""
+    end = start + len(mid)
+    left_hi, right_lo = min(hi, start), max(lo, end)
+    # both mid bounds are clamped at 0: a negative stop would count from
+    # the end of the mid
+    return [
+        *_repeat(left, lo - start, left_hi - lo),
+        *mid[max(lo - start, 0) : max(min(hi, end) - start, 0)],
+        *_repeat(right, right_lo - end, hi - right_lo),
+    ]
+
+
 def shift(x: Config, n: int = 1) -> Config:
     """``n``-fold shift: the result ``y`` satisfies ``y_i = x_{i+n}``."""
     if isinstance(x, CyclicConfig):
@@ -175,19 +205,11 @@ def is_spatially_periodic(x: Config) -> bool:
     return not x.mid and x.left == x.right
 
 
-def _as_ep(x: Config) -> EpConfig:
-    if isinstance(x, EpConfig):
-        return x
-    return EpConfig(x.alphabet_size, x.word, (), x.word, 0)
-
-
 def equals(x: Config, y: Config) -> bool:
     """Exact equality of the denoted configurations (cross-class aware)."""
     if x.alphabet_size != y.alphabet_size:
         raise ValueError("alphabet mismatch")
-    if type(x) is type(y):
-        return x == y
-    return _as_ep(x) == _as_ep(y)
+    return _state(x) == _state(y)
 
 
 def map_letters(x: Config, fn, alphabet_size: int) -> Config:
@@ -212,28 +234,18 @@ def join_letterwise(components, fn, alphabet_size: int) -> Config:
     components = tuple(components)
     if not components:
         raise ValueError("need at least one component")
+    states = [_state(c) for c in components]
+
+    def joint(lo, hi):
+        return tuple(fn(*letters) for letters in zip(*(_cells(*st, lo, hi) for st in states)))
+
+    left_period = lcm(*(len(left) for left, _, _, _ in states))
+    right_period = lcm(*(len(right) for _, _, right, _ in states))
     if all(isinstance(c, CyclicConfig) for c in components):
-        period = lcm(*(len(c.word) for c in components))
-        word = tuple(
-            fn(*(value_at(c, i) for c in components)) for i in range(period)
-        )
-        return CyclicConfig(alphabet_size, word, 0)
+        return CyclicConfig(alphabet_size, joint(0, left_period), 0)
     eps = [c for c in components if isinstance(c, EpConfig)]
-    start = min(c.start for c in eps)
-    end = max(c.end for c in eps)
-    left_period = lcm(
-        *(len(c.left) if isinstance(c, EpConfig) else len(c.word) for c in components)
-    )
-    right_period = lcm(
-        *(len(c.right) if isinstance(c, EpConfig) else len(c.word) for c in components)
-    )
-
-    def joint(i):
-        return fn(*(value_at(c, i) for c in components))
-
-    left = tuple(joint(start - left_period + j) for j in range(left_period))
-    mid = tuple(joint(i) for i in range(start, end))
-    right = tuple(joint(end + j) for j in range(right_period))
+    start, end = min(c.start for c in eps), max(c.end for c in eps)
+    left, mid, right = joint(start - left_period, start), joint(start, end), joint(end, end + right_period)
     return EpConfig(alphabet_size, left, mid, right, start)
 
 

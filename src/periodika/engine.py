@@ -10,8 +10,9 @@ window width.  Orbit computations therefore never approximate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
-from .configs import Config, CyclicConfig, EpConfig, _canonical_ep, _canonical_word, value_at
+from .configs import Config, CyclicConfig, EpConfig, _canonical_ep, _canonical_word, _cells, _state
 from .rules import TableRule, _image
 
 
@@ -30,9 +31,7 @@ def _ep_image(rule: TableRule, left, mid, right, start: int):
     ell, rho = len(left), len(right)
     # Cells start - 2r - ell .. end + 2r + rho - 1; the image then covers the
     # new left tail period, the new mid and the new right tail period.
-    cells = [left[i % ell] for i in range(-2 * r - ell, 0)]
-    cells += mid
-    cells += [right[i % rho] for i in range(2 * r + rho)]
+    cells = _cells(left, mid, right, 0, -2 * r - ell, len(mid) + 2 * r + rho)
     img = _image(rule.table, rule.alphabet_size, rule.width, cells)
     return (
         tuple(img[:ell]),
@@ -48,6 +47,22 @@ def step(rule: TableRule, x: Config) -> Config:
     if isinstance(x, CyclicConfig):
         return CyclicConfig(x.alphabet_size, tuple(_cyclic_image(rule, x.word)))
     return EpConfig(x.alphabet_size, *_ep_image(rule, x.left, x.mid, x.right, x.start))
+
+
+def _orbit(rule: TableRule, x: Config):
+    """Canonical states ``(left, mid, right, start)`` of ``x, F(x),
+    F^2(x), ...`` (see ``configs._state``), stepped without building
+    configurations: image letters come from the validated table.  The
+    caller checks that the alphabets match."""
+    if isinstance(x, CyclicConfig):
+        word = x.word
+        while True:
+            yield word, (), word, 0
+            word = _canonical_word(tuple(_cyclic_image(rule, word)), 0)
+    state = _state(x)
+    while True:
+        yield state
+        state = _canonical_ep(*_ep_image(rule, *state))
 
 
 @dataclass(frozen=True)
@@ -91,32 +106,17 @@ def temporal_cycle(
         raise ValueError("alphabet mismatch")
     if max_steps < 0:
         raise ValueError("max_steps must be non-negative")
-    # States are canonical tuples, stepped without building configurations:
-    # image letters come from the validated table.  A cyclic state is its
-    # word at start 0; an eventually periodic one is (left, mid, right) at
-    # its start.
-    if isinstance(x, CyclicConfig):
-        key, start = x.word, 0
-
-        def advance(word, _):
-            return _canonical_word(tuple(_cyclic_image(rule, word)), 0), 0, False
-
-    else:
-        key, start = (x.left, x.mid, x.right), x.start
-
-        def advance(key, start):
-            left, mid, right, start = _canonical_ep(*_ep_image(rule, *key, start))
-            return (left, mid, right), start, len(mid) > max_mid
-
-    seen = {key: (0, start)}
-    for n in range(1, max_steps + 1):
-        key, start, too_wide = advance(key, start)
-        if too_wide:
+    if max_mid < 0:
+        raise ValueError("max_mid must be non-negative")
+    seen = {}
+    for n, (left, mid, right, start) in enumerate(islice(_orbit(rule, x), max_steps + 1)):
+        if n and len(mid) > max_mid:
             return CycleTimeout(n, "mid width cap exceeded")
+        key = left, mid, right
         if key in seen:
             q, s = seen[key]
             return CycleResult(q, n - q) if s == start else CycleTimeout(max_steps)
-        seen[key] = (n, start)
+        seen[key] = n, start
     return CycleTimeout(max_steps)
 
 
@@ -130,16 +130,13 @@ class SpaceTimeTrace:
 
 def space_time(rule: TableRule, x: Config, steps: int, lo: int, hi: int) -> SpaceTimeTrace:
     """Sampled orbit segment: ``steps + 1`` rows over coordinates ``lo..hi``."""
+    if rule.alphabet_size != x.alphabet_size:
+        raise ValueError("alphabet mismatch")
     if hi < lo:
         raise ValueError("window must satisfy lo <= hi")
     if steps < 0:
         raise ValueError("steps must be non-negative")
-    rows = []
-    cur = x
-    for n in range(steps + 1):
-        rows.append(tuple(value_at(cur, i) for i in range(lo, hi + 1)))
-        if n < steps:
-            cur = step(rule, cur)
+    rows = (tuple(_cells(*state, lo, hi + 1)) for state in islice(_orbit(rule, x), steps + 1))
     return SpaceTimeTrace(x.alphabet_size, lo, hi, tuple(rows))
 
 

@@ -20,8 +20,15 @@ from .rules import (
     pad_table,
 )
 
+# Caps on the oracles' exact work; hitting one raises ``ResourceCapError``
+# or yields ``OracleUnknown``, never a wrong verdict.
+MAX_PREIMAGE_VECTORS = 1_000_000
+MAX_POWERS = 64
+MAX_POWER_CELLS = 30_000
+MAX_PRODUCT_CELLS = 250_000
 
-def surjectivity_oracle(rule: TableRule, max_vectors: int = 1_000_000) -> bool:
+
+def surjectivity_oracle(rule: TableRule) -> bool:
     """Exact surjectivity test by balance of preimage counts.
 
     A global map of radius r over k letters is surjective iff every word w
@@ -53,7 +60,7 @@ def surjectivity_oracle(rule: TableRule, max_vectors: int = 1_000_000) -> bool:
                 return False
             t = tuple(nxt)
             if t not in seen:
-                if len(seen) >= max_vectors:
+                if len(seen) >= MAX_PREIMAGE_VECTORS:
                     raise ResourceCapError("preimage-count exploration exceeded cap")
                 seen.add(t)
                 frontier.append(t)
@@ -74,30 +81,20 @@ class OracleUnknown:
     powers_computed: int
 
 
-def equicontinuity_oracle(
-    rule: TableRule,
-    budget: int = 64,
-    max_radius: int = 12,
-    max_cells: int = 30_000,
-) -> EquicontinuityCert | OracleUnknown:
+def equicontinuity_oracle(rule: TableRule) -> EquicontinuityCert | OracleUnknown:
     """Search for a repeat among canonical tables of ``F^0, F^1, ...``.
 
-    Returns the first ``(q, p)`` with ``q + p <= budget`` such that the
+    Returns the first ``(q, p)`` with ``q + p <= MAX_POWERS`` such that the
     canonical tables of ``F^q`` and ``F^(q+p)`` coincide -- an exact proof
     of eventual periodicity of the rule powers, hence of equicontinuity.
-    Powers of sensitive rules keep growing, so the table caps (radius and
-    cell count) bound the work; hitting a cap yields ``OracleUnknown``,
-    never a wrong verdict.
+    Powers of sensitive rules keep growing, so the table cap
+    ``MAX_POWER_CELLS`` bounds the work; hitting it yields
+    ``OracleUnknown``, never a wrong verdict.
     """
-    return _power_walk(rule, budget, max_radius, max_cells)[0]
+    return _power_walk(rule)[0]
 
 
-def _power_walk(
-    rule: TableRule,
-    budget: int = 64,
-    max_radius: int = 12,
-    max_cells: int = 30_000,
-) -> tuple[EquicontinuityCert | OracleUnknown, list[TableRule]]:
+def _power_walk(rule: TableRule) -> tuple[EquicontinuityCert | OracleUnknown, list[TableRule]]:
     """``equicontinuity_oracle``'s search, returning with its result the
     canonical tables of ``F^0, F^1, ...`` it built; after a certificate
     ``(q, p)`` they are exactly ``F^0 .. F^(q+p)``."""
@@ -105,9 +102,8 @@ def _power_walk(
     cur = identity_rule(k)
     powers = [cur]
     memo = {cur: 0}
-    for n in range(1, budget + 1):
-        new_radius = cur.radius + rule.radius
-        if new_radius > max_radius or k ** (2 * new_radius + 1) > max_cells:
+    for n in range(1, MAX_POWERS + 1):
+        if k ** (2 * (cur.radius + rule.radius) + 1) > MAX_POWER_CELLS:
             return OracleUnknown(f"table cap reached at power {n}", n - 1), powers
         cur = canonicalize_table(compose_table(rule, cur))
         powers.append(cur)
@@ -115,16 +111,16 @@ def _power_walk(
             q = memo[cur]
             return EquicontinuityCert(q, n - q), powers
         memo[cur] = n
-    return OracleUnknown("power budget exhausted", budget), powers
+    return OracleUnknown("power budget exhausted", MAX_POWERS), powers
 
 
-def product_rule(f: TableRule, g: TableRule, max_cells: int = 250_000) -> TableRule:
+def product_rule(f: TableRule, g: TableRule) -> TableRule:
     """Table of the product map (F x G) over the fused alphabet ``a*kg + b``."""
     radius = max(f.radius + abs(f.offset), g.radius + abs(g.offset))
     kf, kg = f.alphabet_size, g.alphabet_size
     k = kf * kg
     width = 2 * radius + 1
-    if k**width > max_cells:
+    if k**width > MAX_PRODUCT_CELLS:
         raise ResourceCapError("product table too large")
     fp = pad_table(f, radius, 0)
     gp = pad_table(g, radius, 0)

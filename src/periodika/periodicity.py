@@ -35,13 +35,12 @@ from .configs import (
     Config,
     CyclicConfig,
     EpConfig,
-    equals,
+    _cells,
     is_spatially_periodic,
     map_letters,
     product_config,
-    value_at,
 )
-from .engine import CycleResult, CycleTimeout, step, temporal_cycle
+from .engine import CycleResult, CycleTimeout, _orbit, step, temporal_cycle
 from .oracles import (
     EquicontinuityCert,
     _power_walk,
@@ -182,23 +181,15 @@ def _column_constant(rule: TableRule, u, j: int, s: int, bg_period: int, steps: 
     """Simulate all eventually periodic contexts ``^inf(a) . u . (b)^inf``
     with tail periods up to ``bg_period`` and compare the observed columns."""
     k = rule.alphabet_size
-    ref: list[tuple[int, ...]] | None = None
-    for la in range(1, bg_period + 1):
-        for a in product(range(k), repeat=la):
-            for lb in range(1, bg_period + 1):
-                for b in product(range(k), repeat=lb):
-                    cur: Config = EpConfig(k, a, u, b, 0)
-                    if ref is None:
-                        rows = []
-                        for _ in range(steps + 1):
-                            rows.append(tuple(value_at(cur, c) for c in range(j, j + s)))
-                            cur = step(rule, cur)
-                        ref = rows
-                        continue
-                    for row in ref:
-                        if tuple(value_at(cur, c) for c in range(j, j + s)) != row:
-                            return False
-                        cur = step(rule, cur)
+    tails = [t for n in range(1, bg_period + 1) for t in product(range(k), repeat=n)]
+    ref = None
+    for a, b in product(tails, repeat=2):
+        orbit = islice(_orbit(rule, EpConfig(k, a, u, b, 0)), steps + 1)
+        column = (_cells(*state, j, j + s) for state in orbit)
+        if ref is None:
+            ref = list(column)
+        elif any(row != want for row, want in zip(column, ref)):
+            return False
     return True
 
 
@@ -301,10 +292,8 @@ def _seeded_witness(rule: TableRule, background, u, t_max: int):
 def _verify_return(rule: TableRule, y: Config, t: int) -> None:
     """Re-check with the engine, independently of any cycle detection, that
     ``y`` returns to itself after ``t`` steps and is not spatially periodic."""
-    z = y
-    for _ in range(t):
-        z = step(rule, z)
-    if not equals(z, y) or is_spatially_periodic(y):  # pragma: no cover
+    y0, yt = islice(_orbit(rule, y), 0, t + 1, t)
+    if yt != y0 or is_spatially_periodic(y):  # pragma: no cover
         raise AssertionError(f"{y} failed exact re-verification at period {t}")
 
 
@@ -505,6 +494,8 @@ def product_witness_scan(
     ``t_max``; the fused configuration is stepped through the product rule
     and compared exactly.  Empty result when ``f`` yields no witness.
     """
+    if max_witnesses < 1:
+        raise ValueError("max_witnesses must be positive")
     cert = blocking_word_search(f, k_max, bg_period, steps)
     if not isinstance(cert, BlockingCert):
         return ()
@@ -538,6 +529,6 @@ def product_witness_scan(
             period = temporal_cycle(prod, fused, max_steps=t).period
             _verify_return(prod, fused, period)
             out.append(StpWitness(fused, period))
-            if len(out) >= max_witnesses:
+            if len(out) == max_witnesses:
                 return tuple(out)
     return tuple(out)

@@ -209,6 +209,14 @@ def test_temporal_cycle_refuses_bad_inputs_before_stepping():
     assert temporal_cycle(RULE90, CyclicConfig(2, (0, 1)), max_steps=0) == CycleTimeout(0)
 
 
+def test_temporal_cycle_refuses_a_negative_mid_cap():
+    # a cyclic orbit has no mid to cap, an eventually periodic one has
+    # mids of width at least 0: neither can take a negative cap
+    for x in (CyclicConfig(2, (0, 1)), EpConfig(2, (0,), (1,), (0,), 0)):
+        with pytest.raises(ValueError, match="max_mid"):
+            temporal_cycle(RULE90, x, max_mid=-1)
+
+
 def test_temporal_cycle_mid_growth_timeout():
     res = temporal_cycle(RULE90, EpConfig(2, (0,), (1,), (0,), 0), max_mid=4)
     assert isinstance(res, CycleTimeout)
@@ -242,6 +250,12 @@ def test_space_time_shift_rows():
 def test_space_time_rejects_bad_window():
     with pytest.raises(ValueError):
         space_time(RULE90, CyclicConfig(2, (0,)), 1, 2, 1)
+
+
+def test_space_time_checks_the_alphabet_before_stepping():
+    for steps in (0, 1):
+        with pytest.raises(ValueError, match="alphabet mismatch"):
+            space_time(RULE90, CyclicConfig(3, (0, 1, 2)), steps, 0, 1)
 
 
 def test_space_time_rejects_negative_steps():

@@ -2,18 +2,31 @@
 it: stepping, composition, padding, canonicalisation and the per-variable
 scans are each checked against a direct reading of the table through
 ``encode_word`` and ``value_at``, orbit detection against a walk that
-memoises every state exactly, and the canonical form of eventually periodic
-configurations against other presentations of the same configuration."""
+memoises every state exactly, the canonical form of eventually periodic
+configurations against other presentations of the same configuration, and
+the window reader ``_cells`` with everything built on it (traces, letterwise
+joins) against ``value_at`` one coordinate at a time."""
 
 from __future__ import annotations
 
 from itertools import product
+from math import lcm
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from periodika.configs import CyclicConfig, EpConfig, _canonical_ep, equals, shift, value_at
-from periodika.engine import CycleResult, CycleTimeout, step, temporal_cycle
+from periodika.configs import (
+    CyclicConfig,
+    EpConfig,
+    _canonical_ep,
+    _cells,
+    _state,
+    equals,
+    join_letterwise,
+    shift,
+    value_at,
+)
+from periodika.engine import CycleResult, CycleTimeout, space_time, step, temporal_cycle
 from periodika.periodicity import _bijective_at
 from periodika.rules import (
     AdditiveRule,
@@ -218,3 +231,79 @@ def _full_walk(rule, x, max_steps, max_mid):
 def test_temporal_cycle_matches_a_full_state_walk(case):
     rule, x, max_steps, max_mid = case
     assert temporal_cycle(rule, x, max_steps, max_mid) == _full_walk(rule, x, max_steps, max_mid)
+
+
+# ---------------------------------------------------------------------------
+# the window reader and what reads through it
+
+
+@st.composite
+def windows(draw):
+    """A config (eventually periodic ones with mids up to 12 letters) and a
+    window ``lo .. hi - 1`` placed around its start or end: wholly left of
+    the mid, across it, wholly right of it, or empty (``hi <= lo``)."""
+    k = draw(st.integers(2, 3))
+    cyclic = st.builds(CyclicConfig, st.just(k), words(k, 1, 6), st.integers(-6, 6))
+    long_mid = st.builds(
+        EpConfig, st.just(k), words(k, 1, 3), words(k, 0, 12), words(k, 1, 3), st.integers(-5, 5)
+    )
+    x = draw(st.one_of(cyclic, long_mid))
+    start, end = (0, 0) if isinstance(x, CyclicConfig) else (x.start, x.end)
+    lo = draw(st.sampled_from((start, end))) + draw(st.integers(-16, 16))
+    return x, lo, lo + draw(st.integers(-3, 20))
+
+
+@settings(SETTINGS, max_examples=400)
+@given(windows())
+def test_window_reader_matches_value_at(case):
+    x, lo, hi = case
+    assert _cells(*_state(x), lo, hi) == [value_at(x, i) for i in range(lo, hi)]
+
+
+@SETTINGS
+@given(rule_and_config(), st.integers(0, 6), st.integers(-12, 6), st.integers(0, 14))
+def test_space_time_rows_match_iterated_steps(case, steps, lo, width):
+    rule, x = case
+    trace = space_time(rule, x, steps, lo, lo + width)
+    rows, cur = [], x
+    for _ in range(steps + 1):
+        rows.append(tuple(value_at(cur, i) for i in range(lo, lo + width + 1)))
+        cur = step(rule, cur)
+    assert trace.rows == tuple(rows)
+
+
+@st.composite
+def join_cases(draw):
+    ks = draw(st.lists(st.integers(2, 3), min_size=1, max_size=3))
+    return [draw(configs(k)) for k in ks]
+
+
+@SETTINGS
+@given(join_cases())
+def test_join_letterwise_matches_a_per_coordinate_reference(components):
+    # letters combined as digits of a mixed-radix number, so every letter
+    # of every component shows in the joint letter
+    def fn(*letters):
+        out = 0
+        for c, a in zip(components, letters):
+            out = out * c.alphabet_size + a
+        return out
+
+    size = 1
+    for c in components:
+        size *= c.alphabet_size
+    joined = join_letterwise(components, fn, size)
+    assert isinstance(joined, CyclicConfig) == all(isinstance(c, CyclicConfig) for c in components)
+    # past every mid both tails of the joint are periodic with period
+    # dividing the lcm of all tail periods, so two of them on each side
+    # pin the whole configuration
+    period = lcm(*(len(w) for c in components for w in _tails(c)))
+    eps = [c for c in components if isinstance(c, EpConfig)]
+    lo = min((c.start for c in eps), default=0) - 2 * period
+    hi = max((c.end for c in eps), default=0) + 2 * period
+    for i in range(lo, hi):
+        assert value_at(joined, i) == fn(*(value_at(c, i) for c in components)), i
+
+
+def _tails(x):
+    return (x.word,) if isinstance(x, CyclicConfig) else (x.left, x.right)

@@ -78,7 +78,7 @@ def test_equicontinuity_cert_for_identity():
 
 
 def test_equicontinuity_unknown_for_a_sensitive_rule():
-    out = equicontinuity_oracle(RULE90, budget=64)
+    out = equicontinuity_oracle(RULE90)
     assert isinstance(out, OracleUnknown)
     assert out.powers_computed >= 1
 

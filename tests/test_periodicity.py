@@ -250,6 +250,37 @@ def test_exact_blocking_word_is_the_first_word_whose_column_fits():
             assert blocking_word_search(rule, k_max) == expected, (rule, k_max)
 
 
+def _column_constant_by_stepping(rule, u, j, s, bg_period, steps):
+    """The bounded column check as public configurations, engine steps and
+    one ``value_at`` per letter."""
+    k = rule.alphabet_size
+    tails = [t for n in range(1, bg_period + 1) for t in product(range(k), repeat=n)]
+    columns = set()
+    for a in tails:
+        for b in tails:
+            x = EpConfig(k, a, u, b, 0)
+            column = []
+            for _ in range(steps + 1):
+                column.append(tuple(value_at(x, c) for c in range(j, j + s)))
+                x = step(rule, x)
+            columns.add(tuple(column))
+    return len(columns) == 1
+
+
+def test_bounded_blocking_search_matches_a_stepping_reference(monkeypatch):
+    rules = [TableRule.from_wolfram(n) for n in range(256)]
+    rng = random.Random(3)
+    rules += [TableRule(3, 1, tuple(rng.randrange(3) for _ in range(27))) for _ in range(12)]
+    found = [blocking_word_search(rule, 3, 1, 6) for rule in rules]
+    monkeypatch.setattr(periodicity, "_column_constant", _column_constant_by_stepping)
+    for rule, got in zip(rules, found):
+        assert blocking_word_search(rule, 3, 1, 6) == got, rule
+    # 128 elementary rules and one k = 3 rule get a bounded certificate;
+    # every other word the search tries fails the column check
+    bounded = [got for got in found if getattr(got, "status", None) is BlockingStatus.BOUNDED_VERIFIED]
+    assert len(bounded) == 129
+
+
 def test_blocking_column_is_identical_across_contexts():
     cert = blocking_word_search(M4_TABLE)
     columns = set()
@@ -475,6 +506,13 @@ def test_product_witnesses_verify_against_the_product_rule():
 def test_product_witness_scan_identity_and_shift():
     witnesses = product_witness_scan(identity_rule(2), SHIFT2)
     assert (render_config(witnesses[0].config), witnesses[0].period) == ("ep:0|2|0@0", 1)
+
+
+def test_product_witness_scan_refuses_a_cap_below_one():
+    for cap in (0, -2):
+        with pytest.raises(ValueError, match="max_witnesses"):
+            product_witness_scan(M4_TABLE, RULE90, max_witnesses=cap)
+    assert len(product_witness_scan(M4_TABLE, RULE90, max_witnesses=1)) == 1
 
 
 def test_product_witness_scan_empty_without_a_blocking_word():

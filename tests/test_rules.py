@@ -3,7 +3,6 @@ canonicalization, and permutativity."""
 
 from __future__ import annotations
 
-import inspect
 import random
 from itertools import product
 
@@ -13,7 +12,7 @@ from hypothesis import strategies as st
 
 from periodika.configs import CyclicConfig, EpConfig, equals
 from periodika.engine import step
-from periodika.oracles import equicontinuity_oracle
+from periodika.oracles import MAX_POWER_CELLS, MAX_POWERS
 from periodika.rules import (
     AdditiveRule,
     ResourceCapError,
@@ -334,17 +333,15 @@ def _canonical_additive_power(rule, n):
 
 def test_table_powers_match_additive_powers_up_to_the_oracle_cap():
     # the oracle's walk F^n = canonical(F o F^(n-1)), at every width it reaches
-    caps = inspect.signature(equicontinuity_oracle).parameters
-    budget, max_radius, max_cells = (caps[p].default for p in ("budget", "max_radius", "max_cells"))
     widest = 0
     for m in (2, 3, 4):
         for coeffs in product(range(m), repeat=3):
             rule = AdditiveRule(m, 1, {j - 1: c for j, c in enumerate(coeffs)})
             table = table_from_additive(rule)
             cur = identity_rule(m)
-            for n in range(1, budget + 1):
+            for n in range(1, MAX_POWERS + 1):
                 width = 2 * (cur.radius + 1) + 1
-                if cur.radius + 1 > max_radius or m**width > max_cells:
+                if m**width > MAX_POWER_CELLS:
                     break
                 cur = canonicalize_table(compose_table(table, cur))
                 assert cur == _canonical_additive_power(rule, n), (m, coeffs, n)
