@@ -33,7 +33,7 @@ from .additive import (
     report_to_dict,
     report_to_json,
 )
-from .configs import parse_config, render_config
+from .configs import _text_to_word, _word_to_text, parse_config, render_config
 from .engine import ascii_render, pgm_render, space_time
 from .oracles import EquicontinuityCert, equicontinuity_oracle, surjectivity_oracle
 from .periodicity import (
@@ -190,7 +190,7 @@ def _cmd_blocking(args) -> int:
         payload = {
             "rule": args.rule,
             "found": True,
-            "word": "".join(str(a) for a in res.word),
+            "word": _word_to_text(res.word, rule.alphabet_size),
             "offset": res.offset,
             "width": res.width,
             "status": res.status.value,
@@ -228,7 +228,7 @@ def _cmd_witness(args) -> int:
         res = stp_witness_additive(rule, args.t_max)
     else:
         table = _as_table(rule)
-        u = tuple(int(c) for c in args.u)
+        u = _text_to_word(args.u, table.alphabet_size, "seed word")
         cert = blocking_word_search(table, args.k_max, args.bg_period, args.steps)
         if not isinstance(cert, BlockingCert):
             res = None
@@ -410,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("witness", help="construct a strictly temporally periodic point")
     p.add_argument("--rule", required=True)
-    p.add_argument("--u", default=None, help="seed word digits; defaults to the additive construction")
+    p.add_argument("--u", default=None, help="seed word letters; defaults to the additive construction")
     p.add_argument("--t-max", type=int, default=64)
     p.add_argument("--k-max", type=int, default=4)
     p.add_argument("--bg-period", type=int, default=2)

@@ -49,17 +49,18 @@ def step(rule: TableRule, x: Config) -> Config:
     return EpConfig(x.alphabet_size, *_ep_image(rule, x.left, x.mid, x.right, x.start))
 
 
-def _orbit(rule: TableRule, x: Config):
+def _orbit(rule: TableRule, state):
     """Canonical states ``(left, mid, right, start)`` of ``x, F(x),
-    F^2(x), ...`` (see ``configs._state``), stepped without building
-    configurations: image letters come from the validated table.  The
-    caller checks that the alphabets match."""
-    if isinstance(x, CyclicConfig):
-        word = x.word
+    F^2(x), ...`` for ``x`` given by its canonical state (see
+    ``configs._state``), stepped without building configurations: image
+    letters come from the validated table.  A spatially periodic state
+    takes the cyclic kernel.  The caller checks that the alphabets match."""
+    left, mid, right, _ = state
+    if not mid and left == right:
+        word = left
         while True:
             yield word, (), word, 0
             word = _canonical_word(tuple(_cyclic_image(rule, word)), 0)
-    state = _state(x)
     while True:
         yield state
         state = _canonical_ep(*_ep_image(rule, *state))
@@ -109,7 +110,7 @@ def temporal_cycle(
     if max_mid < 0:
         raise ValueError("max_mid must be non-negative")
     seen = {}
-    for n, (left, mid, right, start) in enumerate(islice(_orbit(rule, x), max_steps + 1)):
+    for n, (left, mid, right, start) in enumerate(islice(_orbit(rule, _state(x)), max_steps + 1)):
         if n and len(mid) > max_mid:
             return CycleTimeout(n, "mid width cap exceeded")
         key = left, mid, right
@@ -136,7 +137,7 @@ def space_time(rule: TableRule, x: Config, steps: int, lo: int, hi: int) -> Spac
         raise ValueError("window must satisfy lo <= hi")
     if steps < 0:
         raise ValueError("steps must be non-negative")
-    rows = (tuple(_cells(*state, lo, hi + 1)) for state in islice(_orbit(rule, x), steps + 1))
+    rows = (tuple(_cells(*state, lo, hi + 1)) for state in islice(_orbit(rule, _state(x)), steps + 1))
     return SpaceTimeTrace(x.alphabet_size, lo, hi, tuple(rows))
 
 

@@ -35,7 +35,9 @@ from .configs import (
     Config,
     CyclicConfig,
     EpConfig,
+    _canonical_ep,
     _cells,
+    _state,
     is_spatially_periodic,
     map_letters,
     product_config,
@@ -147,6 +149,18 @@ def _successors(rule: TableRule, n: int) -> list[int]:
     return succ
 
 
+def _primitive_points(rule: TableRule, n_max: int, t_max: int) -> list[tuple[CyclicConfig, int]]:
+    """The census points of primitive length ``n`` for ``n = 1 .. n_max``,
+    in census order per length: the census of length ``n`` repeats the
+    shorter words whose length divides ``n``."""
+    return [
+        (cfg, t)
+        for n in range(1, n_max + 1)
+        for cfg, t in jointly_periodic_points(rule, n, t_max).points
+        if len(cfg.word) == n
+    ]
+
+
 # ---------------------------------------------------------------------------
 # Blocking words
 
@@ -184,7 +198,7 @@ def _column_constant(rule: TableRule, u, j: int, s: int, bg_period: int, steps: 
     tails = [t for n in range(1, bg_period + 1) for t in product(range(k), repeat=n)]
     ref = None
     for a, b in product(tails, repeat=2):
-        orbit = islice(_orbit(rule, EpConfig(k, a, u, b, 0)), steps + 1)
+        orbit = islice(_orbit(rule, _canonical_ep(a, u, b, 0)), steps + 1)
         column = (_cells(*state, j, j + s) for state in orbit)
         if ref is None:
             ref = list(column)
@@ -280,21 +294,31 @@ def _seeded_witness(rule: TableRule, background, u, t_max: int):
         raise DegenerateUError(
             "seed word dissolves into the background word; pick u that breaks the tail pattern"
         )
-    res = temporal_cycle(rule, y, max_steps=t_max)
+    res = _return_witness(rule, y, t_max)
     if isinstance(res, CycleTimeout):
         return WitnessMiss(t_max, f"no return within bounds ({res.reason})")
-    if res.preperiod != 0:
+    if isinstance(res, CycleResult):
         return WitnessMiss(t_max, f"orbit is preperiodic (preperiod {res.preperiod})")
-    _verify_return(rule, y, res.period)
-    return StpWitness(y, res.period)
+    return res
 
 
-def _verify_return(rule: TableRule, y: Config, t: int) -> None:
-    """Re-check with the engine, independently of any cycle detection, that
-    ``y`` returns to itself after ``t`` steps and is not spatially periodic."""
-    y0, yt = islice(_orbit(rule, y), 0, t + 1, t)
+def _return_witness(
+    rule: TableRule, y: Config, max_steps: int, max_mid: int = 10_000
+) -> StpWitness | CycleResult | CycleTimeout:
+    """``StpWitness(y, t)`` when the orbit of ``y``, which is not spatially
+    periodic, returns to ``y`` itself after ``t`` steps within the budgets
+    of ``temporal_cycle``; otherwise the cycle result that rules a return
+    out (a timeout, or a nonzero preperiod).
+
+    A return is re-checked with the engine, independently of the cycle
+    detection: the ``t``-th state of the orbit must equal the 0-th."""
+    res = temporal_cycle(rule, y, max_steps, max_mid)
+    if isinstance(res, CycleTimeout) or res.preperiod:
+        return res
+    y0, yt = islice(_orbit(rule, _state(y)), 0, res.period + 1, res.period)
     if yt != y0 or is_spatially_periodic(y):  # pragma: no cover
-        raise AssertionError(f"{y} failed exact re-verification at period {t}")
+        raise AssertionError(f"{y} failed exact re-verification at period {res.period}")
+    return StpWitness(y, res.period)
 
 
 def stp_witness_additive(rule: AdditiveRule, t_max: int = 64) -> StpWitness | WitnessMiss:
@@ -338,12 +362,6 @@ class ScanResult:
     truncated: bool
 
 
-def _bijective_at(rule: TableRule, pos: int) -> bool:
-    """Whether the table is bijective in the window variable at absolute
-    position ``pos`` for every assignment of the other variables."""
-    return _is_bijective(rule, pos - (rule.offset - rule.radius))
-
-
 def _drift_sides(rule: TableRule) -> tuple[int | None, int | None]:
     """Nonzero essential-boundary positions in which the rule is bijective.
 
@@ -357,8 +375,9 @@ def _drift_sides(rule: TableRule) -> tuple[int | None, int | None]:
     if span is None:
         return (None, None)
     lo, hi = span
-    left = lo if lo != 0 and _bijective_at(rule, lo) else None
-    right = hi if hi != 0 and _bijective_at(rule, hi) else None
+    base = rule.offset - rule.radius  # absolute position of window variable 0
+    left = lo if lo != 0 and _is_bijective(rule, lo - base) else None
+    right = hi if hi != 0 and _is_bijective(rule, hi - base) else None
     return (left, right)
 
 
@@ -420,10 +439,8 @@ def stp_empty_scan(
     table = table_from_additive(additive) if additive is not None else rule
     k = table.alphabet_size
     bounds = ScanBounds(tail_period_max, mid_len_max, t_max)
-    tails: list[tuple[tuple[int, ...], int]] = []
-    for n in range(1, tail_period_max + 1):
-        census = jointly_periodic_points(table, n, t_max).points
-        tails += sorted((cfg.word, t) for cfg, t in census if len(cfg.word) == n)
+    census = _primitive_points(table, tail_period_max, t_max)
+    tails = sorted(((cfg.word, t) for cfg, t in census), key=lambda wt: (len(wt[0]), wt))
     pairs = [(a, b) for a, ta in tails for b, tb in tails if lcm(ta, tb) <= t_max]
 
     def candidates():
@@ -462,13 +479,11 @@ def stp_empty_scan(
     for y in candidates():
         examined += 1
         # the mid grows by at most width - 1 per step, so this cap never binds
-        res = temporal_cycle(table, y, t_max, mid_len_max + (table.width - 1) * t_max)
-        if not isinstance(res, CycleResult) or res.preperiod != 0:
-            continue
-        _verify_return(table, y, res.period)
-        violations.append(StpWitness(y, res.period))
-        if len(violations) == max_violations:
-            return ScanResult(bounds, examined, tuple(violations), True)
+        res = _return_witness(table, y, t_max, mid_len_max + (table.width - 1) * t_max)
+        if isinstance(res, StpWitness):
+            violations.append(res)
+            if len(violations) == max_violations:
+                return ScanResult(bounds, examined, tuple(violations), True)
     return ScanResult(bounds, examined, tuple(violations), False)
 
 
@@ -476,59 +491,40 @@ def stp_empty_scan(
 # Product witnesses
 
 
-def product_witness_scan(
-    f: TableRule,
-    g: TableRule,
-    k_max: int = 4,
-    bg_period: int = 2,
-    steps: int = 16,
-    u_len_max: int = 2,
-    jp_len_max: int = 3,
-    t_max: int = 64,
-    max_witnesses: int = 5,
-) -> tuple[StpWitness, ...]:
+def product_witness_scan(f: TableRule, g: TableRule) -> tuple[StpWitness, ...]:
     """Verified strictly temporally periodic points of the product rule.
 
-    Pairs a witness of ``f`` (blocking word pipeline) with a jointly
-    periodic point of ``g`` whose periods admit a common multiple within
-    ``t_max``; the fused configuration is stepped through the product rule
-    and compared exactly.  Empty result when ``f`` yields no witness.
+    Pairs each of up to three witnesses of ``f`` (blocking word pipeline at
+    its default bounds, seeds of one or two letters) with each jointly
+    periodic point of ``g`` of primitive length up to 3 whose periods admit
+    a common multiple within 64 steps; the fused configuration is stepped
+    through the product rule and compared exactly.  Returns the first five
+    witnesses, none when ``f`` yields no witness.
     """
-    if max_witnesses < 1:
-        raise ValueError("max_witnesses must be positive")
-    cert = blocking_word_search(f, k_max, bg_period, steps)
+    cert = blocking_word_search(f)
     if not isinstance(cert, BlockingCert):
         return ()
-    seeds = (u for n in range(1, u_len_max + 1) for u in product(range(f.alphabet_size), repeat=n))
+    if not surjectivity_oracle(f):
+        raise NotSurjectiveError("witness construction requires a surjective rule")
+    t_max = 64
+    seeds = (u for n in (1, 2) for u in product(range(f.alphabet_size), repeat=n))
     f_wits: list[StpWitness] = []
     for u in seeds:
         try:
-            wit = stp_witness(f, cert, u, t_max)
+            wit = _seeded_witness(f, cert.word, u, t_max)
         except DegenerateUError:
             continue
         if isinstance(wit, StpWitness):
             f_wits.append(wit)
             if len(f_wits) == 3:
                 break
-    # each census repeats the shorter words whose length divides its own
-    g_points = [
-        (cfg, t)
-        for n in range(1, jp_len_max + 1)
-        for cfg, t in jointly_periodic_points(g, n, t_max).points
-        if len(cfg.word) == n
-    ]
+    g_points = _primitive_points(g, 3, t_max)
     prod = product_rule(f, g)
-    out: list[StpWitness] = []
-    for wf in f_wits:
-        for cg, tg in g_points:
-            t = lcm(wf.period, tg)
-            if t > t_max:
-                continue
-            fused = product_config(wf.config, cg)
-            # F^t fixes the fused point, so its orbit returns within t steps
-            period = temporal_cycle(prod, fused, max_steps=t).period
-            _verify_return(prod, fused, period)
-            out.append(StpWitness(fused, period))
-            if len(out) == max_witnesses:
-                return tuple(out)
-    return tuple(out)
+    # F^t fixes the fused point, so its orbit returns within t steps
+    fused = (
+        _return_witness(prod, product_config(wf.config, cg), lcm(wf.period, tg))
+        for wf in f_wits
+        for cg, tg in g_points
+        if lcm(wf.period, tg) <= t_max
+    )
+    return tuple(islice(fused, 5))

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import shlex
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ from periodika.cli import (
     _resolve_workers,
     main,
 )
+from periodika.rules import TableRule, render_rule_spec
 
 GOLDEN = Path(__file__).parent / "golden"
 README = Path(__file__).parent.parent / "README.md"
@@ -171,9 +173,10 @@ def test_simulate_pgm_output_file(capsys, tmp_path):
 
 
 def test_simulate_rejects_bad_window(capsys):
-    argv = ["simulate", "--rule", "wolfram:90", "--config", "cyclic:01",
-            "--steps", "1", "--window", "3:-3"]
-    assert main(argv) == EXIT_PARSE
+    for window in ("3:-3", "3"):
+        argv = ["simulate", "--rule", "wolfram:90", "--config", "cyclic:01",
+                "--steps", "1", "--window", window]
+        assert main(argv) == EXIT_PARSE
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +252,8 @@ def test_witness_with_seed_word(capsys):
         capsys, ["witness", "--rule", "additive:m=4;r=1;c=2,1,2", "--u", "1"]
     )
     assert payload["config"] == "ep:0|1|0@0" and payload["period"] == 2
+    argv = ["witness", "--rule", "additive:m=4;r=1;c=2,1,2", "--u", "1", "--format", "text"]
+    assert run(capsys, argv) == "ep:0|1|0@0 period=2\n"
 
 
 def test_witness_miss_when_no_blocking_word(capsys):
@@ -258,6 +263,8 @@ def test_witness_miss_when_no_blocking_word(capsys):
         "found": False,
         "reason": "no blocking word within bounds",
     }
+    argv = ["witness", "--rule", "wolfram:90", "--u", "1", "--format", "text"]
+    assert run(capsys, argv) == "no witness: no blocking word within bounds\n"
 
 
 def test_witness_additive_miss_reason(capsys):
@@ -344,6 +351,39 @@ def test_sweep_text(capsys):
     out = run(capsys, ["sweep", "--m", "2", "--format", "text"])
     lines = out.splitlines()
     assert "rules: 8" in lines and "stp Empty: 6" in lines
+    out = run(capsys, ["sweep", "--m", "2", "--check-oracles", "--format", "text"])
+    assert out.splitlines()[-3:] == [
+        "surjectivity_disagreements: 0",
+        "equicontinuous_without_cert: 0",
+        "sensitive_with_cert: 0",
+    ]
+
+
+# ---------------------------------------------------------------------------
+# more than ten letters
+
+# a pair of 10s spreads; every other window takes the left shift x_{i+1}
+ELEVEN = render_rule_spec(
+    TableRule(11, 1, tuple(10 if (10, 10) in (w[:2], w[1:]) else w[2]
+                           for w in product(range(11), repeat=3)))
+)
+
+
+def test_eleven_letter_words_and_traces(capsys):
+    # the blocking word is (10, 10), which digits alone would print as 1010
+    argv = ["blocking", "--rule", ELEVEN, "--bg-period", "1", "--format", "text"]
+    assert run(capsys, argv) == "word=10.10 offset=0 width=1 status=BoundedVerified\n"
+    # the seed (1, 0) parses; the rule is then refused as not surjective
+    argv = ["witness", "--rule", ELEVEN, "--bg-period", "1", "--u", "1.0"]
+    assert main(argv) == EXIT_REFUSED
+    assert "surjective" in capsys.readouterr().err
+    argv[-1] = "1.11"
+    assert main(argv) == EXIT_PARSE
+    assert "bad letter '11'" in capsys.readouterr().err
+    # ascii traces separate cells by spaces
+    argv = ["simulate", "--rule", ELEVEN, "--config", "ep:0|10.10|1", "--steps", "2",
+            "--window", "-2:3"]
+    assert run(capsys, argv) == "0 0 10 10 1 1\n0 10 10 10 1 1\n10 10 10 10 1 1\n"
 
 
 # ---------------------------------------------------------------------------

@@ -27,10 +27,10 @@ from periodika.configs import (
     value_at,
 )
 from periodika.engine import CycleResult, CycleTimeout, space_time, step, temporal_cycle
-from periodika.periodicity import _bijective_at
 from periodika.rules import (
     AdditiveRule,
     TableRule,
+    _is_bijective,
     _is_essential,
     canonicalize_table,
     compose_table,
@@ -193,7 +193,7 @@ def test_variable_scans_match_single_position_perturbation(rule):
     lo = rule.offset - rule.radius
     assert essential_span(rule) == ((lo + essential[0], lo + essential[-1]) if essential else None)
     bijective = [all(len(set(o)) == k for o in _outputs_along(rule, j)) for j in range(width)]
-    assert [_bijective_at(rule, lo + j) for j in range(width)] == bijective
+    assert [_is_bijective(rule, j) for j in range(width)] == bijective
 
 
 SHIFT_RULES = [
@@ -231,6 +231,26 @@ def _full_walk(rule, x, max_steps, max_mid):
 def test_temporal_cycle_matches_a_full_state_walk(case):
     rule, x, max_steps, max_mid = case
     assert temporal_cycle(rule, x, max_steps, max_mid) == _full_walk(rule, x, max_steps, max_mid)
+
+
+@SETTINGS
+@given(table_rules().flatmap(lambda rule: st.tuples(st.just(rule), words(rule.alphabet_size, 1, 6))),
+       st.integers(-6, 6), st.integers(0, 8))
+def test_spatially_periodic_ep_config_walks_like_its_cyclic_word(case, phase, steps):
+    # the orbit walk takes the cyclic kernel for both; the public step and
+    # the full walk step the EpConfig through the eventually periodic one
+    rule, word = case
+    k = rule.alphabet_size
+    cyclic, ep = CyclicConfig(k, word, phase), EpConfig(k, word, (), word, -phase)
+    assert equals(cyclic, ep)
+    assert temporal_cycle(rule, ep, 24) == temporal_cycle(rule, cyclic, 24) == _full_walk(rule, ep, 24, 0)
+    trace = space_time(rule, ep, steps, -8, 8)
+    assert trace == space_time(rule, cyclic, steps, -8, 8)
+    rows, cur = [], ep
+    for _ in range(steps + 1):
+        rows.append(tuple(value_at(cur, i) for i in range(-8, 9)))
+        cur = step(rule, cur)
+    assert trace.rows == tuple(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -508,12 +508,5 @@ def test_product_witness_scan_identity_and_shift():
     assert (render_config(witnesses[0].config), witnesses[0].period) == ("ep:0|2|0@0", 1)
 
 
-def test_product_witness_scan_refuses_a_cap_below_one():
-    for cap in (0, -2):
-        with pytest.raises(ValueError, match="max_witnesses"):
-            product_witness_scan(M4_TABLE, RULE90, max_witnesses=cap)
-    assert len(product_witness_scan(M4_TABLE, RULE90, max_witnesses=1)) == 1
-
-
 def test_product_witness_scan_empty_without_a_blocking_word():
     assert product_witness_scan(RULE90, identity_rule(2)) == ()
