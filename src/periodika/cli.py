@@ -10,12 +10,17 @@ Seven batch-oriented subcommands::
     scan       falsification scan for empty-STP verdicts
     sweep      exhaustive classification of all rules for one (m, r)
 
+Each ``_cmd_*`` returns ``(payload, text)``: its JSON payload and its other
+format (for ``simulate`` the ASCII text or the PGM bytes).  ``main`` alone
+renders the format asked for and writes it, to ``--output`` or to stdout.
+
 Exit status: 0 on success; 1 when valid input is refused (a witness asked
 of a rule that is not surjective, or a seed word that dissolves into its
 background); 2 on unparseable input or a negative step budget; 3 when a
-resource cap stops an exact computation.  All searches follow the fixed
-lexicographic orders of their modules, so output is deterministic given
-the same flags; JSON output re-parses and re-serializes byte-identically.
+resource cap stops an exact computation or a ``sweep`` family exceeds the
+table cap.  All searches follow the fixed lexicographic orders of their
+modules, so output is deterministic given the same flags; JSON output
+re-parses and re-serializes byte-identically.
 """
 
 from __future__ import annotations
@@ -24,22 +29,18 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict
 
-from .additive import (
-    ClassificationReport,
-    classify_additive,
-    enumerate_additive_rules,
-    report_to_dict,
-    report_to_json,
-)
+from .additive import classify_additive, enumerate_additive_rules, report_to_dict
 from .configs import _text_to_word, _word_to_text, parse_config, render_config
 from .engine import ascii_render, pgm_render, space_time
 from .oracles import EquicontinuityCert, equicontinuity_oracle, surjectivity_oracle
 from .periodicity import (
     BlockingCert,
     DegenerateUError,
-    StpWitness,
+    WitnessMiss,
     blocking_word_search,
     jointly_periodic_points,
     stp_empty_scan,
@@ -52,8 +53,8 @@ from .rules import (
     ResourceCapError,
     RuleSpecError,
     TableRule,
+    _table_size,
     parse_rule_spec,
-    render_rule_spec,
     table_from_additive,
 )
 
@@ -79,148 +80,67 @@ def _parse_window(text: str) -> tuple[int, int]:
     return lo_i, hi_i
 
 
-def _emit(args, payload: str | bytes) -> None:
-    if isinstance(payload, bytes):
-        if args.output:
-            with open(args.output, "wb") as fh:
-                fh.write(payload)
-        else:
-            sys.stdout.buffer.write(payload)
-        return
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
-
-
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
-
-
 # ---------------------------------------------------------------------------
-# classify
+# commands: each returns (JSON payload, text)
 
 
-def _text_report(report: ClassificationReport) -> str:
-    d = report_to_dict(report)
+def _cmd_classify(args):
+    rule = parse_rule_spec(args.rule)
+    if not isinstance(rule, AdditiveRule):
+        raise RuleSpecError("classify works on additive rules; pass an additive: spec")
+    d = report_to_dict(classify_additive(rule))
     lines = [f"rule: {d['rule']}"]
     for key in ("surjective", "sensitive", "equicontinuous", "transitive", "positively_expansive"):
         lines.append(f"{key}: {str(d[key]).lower()}")
     lines.append(f"stp: {d['stp']}")
     for f in d["factors"]:
-        lines.append(
-            f"factor p={f['p']} k={f['k']}: {f['class']} (L={f['L']}, R={f['R']}, h={f['h']})"
-        )
-    return "\n".join(lines) + "\n"
+        lines.append(f"factor p={f['p']} k={f['k']}: {f['class']} (L={f['L']}, R={f['R']}, h={f['h']})")
+    return d, "\n".join(lines) + "\n"
 
 
-def _cmd_classify(args) -> int:
-    rule = parse_rule_spec(args.rule)
-    if not isinstance(rule, AdditiveRule):
-        raise RuleSpecError("classify works on additive rules; pass an additive: spec")
-    report = classify_additive(rule)
-    if args.format == "json":
-        _emit(args, report_to_json(report) + "\n")
-    else:
-        _emit(args, _text_report(report))
-    return EXIT_OK
-
-
-# ---------------------------------------------------------------------------
-# simulate
-
-
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args):
     rule = _as_table(parse_rule_spec(args.rule))
     config = parse_config(args.config, rule.alphabet_size)
-    if args.window:
-        lo, hi = _parse_window(args.window)
-    else:
-        lo, hi = -8, 8
+    lo, hi = _parse_window(args.window or "-8:8")
     trace = space_time(rule, config, args.steps, lo, hi)
-    if args.format == "ascii":
-        text = ascii_render(trace)
-        _emit(args, text if text.endswith("\n") else text + "\n")
-    elif args.format == "pgm":
-        _emit(args, pgm_render(trace))
-    else:
-        payload = {
-            "rule": args.rule,
-            "config": render_config(config),
-            "steps": args.steps,
-            "window": [lo, hi],
-            "rows": [list(row) for row in trace.rows],
-        }
-        _emit(args, _json_text(payload))
-    return EXIT_OK
+    payload = {
+        "rule": args.rule,
+        "config": render_config(config),
+        "steps": args.steps,
+        "window": [lo, hi],
+        "rows": [list(row) for row in trace.rows],
+    }
+    return payload, pgm_render(trace) if args.format == "pgm" else ascii_render(trace) + "\n"
 
 
-# ---------------------------------------------------------------------------
-# jp
+def _cmd_jp(args):
+    census = jointly_periodic_points(_as_table(parse_rule_spec(args.rule)), args.length, args.t_max)
+    points = [{"config": render_config(cfg), "period": t} for cfg, t in census.points]
+    payload = {"rule": args.rule, "length": census.length, "t_max": census.t_max, "points": points}
+    return payload, "".join(f"{p['config']} period={p['period']}\n" for p in points)
 
 
-def _cmd_jp(args) -> int:
-    rule = _as_table(parse_rule_spec(args.rule))
-    census = jointly_periodic_points(rule, args.length, args.t_max)
-    if args.format == "json":
-        payload = {
-            "rule": args.rule,
-            "length": census.length,
-            "t_max": census.t_max,
-            "points": [
-                {"config": render_config(cfg), "period": t} for cfg, t in census.points
-            ],
-        }
-        _emit(args, _json_text(payload))
-    else:
-        lines = [f"{render_config(cfg)} period={t}" for cfg, t in census.points]
-        _emit(args, "\n".join(lines) + ("\n" if lines else ""))
-    return EXIT_OK
-
-
-# ---------------------------------------------------------------------------
-# blocking
-
-
-def _cmd_blocking(args) -> int:
+def _cmd_blocking(args):
     rule = _as_table(parse_rule_spec(args.rule))
     res = blocking_word_search(rule, args.k_max, args.bg_period, args.steps)
-    if isinstance(res, BlockingCert):
-        payload = {
-            "rule": args.rule,
-            "found": True,
-            "word": _word_to_text(res.word, rule.alphabet_size),
-            "offset": res.offset,
-            "width": res.width,
-            "status": res.status.value,
-            "verified_steps": res.verified_steps,
-            "verified_background_period": res.verified_background_period,
-        }
-    else:
-        payload = {
-            "rule": args.rule,
-            "found": False,
-            "bounds": {"k_max": res.k_max, "bg_period": res.bg_period, "steps": res.steps},
-        }
-    if args.format == "json":
-        _emit(args, _json_text(payload))
-    elif payload["found"]:
-        _emit(
-            args,
-            f"word={payload['word']} offset={payload['offset']} "
-            f"width={payload['width']} status={payload['status']}\n",
-        )
-    else:
-        _emit(args, "no blocking word within bounds\n")
-    return EXIT_OK
+    if not isinstance(res, BlockingCert):
+        payload = {"rule": args.rule, "found": False, "bounds": asdict(res)}
+        return payload, "no blocking word within bounds\n"
+    payload = {
+        "rule": args.rule,
+        "found": True,
+        "word": _word_to_text(res.word, rule.alphabet_size),
+        "offset": res.offset,
+        "width": res.width,
+        "status": res.status.value,
+        "verified_steps": res.verified_steps,
+        "verified_background_period": res.verified_background_period,
+    }
+    text = f"word={payload['word']} offset={res.offset} width={res.width} status={payload['status']}\n"
+    return payload, text
 
 
-# ---------------------------------------------------------------------------
-# witness
-
-
-def _cmd_witness(args) -> int:
+def _cmd_witness(args):
     rule = parse_rule_spec(args.rule)
     if args.u is None:
         if not isinstance(rule, AdditiveRule):
@@ -230,91 +150,49 @@ def _cmd_witness(args) -> int:
         table = _as_table(rule)
         u = _text_to_word(args.u, table.alphabet_size, "seed word")
         cert = blocking_word_search(table, args.k_max, args.bg_period, args.steps)
-        if not isinstance(cert, BlockingCert):
-            res = None
-        else:
+        if isinstance(cert, BlockingCert):
             res = stp_witness(table, cert, u, args.t_max)
-    if isinstance(res, StpWitness):
-        payload = {
-            "rule": args.rule,
-            "found": True,
-            "config": render_config(res.config),
-            "period": res.period,
-        }
-    elif res is None:
-        payload = {"rule": args.rule, "found": False, "reason": "no blocking word within bounds"}
-    else:
-        payload = {"rule": args.rule, "found": False, "reason": res.reason}
-    if args.format == "json":
-        _emit(args, _json_text(payload))
-    elif payload["found"]:
-        _emit(args, f"{payload['config']} period={payload['period']}\n")
-    else:
-        _emit(args, f"no witness: {payload['reason']}\n")
-    return EXIT_OK
+        else:
+            res = WitnessMiss(args.t_max, "no blocking word within bounds")
+    if isinstance(res, WitnessMiss):
+        return {"rule": args.rule, "found": False, "reason": res.reason}, f"no witness: {res.reason}\n"
+    config = render_config(res.config)
+    payload = {"rule": args.rule, "found": True, "config": config, "period": res.period}
+    return payload, f"{config} period={res.period}\n"
 
 
-# ---------------------------------------------------------------------------
-# scan
-
-
-def _cmd_scan(args) -> int:
+def _cmd_scan(args):
     # additive rules go through unexpanded: the scan can then prune via
     # their prime-power factorisation
     rule = parse_rule_spec(args.rule)
     res = stp_empty_scan(
         rule, args.tail_period_max, args.mid_len_max, args.t_max, args.max_violations
     )
+    violations = [{"config": render_config(w.config), "period": w.period} for w in res.violations]
     payload = {
         "rule": args.rule,
-        "bounds": {
-            "tail_period_max": res.bounds.tail_period_max,
-            "mid_len_max": res.bounds.mid_len_max,
-            "t_max": res.bounds.t_max,
-        },
+        "bounds": asdict(res.bounds),
         "examined": res.examined,
         "truncated": res.truncated,
-        "violations": [
-            {"config": render_config(w.config), "period": w.period} for w in res.violations
-        ],
+        "violations": violations,
     }
-    if args.format == "json":
-        _emit(args, _json_text(payload))
-    else:
-        lines = [f"examined {res.examined} configurations, {len(res.violations)} violations"]
-        lines += [f"{render_config(w.config)} period={w.period}" for w in res.violations]
-        _emit(args, "\n".join(lines) + "\n")
-    return EXIT_OK
+    lines = [f"examined {res.examined} configurations, {len(violations)} violations"]
+    lines += [f"{v['config']} period={v['period']}" for v in violations]
+    return payload, "\n".join(lines) + "\n"
 
 
-# ---------------------------------------------------------------------------
-# sweep
-
-
-def _sweep_one(spec: str, check_oracles: bool) -> tuple:
-    """Classify one rule (worker-safe: plain values in and out)."""
-    rule = parse_rule_spec(spec)
+def _sweep_one(rule: AdditiveRule, check_oracles: bool) -> dict:
+    """The verdict and named flags of one rule (worker-safe: picklable
+    values in and out)."""
     report = classify_additive(rule)
-    surj_disagree = 0
-    equi_missing = 0
-    sensitive_with_cert = 0
+    row = {"stp": report.stp.value, "surjective": report.surjective, "sensitive": report.sensitive}
     if check_oracles:
         table = table_from_additive(rule)
-        if surjectivity_oracle(table) != report.surjective:
-            surj_disagree = 1
-        cert = equicontinuity_oracle(table)
-        if report.equicontinuous and not isinstance(cert, EquicontinuityCert):
-            equi_missing = 1
-        if report.sensitive and isinstance(cert, EquicontinuityCert):
-            sensitive_with_cert = 1
-    return (
-        report.surjective,
-        report.sensitive,
-        report.stp.value,
-        surj_disagree,
-        equi_missing,
-        sensitive_with_cert,
-    )
+        row["surjectivity_disagreements"] = surjectivity_oracle(table) != report.surjective
+        certified = isinstance(equicontinuity_oracle(table), EquicontinuityCert)
+        row["equicontinuous_without_cert"] = report.equicontinuous and not certified
+        row["sensitive_with_cert"] = report.sensitive and certified
+    return row
 
 
 def _resolve_workers(requested: int) -> int:
@@ -322,47 +200,38 @@ def _resolve_workers(requested: int) -> int:
     return max(1, min(requested, os.cpu_count() or 1))
 
 
-def _cmd_sweep(args) -> int:
-    specs = [render_rule_spec(r) for r in enumerate_additive_rules(args.m, args.r)]
+def _cmd_sweep(args):
+    # one rule per entry of an m^(2r+1) table: refuse before enumerating;
+    # a modulus below 2 gives at most one rule, which the constructor refuses
+    if args.m >= 2:
+        _table_size(args.m, 2 * args.r + 1)
+    rules = list(enumerate_additive_rules(args.m, args.r))
+    checks = [args.check_oracles] * len(rules)
     workers = _resolve_workers(args.workers)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_one, specs, [args.check_oracles] * len(specs), chunksize=64))
+            rows = list(pool.map(_sweep_one, rules, checks, chunksize=64))
     else:
-        rows = [_sweep_one(spec, args.check_oracles) for spec in specs]
-    stp_counts: dict[str, int] = {}
-    surjective = sensitive = 0
-    disagreements = [0, 0, 0]
-    for surj, sens, stp, d0, d1, d2 in rows:
-        surjective += surj
-        sensitive += sens
-        stp_counts[stp] = stp_counts.get(stp, 0) + 1
-        disagreements[0] += d0
-        disagreements[1] += d1
-        disagreements[2] += d2
+        rows = list(map(_sweep_one, rules, checks))
+
+    def total(key: str) -> int:
+        return sum(row[key] for row in rows)
+
     payload = {
         "m": args.m,
         "r": args.r,
-        "rules": len(specs),
-        "surjective": surjective,
-        "sensitive": sensitive,
-        "stp": {key: stp_counts[key] for key in sorted(stp_counts)},
+        "rules": len(rules),
+        "surjective": total("surjective"),
+        "sensitive": total("sensitive"),
+        "stp": dict(sorted(Counter(row["stp"] for row in rows).items())),
     }
     if args.check_oracles:
-        payload["oracle_checks"] = {
-            "surjectivity_disagreements": disagreements[0],
-            "equicontinuous_without_cert": disagreements[1],
-            "sensitive_with_cert": disagreements[2],
-        }
-    if args.format == "json":
-        _emit(args, _json_text(payload))
-    else:
-        lines = [f"{k}: {v}" for k, v in payload.items() if not isinstance(v, dict)]
-        lines += [f"stp {k}: {v}" for k, v in payload["stp"].items()]
-        if "oracle_checks" in payload:
-            lines += [f"{k}: {v}" for k, v in payload["oracle_checks"].items()]
-        _emit(args, "\n".join(lines) + "\n")
-    return EXIT_OK
+        names = ("surjectivity_disagreements", "equicontinuous_without_cert", "sensitive_with_cert")
+        payload["oracle_checks"] = {name: total(name) for name in names}
+    lines = [f"{k}: {v}" for k, v in payload.items() if not isinstance(v, dict)]
+    lines += [f"stp {k}: {v}" for k, v in payload["stp"].items()]
+    lines += [f"{k}: {v}" for k, v in payload.get("oracle_checks", {}).items()]
+    return payload, "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -453,6 +322,17 @@ def _merge_window_flag(argv: list[str]) -> list[str]:
     return out
 
 
+def _write(path: str | None, out: str | bytes) -> None:
+    """The one write of a command's output: to ``path``, else to stdout."""
+    if path:
+        with open(path, "wb" if isinstance(out, bytes) else "w") as fh:
+            fh.write(out)
+    elif isinstance(out, bytes):
+        sys.stdout.buffer.write(out)
+    else:
+        sys.stdout.write(out)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     if argv is None:
@@ -463,7 +343,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_PARSE if exc.code else EXIT_OK
     try:
-        return args.fn(args)
+        payload, text = args.fn(args)
+        _write(args.output, json.dumps(payload, indent=2) + "\n" if args.format == "json" else text)
     except ResourceCapError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
@@ -473,6 +354,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -191,20 +191,27 @@ class BlockingMiss:
     steps: int
 
 
-def _column_constant(rule: TableRule, u, j: int, s: int, bg_period: int, steps: int) -> bool:
-    """Simulate all eventually periodic contexts ``^inf(a) . u . (b)^inf``
-    with tail periods up to ``bg_period`` and compare the observed columns."""
-    k = rule.alphabet_size
-    tails = [t for n in range(1, bg_period + 1) for t in product(range(k), repeat=n)]
+def _constant_column_offset(rule: TableRule, u, s: int, bg_period: int, steps: int) -> int | None:
+    """Least offset ``j`` whose column ``[j, j + s)`` reads the same for
+    ``steps`` steps in every eventually periodic context ``^inf(a) . u .
+    (b)^inf`` with tail periods up to ``bg_period``, or ``None``.  Each
+    context's orbit is walked once, for all offsets at the same time, and
+    only while some offset still agrees with the first context's."""
+    k, n = rule.alphabet_size, len(u)
+    tails = [t for p in range(1, bg_period + 1) for t in product(range(k), repeat=p)]
+    offsets = range(n - s + 1)
     ref = None
     for a, b in product(tails, repeat=2):
         orbit = islice(_orbit(rule, _canonical_ep(a, u, b, 0)), steps + 1)
-        column = (_cells(*state, j, j + s) for state in orbit)
+        rows = (_cells(*state, 0, n) for state in orbit)
         if ref is None:
-            ref = list(column)
-        elif any(row != want for row, want in zip(column, ref)):
-            return False
-    return True
+            ref = list(rows)
+            continue
+        for row, want in zip(rows, ref):
+            offsets = [j for j in offsets if row[j : j + s] == want[j : j + s]]
+            if not offsets:
+                return None
+    return offsets[0]
 
 
 def blocking_word_search(
@@ -239,11 +246,9 @@ def blocking_word_search(
         return BlockingCert((0,) * word_len, j, s, 0, cert.q + cert.p, BlockingStatus.EXACT)
     for word_len in range(s, k_max + 1):
         for u in product(range(k), repeat=word_len):
-            for j in range(0, word_len - s + 1):
-                if _column_constant(rule, u, j, s, bg_period, steps):
-                    return BlockingCert(
-                        u, j, s, bg_period, steps, BlockingStatus.BOUNDED_VERIFIED
-                    )
+            j = _constant_column_offset(rule, u, s, bg_period, steps)
+            if j is not None:
+                return BlockingCert(u, j, s, bg_period, steps, BlockingStatus.BOUNDED_VERIFIED)
     return BlockingMiss(k_max, bg_period, steps)
 
 

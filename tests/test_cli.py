@@ -201,6 +201,10 @@ def test_jp_text(capsys):
         ["jp", "--rule", "additive:m=2;r=1;c=0,0,1", "--length", "2", "--format", "text"],
     )
     assert out == "cyclic:0@0 period=1\ncyclic:1@0 period=1\ncyclic:01@0 period=2\ncyclic:10@0 period=2\n"
+    # an empty census prints nothing
+    argv = ["jp", "--rule", "additive:m=2;r=1;c=0,0,1", "--length", "2", "--t-max", "0",
+            "--format", "text"]
+    assert run(capsys, argv) == ""
 
 
 # ---------------------------------------------------------------------------
@@ -491,6 +495,17 @@ def test_exit_resource_on_huge_table(capsys, rule):
     argv = ["simulate", "--rule", rule, "--config", "cyclic:0", "--steps", "1"]
     assert main(argv) == EXIT_RESOURCE
     assert "resource cap:" in capsys.readouterr().err
+
+
+def test_exit_resource_on_sweep_family_over_the_cap(capsys, monkeypatch):
+    # 2^23 rules: refused before the family is enumerated
+    def enumerate_additive_rules(m, r):
+        raise AssertionError("the family was enumerated")
+
+    monkeypatch.setattr("periodika.cli.enumerate_additive_rules", enumerate_additive_rules)
+    assert main(["sweep", "--m", "2", "--r", "11"]) == EXIT_RESOURCE
+    captured = capsys.readouterr()
+    assert captured.out == "" and "resource cap:" in captured.err
 
 
 def test_exit_parse_on_unknown_command(capsys):

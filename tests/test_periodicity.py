@@ -272,7 +272,13 @@ def test_bounded_blocking_search_matches_a_stepping_reference(monkeypatch):
     rng = random.Random(3)
     rules += [TableRule(3, 1, tuple(rng.randrange(3) for _ in range(27))) for _ in range(12)]
     found = [blocking_word_search(rule, 3, 1, 6) for rule in rules]
-    monkeypatch.setattr(periodicity, "_column_constant", _column_constant_by_stepping)
+
+    def first_constant_offset(rule, u, s, bg_period, steps):
+        offsets = range(len(u) - s + 1)
+        constant = (j for j in offsets if _column_constant_by_stepping(rule, u, j, s, bg_period, steps))
+        return next(constant, None)
+
+    monkeypatch.setattr(periodicity, "_constant_column_offset", first_constant_offset)
     for rule, got in zip(rules, found):
         assert blocking_word_search(rule, 3, 1, 6) == got, rule
     # 128 elementary rules and one k = 3 rule get a bounded certificate;
