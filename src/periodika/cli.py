@@ -16,7 +16,8 @@ renders the format asked for and writes it, to ``--output`` or to stdout.
 
 Exit status: 0 on success; 1 when valid input is refused (a witness asked
 of a rule that is not surjective, or a seed word that dissolves into its
-background); 2 on unparseable input or a negative step budget; 3 when a
+background); 2 on unparseable input, a negative step budget or a ``sweep``
+family out of range (``--m`` below 2, ``--r`` negative); 3 when a
 resource cap stops an exact computation or a ``sweep`` family exceeds the
 table cap.  All searches follow the fixed lexicographic orders of their
 modules, so output is deterministic given the same flags; JSON output
@@ -201,10 +202,12 @@ def _resolve_workers(requested: int) -> int:
 
 
 def _cmd_sweep(args):
-    # one rule per entry of an m^(2r+1) table: refuse before enumerating;
-    # a modulus below 2 gives at most one rule, which the constructor refuses
-    if args.m >= 2:
-        _table_size(args.m, 2 * args.r + 1)
+    if args.m < 2:
+        raise ValueError(f"--m must be at least 2, got {args.m}")
+    if args.r < 0:
+        raise ValueError(f"--r must be non-negative, got {args.r}")
+    # one rule per entry of an m^(2r+1) table: refuse before enumerating
+    _table_size(args.m, 2 * args.r + 1)
     rules = list(enumerate_additive_rules(args.m, args.r))
     checks = [args.check_oracles] * len(rules)
     workers = _resolve_workers(args.workers)

@@ -49,21 +49,41 @@ def step(rule: TableRule, x: Config) -> Config:
     return EpConfig(x.alphabet_size, *_ep_image(rule, x.left, x.mid, x.right, x.start))
 
 
-def _orbit(rule: TableRule, state):
+def _orbit(rule: TableRule, state, succ: dict | None = None):
     """Canonical states ``(left, mid, right, start)`` of ``x, F(x),
     F^2(x), ...`` for ``x`` given by its canonical state (see
     ``configs._state``), stepped without building configurations: image
     letters come from the validated table.  A spatially periodic state
-    takes the cyclic kernel.  The caller checks that the alphabets match."""
+    takes the cyclic kernel.  The caller checks that the alphabets match.
+
+    ``succ`` is a successor memo that one search shares across all its
+    walks of one rule: it maps the translation class ``(left, mid, right)``
+    of a state to its canonical image and the image's start relative to
+    the state's.  The global map commutes with the shift, so one entry
+    serves every translate.  Only images that are not spatially periodic
+    are stored, because those are anchored at start 0, not translated.
+    Independent re-checks walk without a memo."""
     left, mid, right, _ = state
     if not mid and left == right:
         word = left
         while True:
             yield word, (), word, 0
             word = _canonical_word(tuple(_cyclic_image(rule, word)), 0)
+    if succ is None:
+        while True:
+            yield state
+            state = _canonical_ep(*_ep_image(rule, *state))
     while True:
         yield state
-        state = _canonical_ep(*_ep_image(rule, *state))
+        left, mid, right, start = state
+        key = left, mid, right
+        hit = succ.get(key)
+        if hit is None:
+            state = _canonical_ep(*_ep_image(rule, *state))
+            if state[1] or state[0] != state[2]:
+                succ[key] = (*state[:3], state[3] - start)
+        else:
+            state = (*hit[:3], hit[3] + start)
 
 
 @dataclass(frozen=True)
@@ -105,12 +125,19 @@ def temporal_cycle(
     """
     if rule.alphabet_size != x.alphabet_size:
         raise ValueError("alphabet mismatch")
+    return _cycle(rule, _state(x), max_steps, max_mid)
+
+
+def _cycle(rule: TableRule, state, max_steps: int, max_mid: int, succ: dict | None = None):
+    """``temporal_cycle`` of the canonical state ``state``, whose alphabet
+    the caller has matched, with its orbit stepped through the successor
+    memo ``succ`` (see ``_orbit``)."""
     if max_steps < 0:
         raise ValueError("max_steps must be non-negative")
     if max_mid < 0:
         raise ValueError("max_mid must be non-negative")
     seen = {}
-    for n, (left, mid, right, start) in enumerate(islice(_orbit(rule, _state(x)), max_steps + 1)):
+    for n, (left, mid, right, start) in enumerate(islice(_orbit(rule, state, succ), max_steps + 1)):
         if n and len(mid) > max_mid:
             return CycleTimeout(n, "mid width cap exceeded")
         key = left, mid, right

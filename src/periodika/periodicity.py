@@ -42,7 +42,7 @@ from .configs import (
     map_letters,
     product_config,
 )
-from .engine import CycleResult, CycleTimeout, _orbit, step, temporal_cycle
+from .engine import CycleResult, CycleTimeout, _cycle, _orbit, step
 from .oracles import (
     EquicontinuityCert,
     _power_walk,
@@ -191,18 +191,21 @@ class BlockingMiss:
     steps: int
 
 
-def _constant_column_offset(rule: TableRule, u, s: int, bg_period: int, steps: int) -> int | None:
+def _constant_column_offset(
+    rule: TableRule, u, s: int, bg_period: int, steps: int, succ: dict
+) -> int | None:
     """Least offset ``j`` whose column ``[j, j + s)`` reads the same for
     ``steps`` steps in every eventually periodic context ``^inf(a) . u .
     (b)^inf`` with tail periods up to ``bg_period``, or ``None``.  Each
     context's orbit is walked once, for all offsets at the same time, and
-    only while some offset still agrees with the first context's."""
+    only while some offset still agrees with the first context's; the walks
+    step through the successor memo ``succ`` (see ``engine._orbit``)."""
     k, n = rule.alphabet_size, len(u)
     tails = [t for p in range(1, bg_period + 1) for t in product(range(k), repeat=p)]
     offsets = range(n - s + 1)
     ref = None
     for a, b in product(tails, repeat=2):
-        orbit = islice(_orbit(rule, _canonical_ep(a, u, b, 0)), steps + 1)
+        orbit = islice(_orbit(rule, _canonical_ep(a, u, b, 0), succ), steps + 1)
         rows = (_cells(*state, 0, n) for state in orbit)
         if ref is None:
             ref = list(rows)
@@ -229,7 +232,9 @@ def blocking_word_search(
     the word for *all* times, and the certificate is marked Exact.  That
     test never reads the letters, so the first such word is all zeros,
     just long enough for the widest spans around the column.  Without a
-    certificate the check is bounded simulation, marked BoundedVerified.
+    certificate the check is bounded simulation, marked BoundedVerified;
+    all of its context walks share one successor memo (see
+    ``engine._orbit``), which lives only as long as the call.
     """
     if min(k_max, steps) < 0 or bg_period < 1:
         raise ValueError("k_max and steps must be non-negative and bg_period positive")
@@ -244,9 +249,10 @@ def blocking_word_search(
         if word_len > k_max:
             return BlockingMiss(k_max, bg_period, steps)
         return BlockingCert((0,) * word_len, j, s, 0, cert.q + cert.p, BlockingStatus.EXACT)
+    succ: dict = {}
     for word_len in range(s, k_max + 1):
         for u in product(range(k), repeat=word_len):
-            j = _constant_column_offset(rule, u, s, bg_period, steps)
+            j = _constant_column_offset(rule, u, s, bg_period, steps, succ)
             if j is not None:
                 return BlockingCert(u, j, s, bg_period, steps, BlockingStatus.BOUNDED_VERIFIED)
     return BlockingMiss(k_max, bg_period, steps)
@@ -308,20 +314,22 @@ def _seeded_witness(rule: TableRule, background, u, t_max: int):
 
 
 def _return_witness(
-    rule: TableRule, y: Config, max_steps: int, max_mid: int = 10_000
+    rule: TableRule, y: Config, max_steps: int, max_mid: int = 10_000, succ: dict | None = None
 ) -> StpWitness | CycleResult | CycleTimeout:
     """``StpWitness(y, t)`` when the orbit of ``y``, which is not spatially
     periodic, returns to ``y`` itself after ``t`` steps within the budgets
     of ``temporal_cycle``; otherwise the cycle result that rules a return
-    out (a timeout, or a nonzero preperiod).
+    out (a timeout, or a nonzero preperiod).  The cycle detection steps
+    through the successor memo ``succ`` when one is given.
 
     A return is re-checked with the engine, independently of the cycle
-    detection: the ``t``-th state of the orbit must equal the 0-th."""
-    res = temporal_cycle(rule, y, max_steps, max_mid)
+    detection and of the memo: the ``t``-th state of a fresh orbit walk
+    must equal the 0-th."""
+    res = _cycle(rule, _state(y), max_steps, max_mid, succ)
     if isinstance(res, CycleTimeout) or res.preperiod:
         return res
     y0, yt = islice(_orbit(rule, _state(y)), 0, res.period + 1, res.period)
-    if yt != y0 or is_spatially_periodic(y):  # pragma: no cover
+    if yt != y0 or is_spatially_periodic(y):
         raise AssertionError(f"{y} failed exact re-verification at period {res.period}")
     return StpWitness(y, res.period)
 
@@ -435,6 +443,11 @@ def stp_empty_scan(
     prime-power reductions are all drift-sided admits none either, because
     a return of the full configuration forces a return of every residue
     and at least one residue is not spatially periodic.
+
+    The walked candidates share one successor memo (see ``engine._orbit``),
+    which lives only as long as the call: candidate orbits fall into the
+    same attractors, and a hit replaces a step by a lookup.  Every
+    violation is still re-derived by a walk without the memo.
     """
     if min(tail_period_max, mid_len_max, t_max) < 0:
         raise ValueError("scan bounds must be non-negative")
@@ -481,10 +494,11 @@ def stp_empty_scan(
 
     examined = 0
     violations: list[StpWitness] = []
+    succ: dict = {}
     for y in candidates():
         examined += 1
         # the mid grows by at most width - 1 per step, so this cap never binds
-        res = _return_witness(table, y, t_max, mid_len_max + (table.width - 1) * t_max)
+        res = _return_witness(table, y, t_max, mid_len_max + (table.width - 1) * t_max, succ)
         if isinstance(res, StpWitness):
             violations.append(res)
             if len(violations) == max_violations:

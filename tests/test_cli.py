@@ -310,6 +310,23 @@ def test_scan_text(capsys):
     assert out.splitlines()[0] == "examined 68 configurations, 0 violations"
 
 
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (["scan", "--rule", "wolfram:33"], "scan_wolfram33.json"),
+        (["scan", "--rule", "wolfram:22"], "scan_wolfram22.json"),
+        (["scan", "--rule", "wolfram:7391763292911;k=3;r=1"], "scan_k3_7391763292911.json"),
+        (["blocking", "--rule", "wolfram:37"], "blocking_wolfram37.json"),
+        (["blocking", "--rule", "wolfram:90"], "blocking_wolfram90.json"),
+    ],
+)
+def test_search_commands_match_golden_output(capsys, argv, golden):
+    # the walked scan and the bounded blocking search step through a
+    # successor memo; the files were recorded by walks that stepped every
+    # state afresh
+    assert run(capsys, argv) == (GOLDEN / golden).read_text()
+
+
 # ---------------------------------------------------------------------------
 # sweep
 
@@ -506,6 +523,21 @@ def test_exit_resource_on_sweep_family_over_the_cap(capsys, monkeypatch):
     assert main(["sweep", "--m", "2", "--r", "11"]) == EXIT_RESOURCE
     captured = capsys.readouterr()
     assert captured.out == "" and "resource cap:" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["--m", "0"], "--m"),
+        (["--m", "-2"], "--m"),
+        (["--m", "1"], "--m"),
+        (["--m", "2", "--r", "-1"], "--r"),
+    ],
+)
+def test_exit_parse_on_sweep_family_out_of_range(capsys, argv, flag):
+    assert main(["sweep", *argv]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"error: {flag} " in captured.err
 
 
 def test_exit_parse_on_unknown_command(capsys):

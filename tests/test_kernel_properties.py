@@ -2,14 +2,15 @@
 it: stepping, composition, padding, canonicalisation and the per-variable
 scans are each checked against a direct reading of the table through
 ``encode_word`` and ``value_at``, orbit detection against a walk that
-memoises every state exactly, the canonical form of eventually periodic
+memoises every state exactly, orbit walks through a shared successor memo
+against walks without one, the canonical form of eventually periodic
 configurations against other presentations of the same configuration, and
 the window reader ``_cells`` with everything built on it (traces, letterwise
 joins) against ``value_at`` one coordinate at a time."""
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import islice, product
 from math import lcm
 
 from hypothesis import given, settings
@@ -26,7 +27,7 @@ from periodika.configs import (
     shift,
     value_at,
 )
-from periodika.engine import CycleResult, CycleTimeout, space_time, step, temporal_cycle
+from periodika.engine import CycleResult, CycleTimeout, _orbit, space_time, step, temporal_cycle
 from periodika.rules import (
     AdditiveRule,
     TableRule,
@@ -251,6 +252,37 @@ def test_spatially_periodic_ep_config_walks_like_its_cyclic_word(case, phase, st
         rows.append(tuple(value_at(cur, i) for i in range(-8, 9)))
         cur = step(rule, cur)
     assert trace.rows == tuple(rows)
+
+
+# ---------------------------------------------------------------------------
+# the successor memo
+
+# rules that wipe out defects, so that images turn spatially periodic
+DEFECT_KILLERS = [TableRule.from_wolfram(n) for n in (0, 8, 128, 136)]
+
+
+@st.composite
+def memo_cases(draw):
+    """A rule (some composed, keeping a nonzero offset) and walks of a few
+    eventually periodic starts, each at a random translation."""
+    rule = draw(st.one_of(table_rules(), st.sampled_from(DEFECT_KILLERS)))
+    if draw(st.booleans()):
+        rule = canonicalize_table(compose_table(rule, draw(table_rules(rule.alphabet_size))))
+    starts = draw(st.lists(ep_configs(rule.alphabet_size), min_size=1, max_size=3))
+    walk = st.tuples(st.sampled_from(starts), st.integers(-6, 6), st.integers(0, 10))
+    return rule, draw(st.lists(walk, min_size=2, max_size=6))
+
+
+@settings(SETTINGS, max_examples=100)
+@given(memo_cases())
+def test_walks_through_one_successor_memo_match_plain_walks(case):
+    # later walks hit entries stored by earlier ones, at other translations
+    rule, walks = case
+    succ = {}
+    for x, n, steps in walks:
+        state = _state(shift(x, n))
+        plain = list(islice(_orbit(rule, state), steps + 1))
+        assert list(islice(_orbit(rule, state, succ), steps + 1)) == plain
 
 
 # ---------------------------------------------------------------------------

@@ -250,21 +250,22 @@ def test_exact_blocking_word_is_the_first_word_whose_column_fits():
             assert blocking_word_search(rule, k_max) == expected, (rule, k_max)
 
 
-def _column_constant_by_stepping(rule, u, j, s, bg_period, steps):
-    """The bounded column check as public configurations, engine steps and
+def _rows_by_stepping(rule, u, bg_period, steps):
+    """Cells ``0 .. len(u) - 1`` along the orbit of every bounded context
+    ``^inf(a) . u . (b)^inf``, as public configurations, engine steps and
     one ``value_at`` per letter."""
     k = rule.alphabet_size
     tails = [t for n in range(1, bg_period + 1) for t in product(range(k), repeat=n)]
-    columns = set()
+    contexts = []
     for a in tails:
         for b in tails:
             x = EpConfig(k, a, u, b, 0)
-            column = []
+            rows = []
             for _ in range(steps + 1):
-                column.append(tuple(value_at(x, c) for c in range(j, j + s)))
+                rows.append(tuple(value_at(x, c) for c in range(len(u))))
                 x = step(rule, x)
-            columns.add(tuple(column))
-    return len(columns) == 1
+            contexts.append(rows)
+    return contexts
 
 
 def test_bounded_blocking_search_matches_a_stepping_reference(monkeypatch):
@@ -273,10 +274,12 @@ def test_bounded_blocking_search_matches_a_stepping_reference(monkeypatch):
     rules += [TableRule(3, 1, tuple(rng.randrange(3) for _ in range(27))) for _ in range(12)]
     found = [blocking_word_search(rule, 3, 1, 6) for rule in rules]
 
-    def first_constant_offset(rule, u, s, bg_period, steps):
-        offsets = range(len(u) - s + 1)
-        constant = (j for j in offsets if _column_constant_by_stepping(rule, u, j, s, bg_period, steps))
-        return next(constant, None)
+    def first_constant_offset(rule, u, s, bg_period, steps, succ):
+        contexts = _rows_by_stepping(rule, u, bg_period, steps)
+        for j in range(len(u) - s + 1):
+            if len({tuple(row[j : j + s] for row in rows) for rows in contexts}) == 1:
+                return j
+        return None
 
     monkeypatch.setattr(periodicity, "_constant_column_offset", first_constant_offset)
     for rule, got in zip(rules, found):
@@ -472,16 +475,34 @@ def _first_return(rule, x, max_steps, max_mid=None):
 
 
 def test_scan_agrees_with_a_plain_return_walk_on_every_elementary_rule(monkeypatch):
-    # an early exit of the orbit detector must never drop a violation, and
-    # with no drift sides every candidate is walked: a prune must neither
-    # drop a violation nor count other than the family it skips
+    # an early exit of the orbit detector, or a stale successor memo, must
+    # never drop a violation, and with no drift sides every candidate is
+    # walked: a prune must neither drop a violation nor count other than
+    # the family it skips
     cases = [(TableRule.from_wolfram(n), (2, 2, 16)) for n in range(256)]
     cases += [(rule, (1, 1, 2)) for rule in RADIUS1_ADDS if is_surjective_additive(rule)]
     results = [stp_empty_scan(rule, *bounds) for rule, bounds in cases]
-    monkeypatch.setattr(periodicity, "temporal_cycle", _first_return)
+    walked = []
+
+    def plain_cycle(rule, state, max_steps, max_mid, succ=None):
+        walked.append(state)
+        return _first_return(rule, EpConfig(rule.alphabet_size, *state), max_steps, max_mid)
+
+    monkeypatch.setattr(periodicity, "_cycle", plain_cycle)
     monkeypatch.setattr(periodicity, "_drift_sides", lambda rule: (None, None))
     assert results == [stp_empty_scan(rule, *bounds) for rule, bounds in cases]
     assert sum(len(r.violations) for r in results) > 0
+    assert len(walked) == sum(r.examined for r in results)
+
+
+def test_return_witness_rechecks_without_the_successor_memo():
+    # a memo that maps y to itself makes the cycle detection see a return
+    # after one step; the re-check walks the orbit afresh and refuses it
+    y = EpConfig(2, (0,), (1,), (0,), 0)
+    poisoned = {(y.left, y.mid, y.right): (y.left, y.mid, y.right, 0)}
+    with pytest.raises(AssertionError, match="re-verification at period 1"):
+        periodicity._return_witness(RULE90, y, 8, succ=poisoned)
+    assert isinstance(periodicity._return_witness(RULE90, y, 8, succ={}), CycleTimeout)
 
 
 # ---------------------------------------------------------------------------
