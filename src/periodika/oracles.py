@@ -14,8 +14,10 @@ from itertools import product
 from .rules import (
     ResourceCapError,
     TableRule,
-    canonicalize_table,
-    compose_table,
+    _compose,
+    _span_rule,
+    _table_rule,
+    _trim,
     identity_rule,
     pad_table,
 )
@@ -97,20 +99,28 @@ def equicontinuity_oracle(rule: TableRule) -> EquicontinuityCert | OracleUnknown
 def _power_walk(rule: TableRule) -> tuple[EquicontinuityCert | OracleUnknown, list[TableRule]]:
     """``equicontinuity_oracle``'s search, returning with its result the
     canonical tables of ``F^0, F^1, ...`` it built; after a certificate
-    ``(q, p)`` they are exactly ``F^0 .. F^(q+p)``."""
+    ``(q, p)`` they are exactly ``F^0 .. F^(q+p)``.
+
+    The walk composes span tables (see ``rules._trim``): F^(n+1) = F o F^n
+    is read over the essential span of F^n widened by F's, then trimmed to
+    its own essential span; only the canonical TableRule built from it is
+    padded.  The cap test reads the canonical radius, as if the padded
+    tables were composed."""
     k = rule.alphabet_size
+    f, f_w, f_lo = _trim(rule.table, k, rule.width, rule.offset - rule.radius)
+    g, g_w, g_lo = tuple(range(k)), 1, 0
     cur = identity_rule(k)
     powers = [cur]
     memo = {cur: 0}
     for n in range(1, MAX_POWERS + 1):
         if k ** (2 * (cur.radius + rule.radius) + 1) > MAX_POWER_CELLS:
             return OracleUnknown(f"table cap reached at power {n}", n - 1), powers
-        cur = canonicalize_table(compose_table(rule, cur))
+        g, g_w, g_lo = _trim(_compose(k, f, f_w, g, g_w), k, g_w + f_w - 1, g_lo + f_lo)
+        cur = _span_rule(k, g, g_w, g_lo)
         powers.append(cur)
-        if cur in memo:
-            q = memo[cur]
+        q = memo.setdefault(cur, n)
+        if q != n:
             return EquicontinuityCert(q, n - q), powers
-        memo[cur] = n
     return OracleUnknown("power budget exhausted", MAX_POWERS), powers
 
 
@@ -128,4 +138,4 @@ def product_rule(f: TableRule, g: TableRule) -> TableRule:
         fp(d // kg for d in word) * kg + gp(d % kg for d in word)
         for word in product(range(k), repeat=width)
     )
-    return TableRule(k, radius, table)
+    return _table_rule(k, radius, table)

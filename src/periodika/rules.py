@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from itertools import chain, cycle, product, repeat
+from itertools import chain, cycle, repeat
 
 
 class RuleSpecError(ValueError):
@@ -130,6 +130,20 @@ class TableRule:
         return sum(a * self.alphabet_size**v for v, a in enumerate(self.table))
 
 
+def _table_rule(
+    alphabet_size: int, radius: int, table: tuple[int, ...], offset: int = 0
+) -> TableRule:
+    """``TableRule(alphabet_size, radius, table, offset)`` without the checks.
+
+    Only for tables whose every letter is read out of an already validated
+    table (or reduced mod the alphabet size) and whose length matches the
+    radius by construction."""
+    rule = object.__new__(TableRule)
+    # the frozen dataclass blocks attribute assignment, not its __dict__
+    rule.__dict__.update(alphabet_size=alphabet_size, radius=radius, table=table, offset=offset)
+    return rule
+
+
 def encode_word(word, alphabet_size: int) -> int:
     """Big-endian base-``alphabet_size`` value of a letter sequence."""
     idx = 0
@@ -193,13 +207,14 @@ class AdditiveRule:
 def table_from_additive(rule: AdditiveRule) -> TableRule:
     """Expand an additive rule into an explicit table over Z_m."""
     m, r = rule.modulus, rule.radius
-    width = 2 * r + 1
-    _table_size(m, width)
-    dense = rule.coefficient_list()
-    table = tuple(
-        sum(c * a for c, a in zip(dense, word)) % m for word in product(range(m), repeat=width)
-    )
-    return TableRule(m, r, table)
+    _table_size(m, 2 * r + 1)
+    # one level per window position, left to right (big-endian): every sum
+    # so far is extended by each letter's term; reduced mod m at the end
+    sums = [0]
+    for c in rule.coefficient_list():
+        terms = [c * a for a in range(m)]
+        sums = [s + t for s in sums for t in terms]
+    return _table_rule(m, r, tuple([s % m for s in sums]))
 
 
 def compose_additive(f: AdditiveRule, g: AdditiveRule) -> AdditiveRule:
@@ -230,17 +245,17 @@ def power_additive(f: AdditiveRule, h: int) -> AdditiveRule:
     return acc
 
 
-def _fibres(rule: TableRule, j: int) -> list[tuple[int, ...]]:
-    """The outputs along window position ``j`` (0-based, left to right): one
-    tuple per letter ``a``, holding the output with ``a`` at ``j`` for every
-    assignment of the other positions, in the same order in all ``k`` tuples.
+def _fibres(table: tuple[int, ...], k: int, width: int, j: int) -> list[tuple[int, ...]]:
+    """The outputs along window position ``j`` (0-based, left to right) of a
+    table over ``width`` positions and ``k`` letters: one tuple per letter
+    ``a``, holding the output with ``a`` at ``j`` for every assignment of the
+    other positions, in the same order in all ``k`` tuples.
 
     Column ``i`` of the tuples is the fibre of assignment ``i``: position
     ``j`` is essential iff the tuples differ, bijective iff every column
     holds ``k`` distinct outputs."""
-    k, table = rule.alphabet_size, rule.table
     n = len(table)
-    stride = k ** (rule.width - 1 - j)
+    stride = k ** (width - 1 - j)
     block = stride * k
     # index = base + a * stride + low; read whichever of base / low has the
     # fewer values as the outer loop, so the slices stay long
@@ -260,28 +275,60 @@ def _fibres(rule: TableRule, j: int) -> list[tuple[int, ...]]:
     ]
 
 
-def _is_essential(rule: TableRule, j: int) -> bool:
-    """Whether the table depends on window position ``j`` (0-based, left to
-    right): some letter's outputs there differ from letter 0's."""
-    return (out := _fibres(rule, j)).count(out[0]) < len(out)
+def _is_essential(table: tuple[int, ...], k: int, width: int, j: int) -> bool:
+    """Whether a table over ``width`` positions depends on position ``j``
+    (0-based, left to right): some letter's outputs there differ from
+    letter 0's."""
+    return (out := _fibres(table, k, width, j)).count(out[0]) < len(out)
 
 
 def _is_bijective(rule: TableRule, j: int) -> bool:
     """Whether the table is bijective in window position ``j`` for every
     assignment of the other positions."""
-    return all(len(set(col)) == rule.alphabet_size for col in zip(*_fibres(rule, j)))
+    k = rule.alphabet_size
+    return all(len(set(col)) == k for col in zip(*_fibres(rule.table, k, rule.width, j)))
+
+
+def _essential_ends(table: tuple[int, ...], k: int, width: int) -> tuple[int, int] | None:
+    """First and last essential position (0-based) of a table over ``width``
+    positions, or None when it is constant."""
+    # only the outermost essential positions matter: scan in from both ends
+    first = next((j for j in range(width) if _is_essential(table, k, width, j)), None)
+    if first is None:
+        return None
+    last = next(j for j in reversed(range(first, width)) if _is_essential(table, k, width, j))
+    return first, last
 
 
 def essential_span(rule: TableRule) -> tuple[int, int] | None:
     """Exact dependence span relative to the cell, or None for constant rules."""
-    # only the outermost essential positions matter: scan in from both ends
-    width = rule.width
-    first = next((j for j in range(width) if _is_essential(rule, j)), None)
-    if first is None:
+    ends = _essential_ends(rule.table, rule.alphabet_size, rule.width)
+    if ends is None:
         return None
-    last = next(j for j in reversed(range(first, width)) if _is_essential(rule, j))
     lo = rule.offset - rule.radius
-    return (lo + first, lo + last)
+    return (lo + ends[0], lo + ends[1])
+
+
+def _trim(table: tuple[int, ...], k: int, width: int, lo: int) -> tuple[tuple[int, ...], int, int]:
+    """A span table -- ``table`` over the ``width`` positions ``lo ..`` --
+    cut to its essential span, as ``(table, width, lo)``.  A constant map
+    keeps one inessential position, at 0."""
+    ends = _essential_ends(table, k, width)
+    if ends is None:
+        return (table[0],) * k, 1, 0
+    first, last = ends
+    # the kept positions read with every stripped position at letter 0
+    return table[: k ** (width - first) : k ** (width - 1 - last)], last - first + 1, lo + first
+
+
+def _span_rule(k: int, table: tuple[int, ...], width: int, lo: int) -> TableRule:
+    """The TableRule of a span table, padded by one inessential position on
+    the right when ``width`` is even so the window is ``offset +- radius``."""
+    if width % 2 == 0:
+        table = tuple(chain.from_iterable(zip(*(table,) * k)))
+        width += 1
+    radius = width // 2
+    return _table_rule(k, radius, table, lo + radius)
 
 
 def _rewindow(rule: TableRule, radius: int, offset: int) -> TableRule:
@@ -306,7 +353,7 @@ def _rewindow(rule: TableRule, radius: int, offset: int) -> TableRule:
     table = rule.table[: kept * old_right : old_right]
     if new_right > 1:
         table = tuple(chain.from_iterable(repeat(a, new_right) for a in table))
-    return TableRule(k, radius, tuple(table) * (size // (kept * new_right)), offset)
+    return _table_rule(k, radius, tuple(table) * (size // (kept * new_right)), offset)
 
 
 def canonicalize_table(rule: TableRule) -> TableRule:
@@ -318,14 +365,8 @@ def canonicalize_table(rule: TableRule) -> TableRule:
     Two table rules induce the same global map iff their canonical forms
     are identical.
     """
-    span = essential_span(rule)
-    if span is None:
-        return TableRule(rule.alphabet_size, 0, (rule.table[0],) * rule.alphabet_size)
-    lo, hi = span
-    if (hi - lo) % 2 == 1:
-        hi += 1
-    new_r = (hi - lo) // 2
-    return _rewindow(rule, new_r, lo + new_r)
+    k = rule.alphabet_size
+    return _span_rule(k, *_trim(rule.table, k, rule.width, rule.offset - rule.radius))
 
 
 def pad_table(rule: TableRule, radius: int, offset: int = 0) -> TableRule:
@@ -352,6 +393,13 @@ def _window_images(table, k: int, width: int, length: int) -> list[int]:
     return idx
 
 
+def _compose(k: int, f: tuple[int, ...], f_w: int, g: tuple[int, ...], g_w: int) -> tuple[int, ...]:
+    """Table of F o G over ``g_w + f_w - 1`` positions, from the tables of
+    ``f`` over ``f_w`` positions and ``g`` over ``g_w``: the f-image of the
+    g-images of the windows."""
+    return tuple(map(f.__getitem__, _window_images(g, k, g_w, g_w + f_w - 1)))
+
+
 def compose_table(f: TableRule, g: TableRule) -> TableRule:
     """Table of the composed map F o G (apply ``g`` first)."""
     if f.alphabet_size != g.alphabet_size:
@@ -359,8 +407,8 @@ def compose_table(f: TableRule, g: TableRule) -> TableRule:
     k = f.alphabet_size
     radius = f.radius + g.radius
     _table_size(k, 2 * radius + 1)
-    idx = _window_images(g.table, k, g.width, 2 * radius + 1)
-    return TableRule(k, radius, tuple(map(f.table.__getitem__, idx)), f.offset + g.offset)
+    table = _compose(k, f.table, f.width, g.table, g.width)
+    return _table_rule(k, radius, table, f.offset + g.offset)
 
 
 _ADDITIVE_RE = re.compile(r"^m=(\d+);r=(\d+);c=(-?\d+(?:,-?\d+)*)$")

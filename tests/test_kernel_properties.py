@@ -4,9 +4,10 @@ scans are each checked against a direct reading of the table through
 ``encode_word`` and ``value_at``, orbit detection against a walk that
 memoises every state exactly, orbit walks through a shared successor memo
 against walks without one, the canonical form of eventually periodic
-configurations against other presentations of the same configuration, and
-the window reader ``_cells`` with everything built on it (traces, letterwise
-joins) against ``value_at`` one coordinate at a time."""
+configurations against other presentations of the same configuration, the
+window reader ``_cells`` with everything built on it (traces, letterwise
+joins) against ``value_at`` one coordinate at a time, and the oracle's power
+walk over trimmed span tables against a walk over padded public tables."""
 
 from __future__ import annotations
 
@@ -28,6 +29,13 @@ from periodika.configs import (
     value_at,
 )
 from periodika.engine import CycleResult, CycleTimeout, _orbit, space_time, step, temporal_cycle
+from periodika.oracles import (
+    MAX_POWER_CELLS,
+    MAX_POWERS,
+    EquicontinuityCert,
+    OracleUnknown,
+    _power_walk,
+)
 from periodika.rules import (
     AdditiveRule,
     TableRule,
@@ -37,6 +45,7 @@ from periodika.rules import (
     compose_table,
     encode_word,
     essential_span,
+    identity_rule,
     pad_table,
     parse_rule_spec,
     table_from_additive,
@@ -46,12 +55,14 @@ SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=N
 
 
 @st.composite
-def table_rules(draw, k=None):
+def table_rules(draw, k=None, max_radius=None):
     """Random rules over ``k`` letters that read only a random subset of
     their window, so dummy variables and one-sided rules are common."""
     if k is None:
         k = draw(st.integers(2, 3))
-    radius = draw(st.integers(0, 2 if k == 2 else 1))
+    if max_radius is None:
+        max_radius = 2 if k == 2 else 1
+    radius = draw(st.integers(0, max_radius))
     offset = draw(st.integers(-2, 2))
     width = 2 * radius + 1
     kept = [j for j in range(width) if draw(st.booleans())]
@@ -190,7 +201,7 @@ def _outputs_along(rule, j):
 def test_variable_scans_match_single_position_perturbation(rule):
     k, width = rule.alphabet_size, rule.width
     essential = [j for j in range(width) if any(len(set(o)) > 1 for o in _outputs_along(rule, j))]
-    assert [j for j in range(width) if _is_essential(rule, j)] == essential
+    assert [j for j in range(width) if _is_essential(rule.table, k, width, j)] == essential
     lo = rule.offset - rule.radius
     assert essential_span(rule) == ((lo + essential[0], lo + essential[-1]) if essential else None)
     bijective = [all(len(set(o)) == k for o in _outputs_along(rule, j)) for j in range(width)]
@@ -252,6 +263,47 @@ def test_spatially_periodic_ep_config_walks_like_its_cyclic_word(case, phase, st
         rows.append(tuple(value_at(cur, i) for i in range(-8, 9)))
         cur = step(rule, cur)
     assert trace.rows == tuple(rows)
+
+
+# ---------------------------------------------------------------------------
+# the power walk
+
+
+def _reference_walk(rule):
+    """The power walk over public tables: F^n = canonical(F o F^(n-1)),
+    padded tables composed, with the oracle's cap and budget."""
+    k = rule.alphabet_size
+    cur = identity_rule(k)
+    powers, memo = [cur], {cur: 0}
+    for n in range(1, MAX_POWERS + 1):
+        if k ** (2 * (cur.radius + rule.radius) + 1) > MAX_POWER_CELLS:
+            return OracleUnknown(f"table cap reached at power {n}", n - 1), powers
+        cur = canonicalize_table(compose_table(rule, cur))
+        powers.append(cur)
+        if cur in memo:
+            return EquicontinuityCert(memo[cur], n - memo[cur]), powers
+        memo[cur] = n
+    return OracleUnknown("power budget exhausted", MAX_POWERS), powers
+
+
+@st.composite
+def walk_rules(draw):
+    """Rules over 2..4 letters with radius 0..2 and offset -2..2; constant
+    and identity rules over such windows among them."""
+    k = draw(st.integers(2, 4))
+    kind = draw(st.sampled_from(("table", "constant", "identity")))
+    if kind == "table":
+        return draw(table_rules(k, 2))
+    radius, offset = draw(st.integers(0, 2)), draw(st.integers(-2, 2))
+    if kind == "constant":
+        return TableRule(k, radius, (draw(st.integers(0, k - 1)),) * k ** (2 * radius + 1), offset)
+    return pad_table(identity_rule(k), max(radius, abs(offset)), offset)
+
+
+@settings(SETTINGS, max_examples=150)
+@given(walk_rules())
+def test_power_walk_matches_a_walk_over_padded_tables(rule):
+    assert _power_walk(rule) == _reference_walk(rule)
 
 
 # ---------------------------------------------------------------------------

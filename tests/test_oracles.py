@@ -3,7 +3,11 @@ equicontinuity by rule-power table repeats, and product rules."""
 
 from __future__ import annotations
 
+import hashlib
+import json
+import random
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -12,10 +16,12 @@ from periodika.engine import step
 from periodika.oracles import (
     EquicontinuityCert,
     OracleUnknown,
+    _power_walk,
     equicontinuity_oracle,
     product_rule,
     surjectivity_oracle,
 )
+from periodika.periodicity import blocking_word_search
 from periodika.additive import is_surjective_additive
 from periodika.rules import (
     AdditiveRule,
@@ -23,10 +29,14 @@ from periodika.rules import (
     TableRule,
     canonicalize_table,
     compose_table,
+    encode_word,
     identity_rule,
     pad_table,
+    render_rule_spec,
     table_from_additive,
 )
+
+GOLDEN = Path(__file__).parent / "golden"
 
 RULE90 = table_from_additive(AdditiveRule(2, 1, {-1: 1, 1: 1}))
 M4_TABLE = table_from_additive(AdditiveRule(4, 1, {-1: 2, 0: 1, 1: 2}))
@@ -93,6 +103,62 @@ def test_equicontinuity_certs_for_all_small_equicontinuous_rules():
         cert = equicontinuity_oracle(table_from_additive(rule))
         assert isinstance(cert, EquicontinuityCert)
         assert cert.q + cert.p <= 64
+
+
+def _seeded_table_rules(n=300, seed=12):
+    """``n`` table rules (k = 2 with radius <= 2, k = 3 with radius <= 1,
+    offsets -2..2) that read a random subset of their window, so constant,
+    one-sided, identity-like and certified rules all occur."""
+    rng = random.Random(seed)
+    rules = []
+    for _ in range(n):
+        k = rng.choice((2, 3))
+        radius = rng.randrange(3 if k == 2 else 2)
+        offset = rng.randrange(-2, 3)
+        width = 2 * radius + 1
+        kept = [j for j in range(width) if rng.random() < 0.6]
+        inner = [rng.randrange(k) for _ in range(k ** len(kept))]
+        table = tuple(
+            inner[encode_word([w[j] for j in kept], k)] for w in product(range(k), repeat=width)
+        )
+        rules.append(TableRule(k, radius, table, offset))
+    return rules
+
+
+def _walk_records():
+    """One line per rule: the oracle's result, a digest of every canonical
+    power the walk built, and the blocking search over those powers."""
+    labelled = [
+        (render_rule_spec(rule), table_from_additive(rule))
+        for m in range(2, 7)
+        for rule in _all_additive(m)
+    ]
+    labelled += [
+        (f"table:k={t.alphabet_size};r={t.radius};o={t.offset};t={''.join(map(str, t.table))}", t)
+        for t in _seeded_table_rules()
+    ]
+    for label, rule in labelled:
+        # equicontinuity_oracle(rule) is the walk's first result
+        cert, powers = _power_walk(rule)
+        digest = hashlib.sha256(repr([(p.radius, p.offset, p.table) for p in powers]).encode())
+        yield {
+            "rule": label,
+            "oracle": repr(cert),
+            "powers_sha256": digest.hexdigest(),
+            # k_max 8 admits every exact word; a single step keeps the
+            # bounded search of sensitive rules short
+            "blocking": repr(blocking_word_search(rule, 8, 1, 1)),
+        }
+
+
+def _walk_records_text():
+    return "[\n" + ",\n".join(json.dumps(r) for r in _walk_records()) + "\n]\n"
+
+
+def test_power_walks_match_golden_records():
+    # certificates, unknowns, every canonical power and the blocking words
+    # built on them, for 740 rules, recorded from the walk over padded tables
+    assert _walk_records_text() == (GOLDEN / "oracle_walks.json").read_text()
 
 
 # ---------------------------------------------------------------------------

@@ -12,13 +12,20 @@ from hypothesis import strategies as st
 
 from periodika.configs import CyclicConfig, EpConfig, equals
 from periodika.engine import step
-from periodika.oracles import MAX_POWER_CELLS, MAX_POWERS
+from periodika.oracles import (
+    MAX_POWER_CELLS,
+    MAX_POWERS,
+    EquicontinuityCert,
+    _power_walk,
+    product_rule,
+)
 from periodika.rules import (
     AdditiveRule,
     ResourceCapError,
     RuleSpecError,
     TableRule,
     _is_bijective,
+    _table_rule,
     canonicalize_table,
     compose_additive,
     compose_table,
@@ -244,6 +251,57 @@ def test_rule_90_is_wolfram_90():
     assert table_from_additive(RULE90).table == TableRule.from_wolfram(90).table
 
 
+def test_table_from_additive_matches_a_per_word_sum():
+    # the level-by-level build against one zip-sum per window word
+    rng = random.Random(11)
+    rules = [rule for m in range(2, 7) for rule in _all_additive(m)]
+    rules += [
+        AdditiveRule(m, 2, {j: rng.randrange(m) for j in range(-2, 3)})
+        for m in rng.choices(range(2, 8), k=40)
+    ]
+    for rule in rules:
+        m, dense = rule.modulus, rule.coefficient_list()
+        expected = tuple(
+            sum(c * a for c, a in zip(dense, word)) % m
+            for word in product(range(m), repeat=len(dense))
+        )
+        table = table_from_additive(rule)
+        assert table == TableRule(m, rule.radius, expected), rule
+        assert all(type(a) is int for a in table.table)
+
+
+def test_trusted_constructor_matches_the_public_one():
+    rng = random.Random(5)
+    for _ in range(200):
+        k, radius, offset = rng.randrange(2, 5), rng.randrange(3), rng.randrange(-2, 3)
+        table = tuple(rng.randrange(k) for _ in range(k ** (2 * radius + 1)))
+        trusted, public = _table_rule(k, radius, table, offset), TableRule(k, radius, table, offset)
+        assert trusted == public and public == trusted
+        assert hash(trusted) == hash(public)
+        assert repr(trusted) == repr(public)
+        assert trusted.width == public.width and trusted.window == public.window
+    assert _table_rule(2, 0, (0, 1)) == identity_rule(2)
+    assert _table_rule(2, 0, (0, 1), 1) != identity_rule(2)
+
+
+def test_derived_tables_pass_the_public_checks():
+    # every table built through the trusted constructor re-validates
+    rule90, m4 = table_from_additive(RULE90), table_from_additive(M4_RULE)
+    shift = TableRule(2, 1, tuple(w[2] for w in product(range(2), repeat=3)), 1)
+    derived = [
+        compose_table(rule90, shift),
+        compose_table(m4, m4),
+        canonicalize_table(shift),
+        canonicalize_table(TableRule(3, 1, (2,) * 27, -1)),
+        pad_table(shift, 2, 1),
+        product_rule(m4, rule90),
+        table_from_additive(AdditiveRule(6, 2, {-2: 5, 1: 3})),
+    ]
+    derived += _power_walk(rule90)[1] + _power_walk(m4)[1] + _power_walk(shift)[1]
+    for rule in derived:
+        assert TableRule(rule.alphabet_size, rule.radius, rule.table, rule.offset) == rule
+
+
 # ---------------------------------------------------------------------------
 # composition and powers
 
@@ -339,13 +397,19 @@ def test_table_powers_match_additive_powers_up_to_the_oracle_cap():
             rule = AdditiveRule(m, 1, {j - 1: c for j, c in enumerate(coeffs)})
             table = table_from_additive(rule)
             cur = identity_rule(m)
+            built = [cur]
             for n in range(1, MAX_POWERS + 1):
                 width = 2 * (cur.radius + 1) + 1
                 if m**width > MAX_POWER_CELLS:
                     break
                 cur = canonicalize_table(compose_table(table, cur))
                 assert cur == _canonical_additive_power(rule, n), (m, coeffs, n)
+                built.append(cur)
                 widest = max(widest, width)
+            # the walk builds the same powers, up to its first repeat
+            cert, powers = _power_walk(table)
+            assert powers == built[: len(powers)], (m, coeffs)
+            assert isinstance(cert, EquicontinuityCert) or powers == built, (m, coeffs)
     assert widest == 13  # m = 2 reaches the oracle's widest tables, 2^13 entries
 
 
