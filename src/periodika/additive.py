@@ -22,10 +22,10 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 
 from .configs import Config, join_letterwise, map_letters
-from .rules import AdditiveRule, NotSurjectiveError, compose_additive, render_rule_spec
+from .rules import AdditiveRule, NotSurjectiveError, power_additive, render_rule_spec
 
 
 def prime_power_factorization(m: int) -> tuple[tuple[int, int], ...]:
@@ -154,21 +154,25 @@ class PermutativePowerCert:
 def permutative_power(factor: PrimePowerFactor) -> PermutativePowerCert:
     """Least ``h`` whose power is permutative with support ``[h*L, h*R]``.
 
-    Some ``h <= p**(e-1)`` works: f = g (mod p) for the g that keeps only
-    the coefficients coprime to p, a = b (mod p) gives a**(p**(e-1)) =
-    b**(p**(e-1)) (mod p**e) in any commutative ring, and g**h has unit
-    extreme coefficients at h*L and h*R.
+    Call ``h`` fitting when f**h has support in ``[h*L, h*R]``; its extreme
+    coefficients are then units, as f = g (mod p) for the g that keeps only
+    the coefficients coprime to p, and g**h has the units c_L**h, c_R**h
+    there.  Fitting exponents are closed under sums, and under differences
+    a < b: f**a is x**(a*L) times a unit of Z_(p**e)[[x]], so f**(b-a) =
+    f**b / f**a has no term below (b-a)*L, nor, dividing in
+    Z_(p**e)[[x**-1]], above (b-a)*R.  So they are the multiples of the
+    least one, which divides p**(e-1): a = b (mod p) gives a**(p**(e-1)) =
+    b**(p**(e-1)) (mod p**e) in any commutative ring, so f**(p**(e-1)) =
+    g**(p**(e-1)) fits.  Trying ``1, p, p**2, ...`` builds no power beyond
+    the least one.
     """
     L, R = boundary_indices(factor)
-    p = factor.prime
     cur = factor.rule
-    for h in range(1, p ** (factor.exponent - 1) + 1):
-        support = cur.support
-        lo_ok = cur.coeffs.get(h * L, 0) % p != 0
-        hi_ok = cur.coeffs.get(h * R, 0) % p != 0
-        if lo_ok and hi_ok and support[0] >= h * L and support[-1] <= h * R:
+    for i in range(factor.exponent):
+        h = factor.prime**i
+        if cur.support[0] >= h * L and cur.support[-1] <= h * R:
             return PermutativePowerCert(h, cur)
-        cur = compose_additive(cur, factor.rule)
+        cur = power_additive(cur, factor.prime)
     raise AssertionError("no permutative power within the proven bound")  # pragma: no cover
 
 
@@ -205,17 +209,22 @@ class ClassificationReport:
 def identity_power(rule: AdditiveRule) -> int | None:
     """Least ``t`` with ``rule**t`` the identity rule, or None if there is none.
 
-    Such a t is below m**2 when it exists: the rule is then equicontinuous,
-    so on each factor f = c0 (mod p) for a unit c0, f**(p**(e-1)) is the
-    unit c0**(p**(e-1)) (see ``permutative_power``), and t divides the lcm
-    over factors of p**(e-1) * phi(p**e) < p**(2e).
+    No power of a sensitive rule is the identity.  Otherwise, on each factor
+    f = c0 (mod p) for the centre coefficient c0, f**(p**(e-1)) is the
+    constant c0**(p**(e-1)) (see ``permutative_power``), and when c0 is a
+    unit its ``phi(p**e)``-th power is 1.  So the least t, if there is one,
+    divides the lcm over factors of p**(e-1) * phi(p**e); it is found by
+    dividing out each prime of that lcm while the power stays the identity.
     """
-    cur = rule
-    for t in range(1, rule.modulus**2 + 1):
-        if cur.coeffs == {0: 1}:
-            return t
-        cur = compose_additive(cur, rule)
-    return None
+    if _sensitivity_witness(rule) is not None:
+        return None
+    t = lcm(*(p ** (2 * e - 2) * (p - 1) for p, e in prime_power_factorization(rule.modulus)))
+    if power_additive(rule, t).coeffs != {0: 1}:
+        return None
+    for q, _ in prime_power_factorization(t):
+        while t % q == 0 and power_additive(rule, t // q).coeffs == {0: 1}:
+            t //= q
+    return t
 
 
 def classify_additive(rule: AdditiveRule) -> ClassificationReport:

@@ -15,10 +15,8 @@ from .rules import (
     ResourceCapError,
     TableRule,
     _compose,
-    _span_rule,
     _table_rule,
     _trim,
-    identity_rule,
     pad_table,
 )
 
@@ -96,27 +94,26 @@ def equicontinuity_oracle(rule: TableRule) -> EquicontinuityCert | OracleUnknown
     return _power_walk(rule)[0]
 
 
-def _power_walk(rule: TableRule) -> tuple[EquicontinuityCert | OracleUnknown, list[TableRule]]:
+def _power_walk(rule: TableRule) -> tuple[EquicontinuityCert | OracleUnknown, list[tuple]]:
     """``equicontinuity_oracle``'s search, returning with its result the
-    canonical tables of ``F^0, F^1, ...`` it built; after a certificate
-    ``(q, p)`` they are exactly ``F^0 .. F^(q+p)``.
+    span tables ``(table, width, lo)`` of ``F^0, F^1, ...`` it built, each
+    trimmed to its essential span (see ``rules._trim``); after a
+    certificate ``(q, p)`` they are exactly ``F^0 .. F^(q+p)``.
 
-    The walk composes span tables (see ``rules._trim``): F^(n+1) = F o F^n
-    is read over the essential span of F^n widened by F's, then trimmed to
-    its own essential span; only the canonical TableRule built from it is
-    padded.  The cap test reads the canonical radius, as if the padded
-    tables were composed."""
+    F^(n+1) = F o F^n is composed over the span of F^n widened by F's, then
+    trimmed.  A trimmed table is canonical, so it keys the repeat test as
+    it is.  The cap test reads ``width // 2``, the radius of the canonical
+    TableRule, as if the padded tables were composed."""
     k = rule.alphabet_size
     f, f_w, f_lo = _trim(rule.table, k, rule.width, rule.offset - rule.radius)
-    g, g_w, g_lo = tuple(range(k)), 1, 0
-    cur = identity_rule(k)
+    cur = tuple(range(k)), 1, 0
     powers = [cur]
     memo = {cur: 0}
     for n in range(1, MAX_POWERS + 1):
-        if k ** (2 * (cur.radius + rule.radius) + 1) > MAX_POWER_CELLS:
+        g, g_w, g_lo = cur
+        if k ** (2 * (g_w // 2 + rule.radius) + 1) > MAX_POWER_CELLS:
             return OracleUnknown(f"table cap reached at power {n}", n - 1), powers
-        g, g_w, g_lo = _trim(_compose(k, f, f_w, g, g_w), k, g_w + f_w - 1, g_lo + f_lo)
-        cur = _span_rule(k, g, g_w, g_lo)
+        cur = _trim(_compose(k, f, f_w, g, g_w), k, g_w + f_w - 1, g_lo + f_lo)
         powers.append(cur)
         q = memo.setdefault(cur, n)
         if q != n:

@@ -40,6 +40,7 @@ from .configs import (
     _state,
     is_spatially_periodic,
     map_letters,
+    primitive_root,
     product_config,
 )
 from .engine import CycleResult, CycleTimeout, _cycle, _orbit, step
@@ -55,8 +56,8 @@ from .rules import (
     TableRule,
     _is_bijective,
     _table_size,
+    _trim,
     _window_images,
-    essential_span,
     table_from_additive,
 )
 
@@ -199,9 +200,12 @@ def _constant_column_offset(
     (b)^inf`` with tail periods up to ``bg_period``, or ``None``.  Each
     context's orbit is walked once, for all offsets at the same time, and
     only while some offset still agrees with the first context's; the walks
-    step through the successor memo ``succ`` (see ``engine._orbit``)."""
+    step through the successor memo ``succ`` (see ``engine._orbit``).  A
+    tail that repeats a shorter one gives the same context, so only
+    primitive tails are walked."""
     k, n = rule.alphabet_size, len(u)
-    tails = [t for p in range(1, bg_period + 1) for t in product(range(k), repeat=p)]
+    words = (t for p in range(1, bg_period + 1) for t in product(range(k), repeat=p))
+    tails = [t for t in words if primitive_root(t) == t]
     offsets = range(n - s + 1)
     ref = None
     for a, b in product(tails, repeat=2):
@@ -234,7 +238,9 @@ def blocking_word_search(
     just long enough for the widest spans around the column.  Without a
     certificate the check is bounded simulation, marked BoundedVerified;
     all of its context walks share one successor memo (see
-    ``engine._orbit``), which lives only as long as the call.
+    ``engine._orbit``), which lives only as long as the call, and more
+    words than ``rules.MAX_TABLE_ENTRIES`` of length ``k_max`` are refused
+    before the first is tried.
     """
     if min(k_max, steps) < 0 or bg_period < 1:
         raise ValueError("k_max and steps must be non-negative and bg_period positive")
@@ -242,13 +248,14 @@ def blocking_word_search(
     s = max(rule.radius, 1)
     cert, powers = _power_walk(rule)
     if isinstance(cert, EquicontinuityCert):
-        # F^0 spans [0, 0], so lo <= 0 <= hi and the column fits at j = -lo
-        spans = [span for span in map(essential_span, powers) if span is not None]
-        j = -min(lo for lo, _ in spans)
-        word_len = j + s + max(hi for _, hi in spans)
+        # F^0 spans [0, 0], so lo <= 0 <= hi and the column fits at j = -lo;
+        # a constant power trims to [0, 0] as well, which changes neither end
+        j = -min(lo for _, _, lo in powers)
+        word_len = j + s + max(lo + width - 1 for _, width, lo in powers)
         if word_len > k_max:
             return BlockingMiss(k_max, bg_period, steps)
         return BlockingCert((0,) * word_len, j, s, 0, cert.q + cert.p, BlockingStatus.EXACT)
+    _table_size(k, k_max)
     succ: dict = {}
     for word_len in range(s, k_max + 1):
         for u in product(range(k), repeat=word_len):
@@ -384,13 +391,12 @@ def _drift_sides(rule: TableRule) -> tuple[int | None, int | None]:
     Either way the deviation boundary is strictly monotone, so no orbit of
     a non-spatially-periodic configuration can return to it.
     """
-    span = essential_span(rule)
-    if span is None:
-        return (None, None)
-    lo, hi = span
-    base = rule.offset - rule.radius  # absolute position of window variable 0
-    left = lo if lo != 0 and _is_bijective(rule, lo - base) else None
-    right = hi if hi != 0 and _is_bijective(rule, hi - base) else None
+    k = rule.alphabet_size
+    # a constant rule trims to the single position 0, so neither side drifts
+    table, width, lo = _trim(rule.table, k, rule.width, rule.offset - rule.radius)
+    hi = lo + width - 1
+    left = lo if lo != 0 and _is_bijective(table, k, width, 0) else None
+    right = hi if hi != 0 and _is_bijective(table, k, width, width - 1) else None
     return (left, right)
 
 
@@ -447,7 +453,9 @@ def stp_empty_scan(
     The walked candidates share one successor memo (see ``engine._orbit``),
     which lives only as long as the call: candidate orbits fall into the
     same attractors, and a hit replaces a step by a lookup.  Every
-    violation is still re-derived by a walk without the memo.
+    violation is still re-derived by a walk without the memo.  Without a
+    prune, more mids than ``rules.MAX_TABLE_ENTRIES`` of length
+    ``mid_len_max`` are refused before the first candidate is walked.
     """
     if min(tail_period_max, mid_len_max, t_max) < 0:
         raise ValueError("scan bounds must be non-negative")
@@ -492,6 +500,7 @@ def stp_empty_scan(
         )
         return ScanResult(bounds, examined, (), False)
 
+    _table_size(k, mid_len_max)
     examined = 0
     violations: list[StpWitness] = []
     succ: dict = {}

@@ -282,11 +282,10 @@ def _is_essential(table: tuple[int, ...], k: int, width: int, j: int) -> bool:
     return (out := _fibres(table, k, width, j)).count(out[0]) < len(out)
 
 
-def _is_bijective(rule: TableRule, j: int) -> bool:
-    """Whether the table is bijective in window position ``j`` for every
-    assignment of the other positions."""
-    k = rule.alphabet_size
-    return all(len(set(col)) == k for col in zip(*_fibres(rule.table, k, rule.width, j)))
+def _is_bijective(table: tuple[int, ...], k: int, width: int, j: int) -> bool:
+    """Whether a table over ``width`` positions is bijective in position
+    ``j`` (0-based, left to right) for every assignment of the others."""
+    return all(len(set(col)) == k for col in zip(*_fibres(table, k, width, j)))
 
 
 def _essential_ends(table: tuple[int, ...], k: int, width: int) -> tuple[int, int] | None:
@@ -321,39 +320,20 @@ def _trim(table: tuple[int, ...], k: int, width: int, lo: int) -> tuple[tuple[in
     return table[: k ** (width - first) : k ** (width - 1 - last)], last - first + 1, lo + first
 
 
+def _pad(table: tuple[int, ...], k: int, left: int, right: int) -> tuple[int, ...]:
+    """``table`` read over ``left`` more positions on the left and ``right``
+    more on the right, all of them ignored: each entry repeats for every word
+    on the right ones, then the whole run for every word on the left ones."""
+    if right:
+        table = tuple(chain.from_iterable(repeat(a, k**right) for a in table))
+    return table * k**left
+
+
 def _span_rule(k: int, table: tuple[int, ...], width: int, lo: int) -> TableRule:
     """The TableRule of a span table, padded by one inessential position on
     the right when ``width`` is even so the window is ``offset +- radius``."""
-    if width % 2 == 0:
-        table = tuple(chain.from_iterable(zip(*(table,) * k)))
-        width += 1
     radius = width // 2
-    return _table_rule(k, radius, table, lo + radius)
-
-
-def _rewindow(rule: TableRule, radius: int, offset: int) -> TableRule:
-    """``rule`` re-expressed over the window ``offset +- radius``.
-
-    Positions of the new window outside the old one are ignored; positions
-    of the old window outside the new one read as letter 0.
-    """
-    if (radius, offset) == (rule.radius, rule.offset):
-        return rule
-    k = rule.alphabet_size
-    old_lo, old_hi = rule.window
-    lo, hi = offset - radius, offset + radius
-    keep_lo, keep_hi = max(lo, old_lo), min(hi, old_hi)
-    size = _table_size(k, 2 * radius + 1)
-    new_right = k ** (hi - keep_hi)
-    kept = k ** (keep_hi - keep_lo + 1)
-    old_right = k ** (old_hi - keep_hi)
-    # one output per word on the shared positions, old positions outside
-    # them at letter 0; each repeats for every word on the ignored right
-    # positions, and the whole run for every word on the ignored left ones
-    table = rule.table[: kept * old_right : old_right]
-    if new_right > 1:
-        table = tuple(chain.from_iterable(repeat(a, new_right) for a in table))
-    return _table_rule(k, radius, tuple(table) * (size // (kept * new_right)), offset)
+    return _table_rule(k, radius, _pad(table, k, 0, 1 - width % 2), lo + radius)
 
 
 def canonicalize_table(rule: TableRule) -> TableRule:
@@ -374,10 +354,12 @@ def pad_table(rule: TableRule, radius: int, offset: int = 0) -> TableRule:
 
     The new window must contain the old one.
     """
-    old_lo, old_hi = rule.window
-    if offset - radius > old_lo or offset + radius < old_hi:
+    k = rule.alphabet_size
+    (old_lo, old_hi), lo, hi = rule.window, offset - radius, offset + radius
+    if lo > old_lo or hi < old_hi:
         raise ValueError("padded window must contain the original window")
-    return _rewindow(rule, radius, offset)
+    _table_size(k, 2 * radius + 1)
+    return _table_rule(k, radius, _pad(rule.table, k, old_lo - lo, hi - old_hi), offset)
 
 
 def _window_images(table, k: int, width: int, length: int) -> list[int]:

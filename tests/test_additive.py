@@ -32,7 +32,7 @@ from periodika.additive import (
     report_to_json,
 )
 from periodika.configs import CyclicConfig, EpConfig, equals
-from periodika.rules import AdditiveRule, NotSurjectiveError, render_rule_spec
+from periodika.rules import AdditiveRule, NotSurjectiveError, compose_additive, render_rule_spec
 
 RULE90 = AdditiveRule(2, 1, {-1: 1, 1: 1})
 M4_RULE = AdditiveRule(4, 1, {-1: 2, 0: 1, 1: 2})
@@ -222,6 +222,54 @@ def test_power_walks_stop_within_their_proven_bounds():
             assert t == identity_power(rule)
             bound = lcm(*(f.prime ** (f.exponent - 1) * _phi(f.prime, f.exponent) for f in factors))
             assert bound % t == 0 and bound < m**2
+
+
+def _walked_permutative_power(factor):
+    """``permutative_power`` by trying every ``h`` up to ``p**(e-1)``, each
+    power composed from the last, with the extreme coefficients checked."""
+    L, R = boundary_indices(factor)
+    p, cur = factor.prime, factor.rule
+    for h in range(1, p ** (factor.exponent - 1) + 1):
+        lo_ok = cur.coeffs.get(h * L, 0) % p != 0
+        hi_ok = cur.coeffs.get(h * R, 0) % p != 0
+        if lo_ok and hi_ok and cur.support[0] >= h * L and cur.support[-1] <= h * R:
+            return PermutativePowerCert(h, cur)
+        cur = compose_additive(cur, factor.rule)
+    return None
+
+
+def _walked_identity_power(rule):
+    """``identity_power`` by trying every ``t`` up to ``m**2``."""
+    cur = rule
+    for t in range(1, rule.modulus**2 + 1):
+        if cur.coeffs == {0: 1}:
+            return t
+        cur = compose_additive(cur, rule)
+    return None
+
+
+def test_power_exponents_match_walks_over_every_exponent():
+    for m in range(2, 13):
+        primes = [p for p, _ in prime_power_factorization(m)]
+        for rule in enumerate_additive_rules(m):
+            if any(off_center_gcd(rule) % p for p in primes):
+                # sensitive: the walk would try all m**2 powers in vain
+                assert identity_power(rule) is None
+            else:
+                assert identity_power(rule) == _walked_identity_power(rule), rule
+            if is_surjective_additive(rule):
+                for factor in decompose_crt(rule):
+                    assert permutative_power(factor) == _walked_permutative_power(factor), rule
+
+
+def test_power_exponents_of_large_moduli_are_computed_not_walked():
+    # the walks would compose 5 * 10^8 and 2^29 powers
+    assert identity_power(AdditiveRule(1_000_000_007, 1, {0: 2})) == 500_000_003
+    cert = permutative_power(decompose_crt(AdditiveRule(2**30, 1, {-1: 2, 0: 1}))[0])
+    assert cert.h == 2**29 and cert.rule.coeffs == {0: 1}
+    # a wide factor that fits at once builds no power at all
+    cert = permutative_power(decompose_crt(AdditiveRule(2**30, 1, {-1: 1, 1: 1}))[0])
+    assert cert.h == 1
 
 
 # ---------------------------------------------------------------------------

@@ -514,6 +514,32 @@ def test_exit_resource_on_huge_table(capsys, rule):
     assert "resource cap:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # 2^24 mids, and no drift prune applies to rule 22
+        ["scan", "--rule", "wolfram:22", "--mid-len-max", "24"],
+        # 2^30 words on the bounded path: rule 90 has no equicontinuity certificate
+        ["blocking", "--rule", "wolfram:90", "--k-max", "30"],
+        ["witness", "--rule", "wolfram:90", "--u", "1", "--k-max", "30"],
+    ],
+)
+def test_exit_resource_on_search_family_over_the_cap(capsys, argv):
+    assert main(argv) == EXIT_RESOURCE
+    captured = capsys.readouterr()
+    assert captured.out == "" and "resource cap:" in captured.err
+
+
+def test_closed_form_searches_take_any_bound(capsys):
+    # a pruned scan counts its family; a certified blocking search reads spans
+    payload = run_json(
+        capsys, ["scan", "--rule", "additive:m=2;r=1;c=1,0,1", "--mid-len-max", "24"]
+    )
+    assert payload["violations"] == [] and payload["truncated"] is False
+    blocking = ["blocking", "--rule", "additive:m=4;r=1;c=2,1,2"]
+    assert run(capsys, [*blocking, "--k-max", "30"]) == run(capsys, [*blocking, "--k-max", "4"])
+
+
 def test_exit_resource_on_sweep_family_over_the_cap(capsys, monkeypatch):
     # 2^23 rules: refused before the family is enumerated
     def enumerate_additive_rules(m, r):

@@ -41,6 +41,7 @@ from periodika.rules import (
     TableRule,
     _is_bijective,
     _is_essential,
+    _span_rule,
     canonicalize_table,
     compose_table,
     encode_word,
@@ -205,7 +206,7 @@ def test_variable_scans_match_single_position_perturbation(rule):
     lo = rule.offset - rule.radius
     assert essential_span(rule) == ((lo + essential[0], lo + essential[-1]) if essential else None)
     bijective = [all(len(set(o)) == k for o in _outputs_along(rule, j)) for j in range(width)]
-    assert [_is_bijective(rule, j) for j in range(width)] == bijective
+    assert [_is_bijective(rule.table, k, width, j) for j in range(width)] == bijective
 
 
 SHIFT_RULES = [
@@ -303,7 +304,8 @@ def walk_rules(draw):
 @settings(SETTINGS, max_examples=150)
 @given(walk_rules())
 def test_power_walk_matches_a_walk_over_padded_tables(rule):
-    assert _power_walk(rule) == _reference_walk(rule)
+    cert, spans = _power_walk(rule)
+    assert (cert, [_span_rule(rule.alphabet_size, *span) for span in spans]) == _reference_walk(rule)
 
 
 # ---------------------------------------------------------------------------

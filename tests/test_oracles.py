@@ -27,6 +27,7 @@ from periodika.rules import (
     AdditiveRule,
     ResourceCapError,
     TableRule,
+    _span_rule,
     canonicalize_table,
     compose_table,
     encode_word,
@@ -139,7 +140,8 @@ def _walk_records():
     ]
     for label, rule in labelled:
         # equicontinuity_oracle(rule) is the walk's first result
-        cert, powers = _power_walk(rule)
+        cert, spans = _power_walk(rule)
+        powers = [_span_rule(rule.alphabet_size, *span) for span in spans]
         digest = hashlib.sha256(repr([(p.radius, p.offset, p.table) for p in powers]).encode())
         yield {
             "rule": label,

@@ -41,6 +41,7 @@ from periodika.rules import (
     NotSurjectiveError,
     ResourceCapError,
     TableRule,
+    _span_rule,
     identity_rule,
     encode_word,
     essential_span,
@@ -225,7 +226,7 @@ def _first_fitting_word(rule, k_max):
     """The exact branch as a plain search: the first ``(word_len, u, j)``
     whose column holds the dependence window of every power."""
     cert, powers = _power_walk(rule)
-    spans = [essential_span(t) for t in powers]
+    spans = [essential_span(_span_rule(rule.alphabet_size, *t)) for t in powers]
     s = max(rule.radius, 1)
     for word_len in range(s, k_max + 1):
         for u in product(range(rule.alphabet_size), repeat=word_len):
@@ -533,6 +534,14 @@ def test_product_witnesses_verify_against_the_product_rule():
 def test_product_witness_scan_identity_and_shift():
     witnesses = product_witness_scan(identity_rule(2), SHIFT2)
     assert (render_config(witnesses[0].config), witnesses[0].period) == ("ep:0|2|0@0", 1)
+
+
+def test_product_witness_scan_refuses_a_certified_rule_that_is_not_surjective():
+    # rule 0 is constant: its certificate gives the exact blocking word 0
+    rule0 = TableRule.from_wolfram(0)
+    assert blocking_word_search(rule0).word == (0,)
+    with pytest.raises(NotSurjectiveError):
+        product_witness_scan(rule0, identity_rule(2))
 
 
 def test_product_witness_scan_empty_without_a_blocking_word():

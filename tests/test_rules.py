@@ -25,6 +25,7 @@ from periodika.rules import (
     RuleSpecError,
     TableRule,
     _is_bijective,
+    _span_rule,
     _table_rule,
     canonicalize_table,
     compose_additive,
@@ -297,7 +298,11 @@ def test_derived_tables_pass_the_public_checks():
         product_rule(m4, rule90),
         table_from_additive(AdditiveRule(6, 2, {-2: 5, 1: 3})),
     ]
-    derived += _power_walk(rule90)[1] + _power_walk(m4)[1] + _power_walk(shift)[1]
+    derived += [
+        _span_rule(rule.alphabet_size, *span)
+        for rule in (rule90, m4, shift)
+        for span in _power_walk(rule)[1]
+    ]
     for rule in derived:
         assert TableRule(rule.alphabet_size, rule.radius, rule.table, rule.offset) == rule
 
@@ -407,7 +412,8 @@ def test_table_powers_match_additive_powers_up_to_the_oracle_cap():
                 built.append(cur)
                 widest = max(widest, width)
             # the walk builds the same powers, up to its first repeat
-            cert, powers = _power_walk(table)
+            cert, spans = _power_walk(table)
+            powers = [_span_rule(m, *span) for span in spans]
             assert powers == built[: len(powers)], (m, coeffs)
             assert isinstance(cert, EquicontinuityCert) or powers == built, (m, coeffs)
     assert widest == 13  # m = 2 reaches the oracle's widest tables, 2^13 entries
@@ -467,7 +473,8 @@ def test_padding_preserves_the_global_map():
 
 def _permutative_sides(rule: TableRule) -> tuple[bool, bool]:
     """Whether the table is bijective in its leftmost / rightmost variable."""
-    return (_is_bijective(rule, 0), _is_bijective(rule, rule.width - 1))
+    k, width = rule.alphabet_size, rule.width
+    return (_is_bijective(rule.table, k, width, 0), _is_bijective(rule.table, k, width, width - 1))
 
 
 def test_permutativity_examples():
