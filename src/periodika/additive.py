@@ -19,17 +19,47 @@ integer arithmetic on the coefficient polynomial:
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from itertools import product
+from itertools import count, product
 from math import gcd, lcm
 
 from .configs import Config, join_letterwise, map_letters
 from .rules import AdditiveRule, NotSurjectiveError, power_additive, render_rule_spec
 
 
+# Miller-Rabin to the prime bases 2 .. 41 decides primality of every number
+# below this bound (Sorenson & Webster, Math. Comp. 86, 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def prime_power_factorization(m: int) -> tuple[tuple[int, int], ...]:
-    """Sorted ``(p, k)`` pairs with ``m = prod p**k``."""
+    """Sorted ``(p, k)`` pairs with ``m = prod p**k``.
+
+    Below ``_MR_BOUND`` the bases are divided out, and what is left is split
+    by Pollard-Brent rho until deterministic Miller-Rabin calls every part
+    prime.  From the bound up, trial division to the square root."""
+    if not 2 <= m < _MR_BOUND:
+        return _trial_division(m)
+    primes = []
+    for p in _MR_BASES:
+        while m % p == 0:
+            primes.append(p)
+            m //= p
+    parts = [m] if m > 1 else []
+    while parts:
+        n = parts.pop()
+        if _is_prime(n):
+            primes.append(n)
+        else:
+            d = _rho_factor(n)
+            parts += (d, n // d)
+    return tuple(sorted(Counter(primes).items()))
+
+
+def _trial_division(m: int) -> tuple[tuple[int, int], ...]:
     out = []
     p = 2
     while p * p <= m:
@@ -43,6 +73,56 @@ def prime_power_factorization(m: int) -> tuple[tuple[int, int], ...]:
     if m > 1:
         out.append((m, 1))
     return tuple(out)
+
+
+def _is_prime(n: int) -> bool:
+    """Primality of ``1 < n < _MR_BOUND``, which no base divides, by
+    Miller-Rabin to the bases."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho_factor(n: int) -> int:
+    """A proper divisor of the composite ``n``, which no base divides, by
+    Brent's variant of Pollard rho on ``y -> y**2 + c``, trying c = 1, 2, ...
+    until a walk does not close on ``n`` itself."""
+    for c in count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            for k in range(0, r, 128):
+                # one gcd per block of up to 128 differences
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                if g != 1:
+                    break
+            r *= 2
+        if g == n:
+            # the block overshot: redo it one difference at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if g != n:
+            return g
 
 
 def _coefficient_gcd(rule: AdditiveRule) -> int:
@@ -218,10 +298,14 @@ def identity_power(rule: AdditiveRule) -> int | None:
     """
     if _sensitivity_witness(rule) is not None:
         return None
-    t = lcm(*(p ** (2 * e - 2) * (p - 1) for p, e in prime_power_factorization(rule.modulus)))
+    factors = prime_power_factorization(rule.modulus)
+    t = lcm(*(p ** (2 * e - 2) * (p - 1) for p, e in factors))
     if power_additive(rule, t).coeffs != {0: 1}:
         return None
-    for q, _ in prime_power_factorization(t):
+    # the primes of t, from parts smaller than the modulus
+    primes = {p for p, e in factors if e > 1}
+    primes.update(q for p, _ in factors for q, _ in prime_power_factorization(p - 1))
+    for q in sorted(primes):
         while t % q == 0 and power_additive(rule, t // q).coeffs == {0: 1}:
             t //= q
     return t

@@ -55,7 +55,8 @@ def _canonical_word(word: tuple[int, ...], phase: int) -> tuple[int, ...]:
 def _canonical_ep(left, mid, right, start: int):
     """Canonical ``(left, mid, right, start)`` of the eventually periodic
     configuration ``^inf(left) . mid . (right)^inf`` with the mid at
-    ``start``; all three are tuples and both tails are nonempty."""
+    ``start``; all three are sequences of one type (tuples of ints, or the
+    ``bytes`` that orbit walks step) and both tails are nonempty."""
     left = primitive_root(left)
     right = primitive_root(right)
     # Absorb border letters that already match the adjacent tail.
@@ -150,6 +151,25 @@ class EpConfig:
 Config = CyclicConfig | EpConfig
 
 
+def _cyclic(alphabet_size: int, word: tuple[int, ...]) -> CyclicConfig:
+    """``CyclicConfig(alphabet_size, word)`` without the checks: only for a
+    nonempty tuple whose letters are known to lie in the alphabet."""
+    x = object.__new__(CyclicConfig)
+    # the frozen dataclass blocks attribute assignment, not its __dict__
+    x.__dict__.update(alphabet_size=alphabet_size, word=_canonical_word(word, 0), phase=0)
+    return x
+
+
+def _ep(alphabet_size: int, left, mid, right, start: int) -> EpConfig:
+    """``EpConfig(alphabet_size, left, mid, right, start)`` without the
+    checks: only for tuples of letters known to lie in the alphabet, with
+    both tails nonempty."""
+    left, mid, right, start = _canonical_ep(left, mid, right, start)
+    x = object.__new__(EpConfig)
+    x.__dict__.update(alphabet_size=alphabet_size, left=left, mid=mid, right=right, start=start)
+    return x
+
+
 def value_at(x: Config, i: int) -> int:
     """Letter at coordinate ``i``."""
     if isinstance(x, CyclicConfig):
@@ -169,17 +189,17 @@ def _state(x: Config):
     return x.left, x.mid, x.right, x.start
 
 
-def _repeat(word, phase: int, n: int) -> tuple[int, ...]:
-    """``n`` letters of ``word`` repeated, from ``word[phase % len(word)]``;
-    empty when ``n <= 0``."""
+def _repeat(word, phase: int, n: int):
+    """``n`` letters of ``word`` repeated, from ``word[phase % len(word)]``,
+    in the type of ``word``; empty when ``n <= 0``."""
     phase %= len(word)
     return (word * -(-(phase + n) // len(word)))[phase : phase + n]
 
 
 def _cells(left, mid, right, start: int, lo: int, hi: int) -> list[int]:
     """Letters at coordinates ``lo .. hi - 1`` of the state ``(left, mid,
-    right, start)``; empty when ``hi <= lo``.  A list, so that a long mid is
-    copied once."""
+    right, start)``; empty when ``hi <= lo``.  A list of ints, also for
+    ``bytes`` words, so that a long mid is copied once."""
     end = start + len(mid)
     left_hi, right_lo = min(hi, start), max(lo, end)
     # both mid bounds are clamped at 0: a negative stop would count from

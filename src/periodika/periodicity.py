@@ -37,6 +37,8 @@ from .configs import (
     EpConfig,
     _canonical_ep,
     _cells,
+    _cyclic,
+    _ep,
     _state,
     is_spatially_periodic,
     map_letters,
@@ -116,9 +118,9 @@ def jointly_periodic_points(rule: TableRule, n: int, t_max: int) -> JpCensus:
             for u in cycle:
                 period[u] = len(cycle)
     # distinct words of one length are distinct configurations; product()
-    # yields the words in index order
+    # yields the words in index order, with letters in the alphabet
     words = product(range(k), repeat=n)
-    points = [(CyclicConfig(k, w), t) for w, t in zip(words, period) if 0 < t <= t_max]
+    points = [(_cyclic(k, w), t) for w, t in zip(words, period) if 0 < t <= t_max]
     ordered = sorted(points, key=lambda it: (it[1], len(it[0].word), it[0].word))
     return JpCensus(k, n, t_max, tuple(ordered))
 
@@ -470,14 +472,16 @@ def stp_empty_scan(
     pairs = [(a, b) for a, ta in tails for b, tb in tails if lcm(ta, tb) <= t_max]
 
     def candidates():
+        # tails from the census and mids from product(range(k)) are letters
+        # of the alphabet, so the candidates skip the public checks
         for a, b in pairs:
             if a != b:
-                yield EpConfig(k, a, (), b, 0)
+                yield _ep(k, a, (), b, 0)
             for n in range(1, mid_len_max + 1):
                 for mid in product(range(k), repeat=n):
                     if mid[0] == a[0] or mid[-1] == b[-1]:
                         continue  # not canonical: would absorb into a tail
-                    yield EpConfig(k, a, mid, b, 0)
+                    yield _ep(k, a, mid, b, 0)
 
     sides = _prune_sides(table, additive)
     if sides:

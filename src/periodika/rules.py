@@ -48,14 +48,14 @@ def _table_size(alphabet_size: int, width: int) -> int:
     return alphabet_size**width
 
 
-def _image(table: tuple[int, ...], k: int, width: int, cells) -> list[int]:
+def _image(table: tuple[int, ...], k: int, width: int, cells) -> tuple[int, ...]:
     """Outputs of a window rule on a finite letter sequence, one per full
     window: entry ``i`` is ``table`` at the big-endian index of
     ``cells[i : i + width]``."""
     top = k ** (width - 1)
     idx = 0
     # the first width - 1 lookups read incomplete windows and are dropped
-    return [table[idx := idx % top * k + a] for a in cells][width - 1 :]
+    return tuple([table[idx := idx % top * k + a] for a in cells][width - 1 :])
 
 
 def _validate_letters(letters, alphabet_size, what):

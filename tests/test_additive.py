@@ -5,7 +5,10 @@ the strict-temporal-periodicity verdict."""
 from __future__ import annotations
 
 import json
-from math import lcm
+import random
+import time
+from collections import Counter
+from math import isqrt, lcm, prod
 
 import pytest
 
@@ -31,6 +34,7 @@ from periodika.additive import (
     report_to_dict,
     report_to_json,
 )
+from periodika.additive import _MR_BOUND, _trial_division
 from periodika.configs import CyclicConfig, EpConfig, equals
 from periodika.rules import AdditiveRule, NotSurjectiveError, compose_additive, render_rule_spec
 
@@ -49,6 +53,57 @@ def test_prime_power_factorization():
     assert prime_power_factorization(4) == ((2, 2),)
     assert prime_power_factorization(12) == ((2, 2), (3, 1))
     assert prime_power_factorization(7) == ((7, 1),)
+
+
+def test_factorization_matches_trial_division_up_to_10000():
+    for m in range(10_001):
+        assert prime_power_factorization(m) == _trial_division(m), m
+
+
+def _primes_from(n: int, count: int) -> list[int]:
+    """The first ``count`` primes from ``n`` on, each found by trial division."""
+    out = []
+    while len(out) < count:
+        if n > 1 and all(n % d for d in range(2, isqrt(n) + 1)):
+            out.append(n)
+        n += 1
+    return out
+
+
+def test_factorization_of_products_of_primes_near_1e9():
+    # one or two primes near 10^9 (a square when both draws agree) times a
+    # small cofactor; trial division would take ~10^9 steps on each
+    large = _primes_from(10**9 - 200, 6)
+    rng = random.Random(14)
+    for _ in range(40):
+        primes = rng.choices(large, k=rng.randint(1, 2))
+        small = rng.randint(1, 5000)
+        m = small * prod(primes)
+        want = Counter(primes) + Counter(dict(_trial_division(small)))
+        assert m < _MR_BOUND
+        assert prime_power_factorization(m) == tuple(sorted(want.items())), m
+
+
+def _order(a: int, p: int) -> int:
+    """Multiplicative order of ``a`` modulo the prime ``p``."""
+    t = p - 1
+    for q, _ in _trial_division(p - 1):
+        while t % q == 0 and pow(a, t // q, p) == 1:
+            t //= q
+    return t
+
+
+def test_classify_of_a_modulus_with_two_large_primes_is_fast():
+    # m = 998 244 353 * 1 000 000 007 once took trial division to sqrt(m)
+    p, q = 998_244_353, 1_000_000_007
+    start = time.perf_counter()
+    report = classify_additive(AdditiveRule(p * q, 1, {0: 1}))
+    assert [(f.prime, f.exponent) for f in report.factors] == [(p, 1), (q, 1)]
+    assert report.stp is StpVerdict.RESIDUAL
+    assert report.certificates["equicontinuity"]["identity_power"] == 1
+    # multiplying by 2 returns after the order of 2 modulo p * q
+    assert identity_power(AdditiveRule(p * q, 1, {0: 2})) == lcm(_order(2, p), _order(2, q))
+    assert time.perf_counter() - start < 5
 
 
 # ---------------------------------------------------------------------------

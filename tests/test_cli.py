@@ -157,6 +157,30 @@ def test_simulate_pgm_bytes(capsysbinary):
     assert len(body) == 21 and set(body) <= {0, 255}
 
 
+# recorded before orbit walks stepped packed states: a chaotic rule whose
+# mid grows by two cells a step, a 64-cell cyclic word, and a rule whose
+# 729-entry table steps tuples rather than bytes
+SIMULATE_GOLDENS = [
+    ("simulate_wolfram30", "wolfram:30", "ep:0|1|0", "300", "-310:310"),
+    (
+        "simulate_wolfram110_cyclic64",
+        "wolfram:110",
+        "cyclic:1011101100001010111101110011100100111001001001001100111101110110",
+        "64",
+        "0:127",
+    ),
+    ("simulate_additive_m9", "additive:m=9;r=1;c=3,1,3", "ep:12|4075|863@-3", "60", "-70:70"),
+]
+
+
+@pytest.mark.parametrize("golden, rule, config, steps, window", SIMULATE_GOLDENS)
+@pytest.mark.parametrize("fmt, suffix", [("ascii", "txt"), ("pgm", "pgm")])
+def test_simulate_matches_golden_bytes(capsysbinary, golden, rule, config, steps, window, fmt, suffix):
+    argv = ["simulate", "--rule", rule, "--config", config, "--steps", steps, f"--window={window}"]
+    assert main([*argv, "--format", fmt]) == EXIT_OK
+    assert capsysbinary.readouterr().out == (GOLDEN / f"{golden}.{suffix}").read_bytes()
+
+
 def test_simulate_pgm_output_file(capsys, tmp_path):
     target = tmp_path / "trace.pgm"
     argv = [

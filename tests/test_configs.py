@@ -14,6 +14,8 @@ from periodika.configs import (
     ConfigSpecError,
     CyclicConfig,
     EpConfig,
+    _cyclic,
+    _ep,
     equals,
     is_spatially_periodic,
     join_letterwise,
@@ -295,3 +297,20 @@ def _configs_any_alphabet(draw):
 @given(_configs_any_alphabet())
 def test_literals_round_trip_for_every_alphabet(x):
     assert parse_config(render_config(x), x.alphabet_size) == x
+
+
+@st.composite
+def _raw_words_any_alphabet(draw):
+    """An alphabet size, up to 300, and words over it: a cyclic word and
+    the tails, mid and start of an eventually periodic presentation."""
+    k = draw(st.integers(2, 300))
+    word, left, mid, right = (draw(_letter_words(k, n)) for n in (1, 1, 0, 1))
+    return k, word, left, mid, right, draw(st.integers(-5, 5))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_raw_words_any_alphabet())
+def test_trusted_constructors_agree_with_the_public_ones(case):
+    k, word, left, mid, right, start = case
+    assert _cyclic(k, word) == CyclicConfig(k, word)
+    assert _ep(k, left, mid, right, start) == EpConfig(k, left, mid, right, start)

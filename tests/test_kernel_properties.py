@@ -6,13 +6,16 @@ memoises every state exactly, orbit walks through a shared successor memo
 against walks without one, the canonical form of eventually periodic
 configurations against other presentations of the same configuration, the
 window reader ``_cells`` with everything built on it (traces, letterwise
-joins) against ``value_at`` one coordinate at a time, and the oracle's power
-walk over trimmed span tables against a walk over padded public tables."""
+joins) against ``value_at`` one coordinate at a time, orbit walks on both
+sides of the packed kernel's selection (bytes or tuples) against a step read
+cell by cell, and the oracle's power walk over trimmed span tables against a
+walk over padded public tables."""
 
 from __future__ import annotations
 
 from itertools import islice, product
 from math import lcm
+from random import Random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,7 +31,15 @@ from periodika.configs import (
     shift,
     value_at,
 )
-from periodika.engine import CycleResult, CycleTimeout, _orbit, space_time, step, temporal_cycle
+from periodika.engine import (
+    CycleResult,
+    CycleTimeout,
+    _kernel,
+    _orbit,
+    space_time,
+    step,
+    temporal_cycle,
+)
 from periodika.oracles import (
     MAX_POWER_CELLS,
     MAX_POWERS,
@@ -226,11 +237,12 @@ def orbit_cases(draw):
     return rule, x, draw(st.integers(1, 24)), draw(st.integers(0, 8))
 
 
-def _full_walk(rule, x, max_steps, max_mid):
-    """Orbit shape by memoising every state exactly, to the full budget."""
+def _full_walk(rule, x, max_steps, max_mid, advance=step):
+    """Orbit shape by memoising every state exactly, to the full budget;
+    ``advance(rule, x)`` steps a configuration."""
     seen = {x: 0}
     for n in range(1, max_steps + 1):
-        x = step(rule, x)
+        x = advance(rule, x)
         if isinstance(x, EpConfig) and len(x.mid) > max_mid:
             return CycleTimeout(n, "mid width cap exceeded")
         if x in seen:
@@ -264,6 +276,58 @@ def test_spatially_periodic_ep_config_walks_like_its_cyclic_word(case, phase, st
         rows.append(tuple(value_at(cur, i) for i in range(-8, 9)))
         cur = step(rule, cur)
     assert trace.rows == tuple(rows)
+
+
+# ---------------------------------------------------------------------------
+# the packed window kernel
+
+# (k, radius): tables of 243 and of exactly 256 entries step bytes, tables
+# of 300, 343 and 512 entries step tuples
+KERNEL_SHAPES = ((3, 2), (256, 0), (300, 0), (7, 1), (2, 4))
+
+
+@st.composite
+def kernel_cases(draw):
+    k, radius = draw(st.sampled_from(KERNEL_SHAPES))
+    rng = Random(draw(st.integers(0, 2**32)))
+    table = tuple(rng.randrange(k) for _ in range(k ** (2 * radius + 1)))
+    rule = TableRule(k, radius, table, draw(st.integers(-2, 2)))
+    return rule, draw(configs(k)), draw(st.integers(0, 6))
+
+
+def _reference_step(rule, x):
+    """One step of ``x``, each image letter read off ``value_at`` through
+    ``encode_word``."""
+    k, (lo, hi) = rule.alphabet_size, rule.window
+
+    def image(i):
+        return rule.table[encode_word([value_at(x, c) for c in range(i + lo, i + hi + 1)], k)]
+
+    if isinstance(x, CyclicConfig):
+        return CyclicConfig(k, tuple(image(i) for i in range(len(x.word))))
+    # windows left of start - hi read only the left tail, windows from
+    # end - lo on only the right tail
+    s, e = x.start - hi, x.end - lo
+    left = tuple(image(i) for i in range(s - len(x.left), s))
+    right = tuple(image(i) for i in range(e, e + len(x.right)))
+    return EpConfig(k, left, tuple(image(i) for i in range(s, e)), right, s)
+
+
+@settings(SETTINGS, max_examples=100)
+@given(kernel_cases())
+def test_packed_kernel_matches_a_per_cell_reference(case):
+    rule, x, steps = case
+    pack, _ = _kernel(rule)
+    assert pack is (bytes if len(rule.table) <= 256 else tuple)
+    want = [x]
+    for _ in range(steps):
+        want.append(_reference_step(rule, want[-1]))
+    for state, y in zip(islice(_orbit(rule, _state(x)), steps + 1), want, strict=True):
+        assert all(type(word) is pack for word in state[:3])
+        assert (*map(tuple, state[:3]), state[3]) == _state(y)
+    rows = tuple(tuple(value_at(y, i) for i in range(-12, 13)) for y in want)
+    assert space_time(rule, x, steps, -12, 12).rows == rows
+    assert temporal_cycle(rule, x, 12, 64) == _full_walk(rule, x, 12, 64, _reference_step)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from periodika.configs import (
     value_at,
 )
 from periodika import periodicity
-from periodika.engine import CycleResult, CycleTimeout, step
+from periodika.engine import CycleResult, CycleTimeout, _kernel, step
 from periodika.additive import is_surjective_additive
 from periodika.oracles import EquicontinuityCert, _power_walk, product_rule
 from periodika.periodicity import (
@@ -500,7 +500,9 @@ def test_return_witness_rechecks_without_the_successor_memo():
     # a memo that maps y to itself makes the cycle detection see a return
     # after one step; the re-check walks the orbit afresh and refuses it
     y = EpConfig(2, (0,), (1,), (0,), 0)
-    poisoned = {(y.left, y.mid, y.right): (y.left, y.mid, y.right, 0)}
+    pack, _ = _kernel(RULE90)
+    key = tuple(map(pack, (y.left, y.mid, y.right)))  # memo keys are packed states
+    poisoned = {key: (*key, 0)}
     with pytest.raises(AssertionError, match="re-verification at period 1"):
         periodicity._return_witness(RULE90, y, 8, succ=poisoned)
     assert isinstance(periodicity._return_witness(RULE90, y, 8, succ={}), CycleTimeout)
