@@ -26,24 +26,46 @@ from itertools import count, product
 from math import gcd, lcm
 
 from .configs import Config, join_letterwise, map_letters
-from .rules import AdditiveRule, NotSurjectiveError, power_additive, render_rule_spec
+from .rules import (
+    AdditiveRule,
+    NotSurjectiveError,
+    ResourceCapError,
+    power_additive,
+    render_rule_spec,
+)
 
 
 # Miller-Rabin to the prime bases 2 .. 41 decides primality of every number
 # below this bound (Sorenson & Webster, Math. Comp. 86, 2017)
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_BOUND = 3_317_044_064_679_887_385_961_981
+# from the bound up, trial division stops here (about 0.2 s of it)
+_TRIAL_LIMIT = 1 << 20
 
 
 def prime_power_factorization(m: int) -> tuple[tuple[int, int], ...]:
     """Sorted ``(p, k)`` pairs with ``m = prod p**k``.
 
-    Below ``_MR_BOUND`` the bases are divided out, and what is left is split
-    by Pollard-Brent rho until deterministic Miller-Rabin calls every part
-    prime.  From the bound up, trial division to the square root."""
-    if not 2 <= m < _MR_BOUND:
-        return _trial_division(m)
+    From ``_MR_BOUND`` up, primes below ``_TRIAL_LIMIT`` are divided out
+    until what is left falls below the bound; a part left at or above it is
+    refused with ``ResourceCapError``, as no primality test proven there is
+    at hand.  Below the bound the bases are divided out, and what is left is
+    split by Pollard-Brent rho until deterministic Miller-Rabin calls every
+    part prime."""
+    if m < 2:
+        return ()
     primes = []
+    p = 2
+    while m >= _MR_BOUND:
+        if p == _TRIAL_LIMIT:
+            raise ResourceCapError(
+                f"modulus has a factor {m} of at least {_MR_BOUND} with no prime "
+                f"factor below {_TRIAL_LIMIT}: its primality cannot be proven"
+            )
+        while m % p == 0:
+            primes.append(p)
+            m //= p
+        p += 1
     for p in _MR_BASES:
         while m % p == 0:
             primes.append(p)
@@ -57,22 +79,6 @@ def prime_power_factorization(m: int) -> tuple[tuple[int, int], ...]:
             d = _rho_factor(n)
             parts += (d, n // d)
     return tuple(sorted(Counter(primes).items()))
-
-
-def _trial_division(m: int) -> tuple[tuple[int, int], ...]:
-    out = []
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            k = 0
-            while m % p == 0:
-                m //= p
-                k += 1
-            out.append((p, k))
-        p += 1
-    if m > 1:
-        out.append((m, 1))
-    return tuple(out)
 
 
 def _is_prime(n: int) -> bool:

@@ -91,14 +91,24 @@ def equicontinuity_oracle(rule: TableRule) -> EquicontinuityCert | OracleUnknown
     ``MAX_POWER_CELLS`` bounds the work; hitting it yields
     ``OracleUnknown``, never a wrong verdict.
     """
-    return _power_walk(rule)[0]
+    return _packed_power_walk(rule)[0]
 
 
 def _power_walk(rule: TableRule) -> tuple[EquicontinuityCert | OracleUnknown, list[tuple]]:
     """``equicontinuity_oracle``'s search, returning with its result the
     span tables ``(table, width, lo)`` of ``F^0, F^1, ...`` it built, each
     trimmed to its essential span (see ``rules._trim``); after a
-    certificate ``(q, p)`` they are exactly ``F^0 .. F^(q+p)``.
+    certificate ``(q, p)`` they are exactly ``F^0 .. F^(q+p)``.  The
+    tables are tuples."""
+    result, powers = _packed_power_walk(rule)
+    return result, [(tuple(table), width, lo) for table, width, lo in powers]
+
+
+def _packed_power_walk(rule: TableRule) -> tuple[EquicontinuityCert | OracleUnknown, list[tuple]]:
+    """``_power_walk`` with the span tables as the walk keeps them: tuples,
+    or ``bytes`` when F's trimmed table has at most 256 entries (the size
+    rule of ``engine._kernel``); ``bytes`` tables are composed by
+    ``rules._compose_bytes``.
 
     F^(n+1) = F o F^n is composed over the span of F^n widened by F's, then
     trimmed.  A trimmed table is canonical, so it keys the repeat test as
@@ -106,7 +116,9 @@ def _power_walk(rule: TableRule) -> tuple[EquicontinuityCert | OracleUnknown, li
     TableRule, as if the padded tables were composed."""
     k = rule.alphabet_size
     f, f_w, f_lo = _trim(rule.table, k, rule.width, rule.offset - rule.radius)
-    cur = tuple(range(k)), 1, 0
+    pack = bytes if len(f) <= 256 else tuple
+    f = pack(f)
+    cur = pack(range(k)), 1, 0
     powers = [cur]
     memo = {cur: 0}
     for n in range(1, MAX_POWERS + 1):

@@ -48,7 +48,7 @@ from .configs import (
 from .engine import CycleResult, CycleTimeout, _cycle, _orbit, step
 from .oracles import (
     EquicontinuityCert,
-    _power_walk,
+    _packed_power_walk,
     product_rule,
     surjectivity_oracle,
 )
@@ -248,7 +248,7 @@ def blocking_word_search(
         raise ValueError("k_max and steps must be non-negative and bg_period positive")
     k = rule.alphabet_size
     s = max(rule.radius, 1)
-    cert, powers = _power_walk(rule)
+    cert, powers = _packed_power_walk(rule)
     if isinstance(cert, EquicontinuityCert):
         # F^0 spans [0, 0], so lo <= 0 <= hi and the column fits at j = -lo;
         # a constant power trims to [0, 0] as well, which changes neither end

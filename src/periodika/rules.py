@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from itertools import chain, cycle, repeat
+from itertools import chain, cycle
 
 
 class RuleSpecError(ValueError):
@@ -252,8 +252,7 @@ def _fibres(table: tuple[int, ...], k: int, width: int, j: int) -> list[tuple[in
     other positions, in the same order in all ``k`` tuples.
 
     Column ``i`` of the tuples is the fibre of assignment ``i``: position
-    ``j`` is essential iff the tuples differ, bijective iff every column
-    holds ``k`` distinct outputs."""
+    ``j`` is bijective iff every column holds ``k`` distinct outputs."""
     n = len(table)
     stride = k ** (width - 1 - j)
     block = stride * k
@@ -275,11 +274,26 @@ def _fibres(table: tuple[int, ...], k: int, width: int, j: int) -> list[tuple[in
     ]
 
 
-def _is_essential(table: tuple[int, ...], k: int, width: int, j: int) -> bool:
-    """Whether a table over ``width`` positions depends on position ``j``
-    (0-based, left to right): some letter's outputs there differ from
-    letter 0's."""
-    return (out := _fibres(table, k, width, j)).count(out[0]) < len(out)
+def _is_essential(table, k: int, width: int, j: int) -> bool:
+    """Whether a table (a tuple, or ``bytes``) over ``width`` positions
+    depends on position ``j`` (0-based, left to right): some letter's
+    outputs there differ from letter 0's."""
+    n = len(table)
+    stride = k ** (width - 1 - j)
+    block = stride * k
+    # index = base + a * stride + low, as in _fibres: compare whole slices
+    # against letter 0's, strided by block when there are few lows, else
+    # one block at a time against letter 0's run repeated k - 1 times
+    if stride <= n // block:
+        for low in range(stride):
+            ref = table[low::block]
+            if any(table[a * stride + low :: block] != ref for a in range(1, k)):
+                return True
+        return False
+    return any(
+        table[base + stride : base + block] != table[base : base + stride] * (k - 1)
+        for base in range(0, n, block)
+    )
 
 
 def _is_bijective(table: tuple[int, ...], k: int, width: int, j: int) -> bool:
@@ -288,7 +302,7 @@ def _is_bijective(table: tuple[int, ...], k: int, width: int, j: int) -> bool:
     return all(len(set(col)) == k for col in zip(*_fibres(table, k, width, j)))
 
 
-def _essential_ends(table: tuple[int, ...], k: int, width: int) -> tuple[int, int] | None:
+def _essential_ends(table, k: int, width: int) -> tuple[int, int] | None:
     """First and last essential position (0-based) of a table over ``width``
     positions, or None when it is constant."""
     # only the outermost essential positions matter: scan in from both ends
@@ -308,24 +322,30 @@ def essential_span(rule: TableRule) -> tuple[int, int] | None:
     return (lo + ends[0], lo + ends[1])
 
 
-def _trim(table: tuple[int, ...], k: int, width: int, lo: int) -> tuple[tuple[int, ...], int, int]:
+def _trim(table, k: int, width: int, lo: int) -> tuple:
     """A span table -- ``table`` over the ``width`` positions ``lo ..`` --
-    cut to its essential span, as ``(table, width, lo)``.  A constant map
-    keeps one inessential position, at 0."""
+    cut to its essential span, as ``(table, width, lo)``, the table of the
+    same type (tuple or ``bytes``).  A constant map keeps one inessential
+    position, at 0."""
     ends = _essential_ends(table, k, width)
     if ends is None:
-        return (table[0],) * k, 1, 0
+        return table[:1] * k, 1, 0
     first, last = ends
     # the kept positions read with every stripped position at letter 0
     return table[: k ** (width - first) : k ** (width - 1 - last)], last - first + 1, lo + first
 
 
-def _pad(table: tuple[int, ...], k: int, left: int, right: int) -> tuple[int, ...]:
-    """``table`` read over ``left`` more positions on the left and ``right``
-    more on the right, all of them ignored: each entry repeats for every word
-    on the right ones, then the whole run for every word on the left ones."""
+def _pad(table, k: int, left: int, right: int):
+    """``table`` (a tuple, or ``bytes``) read over ``left`` more positions on
+    the left and ``right`` more on the right, all of them ignored: each entry
+    repeats for every word on the right ones, then the whole run for every
+    word on the left ones."""
     if right:
-        table = tuple(chain.from_iterable(repeat(a, k**right) for a in table))
+        spread = k**right
+        out = (bytearray if isinstance(table, bytes) else list)(table) * spread
+        for s in range(spread):  # the s-th repeat of every entry
+            out[s::spread] = table
+        table = type(table)(out)
     return table * k**left
 
 
@@ -375,11 +395,29 @@ def _window_images(table, k: int, width: int, length: int) -> list[int]:
     return idx
 
 
-def _compose(k: int, f: tuple[int, ...], f_w: int, g: tuple[int, ...], g_w: int) -> tuple[int, ...]:
+def _compose(k: int, f, f_w: int, g, g_w: int):
     """Table of F o G over ``g_w + f_w - 1`` positions, from the tables of
     ``f`` over ``f_w`` positions and ``g`` over ``g_w``: the f-image of the
-    g-images of the windows."""
+    g-images of the windows.  Both tables are tuples, or both ``bytes``
+    (then ``f`` has at most 256 entries), and so is the result."""
+    if isinstance(f, bytes):
+        return _compose_bytes(k, f, f_w, g)
     return tuple(map(f.__getitem__, _window_images(g, k, g_w, g_w + f_w - 1)))
+
+
+def _compose_bytes(k: int, f: bytes, f_w: int, g: bytes) -> bytes:
+    """``_compose`` on ``bytes`` tables, ``f`` of at most 256 entries.
+
+    Entry ``j`` of the result is f at the index ``sum_i g_i(j) k^(f_w-1-i)``,
+    ``g_i(j)`` being g on window ``i`` of word ``j``: g padded by ``i``
+    ignored positions on its left and ``f_w - 1 - i`` on its right.  All
+    f_w padded copies are summed at once as big-endian integers by Horner's
+    rule; every index is below ``k**f_w <= 256``, so no byte carries into
+    the next, and ``translate`` looks them all up."""
+    idx = 0
+    for i in range(f_w):
+        idx = idx * k + int.from_bytes(_pad(g, k, i, f_w - 1 - i), "big")
+    return idx.to_bytes(len(g) * k ** (f_w - 1), "big").translate(f.ljust(256, b"\0"))
 
 
 def compose_table(f: TableRule, g: TableRule) -> TableRule:

@@ -34,9 +34,15 @@ from periodika.additive import (
     report_to_dict,
     report_to_json,
 )
-from periodika.additive import _MR_BOUND, _trial_division
+from periodika.additive import _MR_BOUND, _TRIAL_LIMIT
 from periodika.configs import CyclicConfig, EpConfig, equals
-from periodika.rules import AdditiveRule, NotSurjectiveError, compose_additive, render_rule_spec
+from periodika.rules import (
+    AdditiveRule,
+    NotSurjectiveError,
+    ResourceCapError,
+    compose_additive,
+    render_rule_spec,
+)
 
 RULE90 = AdditiveRule(2, 1, {-1: 1, 1: 1})
 M4_RULE = AdditiveRule(4, 1, {-1: 2, 0: 1, 1: 2})
@@ -53,6 +59,23 @@ def test_prime_power_factorization():
     assert prime_power_factorization(4) == ((2, 2),)
     assert prime_power_factorization(12) == ((2, 2), (3, 1))
     assert prime_power_factorization(7) == ((7, 1),)
+
+
+def _trial_division(m: int) -> tuple[tuple[int, int], ...]:
+    """Sorted ``(p, k)`` pairs of ``m`` by trial division to its square root."""
+    out = []
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            k = 0
+            while m % p == 0:
+                m //= p
+                k += 1
+            out.append((p, k))
+        p += 1
+    if m > 1:
+        out.append((m, 1))
+    return tuple(out)
 
 
 def test_factorization_matches_trial_division_up_to_10000():
@@ -82,6 +105,29 @@ def test_factorization_of_products_of_primes_near_1e9():
         want = Counter(primes) + Counter(dict(_trial_division(small)))
         assert m < _MR_BOUND
         assert prime_power_factorization(m) == tuple(sorted(want.items())), m
+
+
+def test_factorization_above_the_miller_rabin_bound():
+    # small primes are divided out until the rest falls below the bound
+    assert prime_power_factorization(2**100) == ((2, 100),)
+    assert prime_power_factorization(43**16) == ((43, 16),)
+    p, q = 998_244_353, 1_000_000_007
+    m = 1_000_003**2 * 7 * p * q
+    # the trial division runs up to 1 000 003, near its limit
+    assert m // 1_000_003 >= _MR_BOUND > m // 1_000_003**2 and 1_000_003 < _TRIAL_LIMIT
+    assert prime_power_factorization(m) == ((7, 1), (1_000_003, 2), (p, 1), (q, 1))
+    # a rest at or above the bound with no prime factor below the trial
+    # limit is refused, whether prime (2^89 - 1) or not
+    for m in (2**89 - 1, 1_821_428_571_437 * 1_821_428_571_467, 3 * (2**89 - 1), _MR_BOUND):
+        start = time.perf_counter()
+        with pytest.raises(ResourceCapError, match="primality cannot be proven"):
+            prime_power_factorization(m)
+        assert time.perf_counter() - start < 5
+    # the bound itself is 1 287 836 182 261 * 2 575 672 364 521; just below
+    # it the proven test still answers
+    assert prime_power_factorization(_MR_BOUND - 1) == (
+        (2, 2), (3, 4), (5, 1), (127, 1), (18_778_597, 1), (858_557_454_841, 1)
+    )
 
 
 def _order(a: int, p: int) -> int:

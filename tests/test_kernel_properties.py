@@ -8,8 +8,9 @@ configurations against other presentations of the same configuration, the
 window reader ``_cells`` with everything built on it (traces, letterwise
 joins) against ``value_at`` one coordinate at a time, orbit walks on both
 sides of the packed kernel's selection (bytes or tuples) against a step read
-cell by cell, and the oracle's power walk over trimmed span tables against a
-walk over padded public tables."""
+cell by cell, the oracle's power walk over trimmed span tables against a
+walk over padded public tables, and the packed (``bytes``) composition and
+trim of span tables against the tuple route."""
 
 from __future__ import annotations
 
@@ -46,13 +47,18 @@ from periodika.oracles import (
     EquicontinuityCert,
     OracleUnknown,
     _power_walk,
+    product_rule,
 )
 from periodika.rules import (
     AdditiveRule,
     TableRule,
+    _compose,
+    _fibres,
     _is_bijective,
     _is_essential,
     _span_rule,
+    _trim,
+    _window_images,
     canonicalize_table,
     compose_table,
     encode_word,
@@ -60,6 +66,7 @@ from periodika.rules import (
     identity_rule,
     pad_table,
     parse_rule_spec,
+    power_additive,
     table_from_additive,
 )
 
@@ -370,6 +377,87 @@ def walk_rules(draw):
 def test_power_walk_matches_a_walk_over_padded_tables(rule):
     cert, spans = _power_walk(rule)
     assert (cert, [_span_rule(rule.alphabet_size, *span) for span in spans]) == _reference_walk(rule)
+
+
+@st.composite
+def dummy_tables(draw, k, width):
+    """A table over ``width`` positions and ``k`` letters that reads only a
+    random subset of them."""
+    kept = [j for j in range(width) if draw(st.booleans())]
+    inner = draw(st.lists(st.integers(0, k - 1), min_size=k ** len(kept), max_size=k ** len(kept)))
+    return tuple(inner[encode_word([w[j] for j in kept], k)] for w in product(range(k), repeat=width))
+
+
+@st.composite
+def compose_cases(draw):
+    """Tables ``f`` and ``g`` over k = 2..7 letters and 1..5 positions, with
+    F o G below 20 000 entries, and an offset -2..2; ``f`` falls on both
+    sides of the 256-entry rule (6^3 = 216, 7^3 = 343)."""
+    k = draw(st.integers(2, 7))
+    most = max(w for w in range(1, 15) if k**w <= 20_000)  # the width of F o G
+    f_w = draw(st.integers(1, min(5, most)))
+    g_w = draw(st.integers(1, min(5, most - f_w + 1)))
+    f, g = draw(dummy_tables(k, f_w)), draw(dummy_tables(k, g_w))
+    return k, f, f_w, g, g_w, draw(st.integers(-2, 2))
+
+
+def _reference_trim(table, k, width, lo):
+    """``_trim`` from the fibre test: the kept positions read with every
+    stripped position at letter 0."""
+    ends = [j for j in range(width) if (out := _fibres(table, k, width, j)).count(out[0]) < k]
+    if not ends:
+        return (table[0],) * k, 1, 0
+    first, last = ends[0], ends[-1]
+    pad = (0,) * first, (0,) * (width - 1 - last)
+    kept = product(range(k), repeat=last - first + 1)
+    return tuple(table[encode_word(pad[0] + w + pad[1], k)] for w in kept), last - first + 1, lo + first
+
+
+@settings(SETTINGS, max_examples=200)
+@given(compose_cases())
+def test_packed_composition_and_trim_match_the_tuple_route(case):
+    k, f, f_w, g, g_w, lo = case
+    width = g_w + f_w - 1
+    composed = tuple(f[i] for i in _window_images(g, k, g_w, width))
+    assert _compose(k, f, f_w, g, g_w) == composed
+    if len(f) <= 256:
+        assert _compose(k, bytes(f), f_w, bytes(g), g_w) == bytes(composed)
+    for table, w in ((f, f_w), (g, g_w), (composed, width)):
+        table_, w_, lo_ = _reference_trim(table, k, w, lo)
+        assert _trim(table, k, w, lo) == (table_, w_, lo_)
+        assert _trim(bytes(table), k, w, lo) == (bytes(table_), w_, lo_)
+
+
+# rules over more than 256 window words keep tuples in the power walk
+WIDE_RULES = [AdditiveRule(7, 1, {-1: 1, 0: 1, 1: 1}), AdditiveRule(4, 2, {-2: 2, -1: 1, 0: 3, 1: 2, 2: 1})]
+
+
+def test_wide_rules_compose_and_walk_like_their_additive_powers():
+    for f in WIDE_RULES:
+        rule = table_from_additive(f)
+        assert len(rule.table) > 256 and canonicalize_table(rule) == rule
+        square = table_from_additive(power_additive(f, 2))
+        assert canonicalize_table(compose_table(rule, rule)) == canonicalize_table(square)
+        cert, spans = _power_walk(rule)
+        powers = [_span_rule(rule.alphabet_size, *span) for span in spans]
+        assert (cert, powers) == _reference_walk(rule)
+        assert isinstance(cert, OracleUnknown) and len(powers) >= 2
+        for n, power in enumerate(powers[1:], 1):
+            assert power == canonicalize_table(table_from_additive(power_additive(f, n)))
+
+
+def test_every_table_the_package_returns_is_a_tuple():
+    small = table_from_additive(AdditiveRule(3, 1, {-1: 1, 1: 2}))
+    rules = [small, identity_rule(4), TableRule.from_wolfram(110)] + list(map(table_from_additive, WIDE_RULES))
+    out = []
+    for rule in rules:
+        spans = _power_walk(rule)[1]
+        assert all(type(table) is tuple for table, _, _ in spans)
+        out += [_span_rule(rule.alphabet_size, *span) for span in spans]
+        out += [rule, canonicalize_table(rule), compose_table(rule, rule), pad_table(rule, rule.radius + 1)]
+        out.append(product_rule(rule, identity_rule(2)))
+    for rule in out:
+        assert type(rule.table) is tuple and all(type(a) is int for a in rule.table)
 
 
 # ---------------------------------------------------------------------------
