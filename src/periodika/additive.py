@@ -143,10 +143,11 @@ def off_center_gcd(rule: AdditiveRule) -> int:
     return gcd(*(c for j, c in rule.coeffs.items() if j != 0))
 
 
-def _sensitivity_witness(rule: AdditiveRule) -> int | None:
-    """Least prime of the modulus that misses the off-center gcd, if any."""
+def _sensitivity_witness(rule: AdditiveRule, factorization) -> int | None:
+    """Least prime of the modulus that misses the off-center gcd, if any,
+    given the modulus's ``prime_power_factorization``."""
     g = off_center_gcd(rule)
-    return next((p for p, _ in prime_power_factorization(rule.modulus) if g % p != 0), None)
+    return next((p for p, _ in factorization if g % p != 0), None)
 
 
 @dataclass(frozen=True)
@@ -163,8 +164,13 @@ class PrimePowerFactor:
 
 
 def decompose_crt(rule: AdditiveRule) -> tuple[PrimePowerFactor, ...]:
+    return _decompose_crt(rule, prime_power_factorization(rule.modulus))
+
+
+def _decompose_crt(rule: AdditiveRule, factorization) -> tuple[PrimePowerFactor, ...]:
+    """``decompose_crt`` given the modulus's ``prime_power_factorization``."""
     factors = []
-    for p, k in prime_power_factorization(rule.modulus):
+    for p, k in factorization:
         q = p**k
         reduced = AdditiveRule(q, rule.radius, {j: c % q for j, c in rule.coeffs.items()})
         factors.append(PrimePowerFactor(p, k, reduced))
@@ -302,15 +308,19 @@ def identity_power(rule: AdditiveRule) -> int | None:
     divides the lcm over factors of p**(e-1) * phi(p**e); it is found by
     dividing out each prime of that lcm while the power stays the identity.
     """
-    if _sensitivity_witness(rule) is not None:
+    return _identity_power(rule, prime_power_factorization(rule.modulus))
+
+
+def _identity_power(rule: AdditiveRule, factorization) -> int | None:
+    """``identity_power`` given the modulus's ``prime_power_factorization``."""
+    if _sensitivity_witness(rule, factorization) is not None:
         return None
-    factors = prime_power_factorization(rule.modulus)
-    t = lcm(*(p ** (2 * e - 2) * (p - 1) for p, e in factors))
+    t = lcm(*(p ** (2 * e - 2) * (p - 1) for p, e in factorization))
     if power_additive(rule, t).coeffs != {0: 1}:
         return None
     # the primes of t, from parts smaller than the modulus
-    primes = {p for p, e in factors if e > 1}
-    primes.update(q for p, _ in factors for q, _ in prime_power_factorization(p - 1))
+    primes = {p for p, e in factorization if e > 1}
+    primes.update(q for p, _ in factorization for q, _ in prime_power_factorization(p - 1))
     for q in sorted(primes):
         while t % q == 0 and power_additive(rule, t // q).coeffs == {0: 1}:
             t //= q
@@ -327,7 +337,9 @@ def classify_additive(rule: AdditiveRule) -> ClassificationReport:
     """
     g = _coefficient_gcd(rule)
     surjective = g == 1
-    witness = _sensitivity_witness(rule)
+    # factored once, for the witness, the CRT split and the identity power
+    factorization = prime_power_factorization(rule.modulus)
+    witness = _sensitivity_witness(rule, factorization)
     sensitive = witness is not None
     certificates: dict = {
         "surjectivity": {"criterion": "gcd of modulus and coefficients", "gcd": g},
@@ -356,7 +368,7 @@ def classify_additive(rule: AdditiveRule) -> ClassificationReport:
         )
     factor_reports = []
     classes = []
-    for factor in decompose_crt(rule):
+    for factor in _decompose_crt(rule, factorization):
         L, R = boundary_indices(factor)
         cls = classify_prime_power(factor)
         h = permutative_power(factor).h
@@ -389,7 +401,7 @@ def classify_additive(rule: AdditiveRule) -> ClassificationReport:
     if all_eq:
         certificates["equicontinuity"] = {
             "criterion": "some power of the rule is the identity",
-            "identity_power": identity_power(rule),
+            "identity_power": _identity_power(rule, factorization),
         }
     return ClassificationReport(
         rule=rule,

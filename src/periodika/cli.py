@@ -31,7 +31,6 @@ import json
 import os
 import sys
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 
 from .additive import classify_additive, enumerate_additive_rules, report_to_dict
@@ -212,6 +211,9 @@ def _cmd_sweep(args):
     checks = [args.check_oracles] * len(rules)
     workers = _resolve_workers(args.workers)
     if workers > 1:
+        # imported here: it loads multiprocessing, which nothing else needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_one, rules, checks, chunksize=64))
     else:

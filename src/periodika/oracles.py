@@ -1,9 +1,12 @@
 """Brute-force oracles that cross-check the coefficient-level criteria.
 
 These work on explicit tables only, so they are independent of the
-additive shortcuts: surjectivity is decided by exact preimage counting on
-the de Bruijn graph, equicontinuity by literally comparing canonical
-tables of rule powers.  Both are exact-or-Unknown; neither ever guesses.
+additive shortcuts.  Surjectivity is decided on the de Bruijn graph by its
+subset automaton: F is onto iff no word empties the set of all states.
+Equicontinuity is decided by comparing the canonical tables of rule powers
+until two are equal; a power that equals an earlier one up to a nonzero
+translation ends the walk, because from there on no two powers can be
+equal.  Both are exact-or-Unknown; neither ever guesses.
 """
 
 from __future__ import annotations
@@ -22,48 +25,51 @@ from .rules import (
 
 # Caps on the oracles' exact work; hitting one raises ``ResourceCapError``
 # or yields ``OracleUnknown``, never a wrong verdict.
-MAX_PREIMAGE_VECTORS = 1_000_000
+MAX_PREIMAGE_VECTORS = 1_000_000  # state sets of the subset automaton
 MAX_POWERS = 64
 MAX_POWER_CELLS = 30_000
 MAX_PRODUCT_CELLS = 250_000
 
 
 def surjectivity_oracle(rule: TableRule) -> bool:
-    """Exact surjectivity test by balance of preimage counts.
+    """Exact surjectivity test by the subset automaton of the de Bruijn graph.
 
-    A global map of radius r over k letters is surjective iff every word w
-    has exactly ``k**(2r)`` preimage words of length ``len(w) + 2r``.  The
-    count vector (preimage paths per de Bruijn state) evolves under one
-    transfer per letter; the reachable vectors are explored exhaustively.
-    In the balanced case entries stay bounded so the walk terminates, and
-    an unbalanced word is found at the first bad vector sum.  The window
-    offset is ignored: precomposing with a shift preserves surjectivity.
+    The states of a rule of radius r over k letters are the words of
+    length 2r; reading the window ``u c`` (u a state, c a letter) goes from
+    u to the last 2r letters of ``u c`` and is labelled by the table's
+    output there.  A word has a preimage iff it labels a path, so F is
+    surjective iff no word drives the set of all states to the empty set
+    (Hedlund 1969; Amoroso and Patt 1972).  The sets reachable from the full
+    set, each an int bitmask, are explored exhaustively, and the first
+    empty image answers False.  The window offset is ignored: precomposing
+    with a shift preserves surjectivity.
     """
     k, r = rule.alphabet_size, rule.radius
     states = k ** (2 * r)
-    table = rule.table
-    buckets: list[list[tuple[int, int]]] = [[] for _ in range(k)]
-    for u in range(states):
-        base = u * k
-        for c in range(k):
-            buckets[table[base + c]].append((u, (base + c) % states))
-    start = (1,) * states
-    seen = {start}
-    frontier = [start]
+    # moves[u] holds k fields of ``states`` bits: field a is the set of
+    # states u reaches by reading an output a
+    moves = [0] * states
+    for i, a in enumerate(rule.table):
+        moves[i // k] |= 1 << a * states + i % states
+    full = (1 << states) - 1
+    seen = {full}
+    frontier = [full]
     while frontier:
-        vec = frontier.pop()
+        cur = frontier.pop()
+        images = 0
+        while cur:
+            low = cur & -cur
+            images |= moves[low.bit_length() - 1]
+            cur ^= low
         for a in range(k):
-            nxt = [0] * states
-            for u, v in buckets[a]:
-                nxt[v] += vec[u]
-            if sum(nxt) != states:
+            nxt = images >> a * states & full
+            if not nxt:
                 return False
-            t = tuple(nxt)
-            if t not in seen:
+            if nxt not in seen:
                 if len(seen) >= MAX_PREIMAGE_VECTORS:
-                    raise ResourceCapError("preimage-count exploration exceeded cap")
-                seen.add(t)
-                frontier.append(t)
+                    raise ResourceCapError("subset-automaton exploration exceeded cap")
+                seen.add(nxt)
+                frontier.append(nxt)
     return True
 
 
@@ -89,7 +95,12 @@ def equicontinuity_oracle(rule: TableRule) -> EquicontinuityCert | OracleUnknown
     of eventual periodicity of the rule powers, hence of equicontinuity.
     Powers of sensitive rules keep growing, so the table cap
     ``MAX_POWER_CELLS`` bounds the work; hitting it yields
-    ``OracleUnknown``, never a wrong verdict.
+    ``OracleUnknown``, never a wrong verdict.  Powers of shift-like
+    sensitive rules instead repeat up to a translation, ``F^(q+p) = s^t o
+    F^q`` for the shift s and some t != 0; then ``F^(n+p) = s^t o F^n`` for
+    every n >= q, and a map that is not constant differs from all its
+    translates, so no exact repeat can follow and the answer is the
+    ``OracleUnknown`` of an exhausted power budget, returned at once.
     """
     return _packed_power_walk(rule)[0]
 
@@ -98,8 +109,8 @@ def _power_walk(rule: TableRule) -> tuple[EquicontinuityCert | OracleUnknown, li
     """``equicontinuity_oracle``'s search, returning with its result the
     span tables ``(table, width, lo)`` of ``F^0, F^1, ...`` it built, each
     trimmed to its essential span (see ``rules._trim``); after a
-    certificate ``(q, p)`` they are exactly ``F^0 .. F^(q+p)``.  The
-    tables are tuples."""
+    certificate ``(q, p)`` they are exactly ``F^0 .. F^(q+p)``, after a
+    translated repeat ``F^0 .. F^MAX_POWERS``.  The tables are tuples."""
     result, powers = _packed_power_walk(rule)
     return result, [(tuple(table), width, lo) for table, width, lo in powers]
 
@@ -111,25 +122,38 @@ def _packed_power_walk(rule: TableRule) -> tuple[EquicontinuityCert | OracleUnkn
     ``rules._compose_bytes``.
 
     F^(n+1) = F o F^n is composed over the span of F^n widened by F's, then
-    trimmed.  A trimmed table is canonical, so it keys the repeat test as
-    it is.  The cap test reads ``width // 2``, the radius of the canonical
-    TableRule, as if the padded tables were composed."""
+    trimmed.  A trimmed table is canonical, so the pair ``(table, width)``
+    keys the repeat memo as it is, and ``lo`` tells an exact repeat from a
+    translated one.  The cap test reads ``width // 2``, the radius of the
+    canonical TableRule, as if the padded tables were composed.
+
+    After a translated repeat ``F^n = s^t o F^q`` every later power is the
+    one ``p = n - q`` back, moved by t; its width is one the cap test has
+    passed, so the walk would run to ``MAX_POWERS`` without a repeat (a
+    constant power trims to ``lo = 0`` and repeats exactly).  The rest of
+    the list is those translates, and the result is that walk's."""
     k = rule.alphabet_size
     f, f_w, f_lo = _trim(rule.table, k, rule.width, rule.offset - rule.radius)
     pack = bytes if len(f) <= 256 else tuple
     f = pack(f)
     cur = pack(range(k)), 1, 0
     powers = [cur]
-    memo = {cur: 0}
+    memo = {cur[:2]: 0}
     for n in range(1, MAX_POWERS + 1):
         g, g_w, g_lo = cur
         if k ** (2 * (g_w // 2 + rule.radius) + 1) > MAX_POWER_CELLS:
             return OracleUnknown(f"table cap reached at power {n}", n - 1), powers
         cur = _trim(_compose(k, f, f_w, g, g_w), k, g_w + f_w - 1, g_lo + f_lo)
         powers.append(cur)
-        q = memo.setdefault(cur, n)
+        q = memo.setdefault(cur[:2], n)
         if q != n:
-            return EquicontinuityCert(q, n - q), powers
+            t = cur[2] - powers[q][2]
+            if not t:
+                return EquicontinuityCert(q, n - q), powers
+            for m in range(n + 1, MAX_POWERS + 1):
+                table, width, lo = powers[m - n + q]
+                powers.append((table, width, lo + t))
+            break
     return OracleUnknown("power budget exhausted", MAX_POWERS), powers
 
 

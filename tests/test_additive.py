@@ -12,6 +12,7 @@ from math import isqrt, lcm, prod
 
 import pytest
 
+from periodika import additive
 from periodika.additive import (
     FactorClass,
     FactorReport,
@@ -301,6 +302,28 @@ def test_identity_power():
     assert identity_power(AdditiveRule(9, 1, {-1: 3, 0: 2})) == 6
     assert identity_power(RULE90) is None
     assert identity_power(AdditiveRule(4, 1, {0: 2})) is None
+
+
+def test_classify_factors_the_modulus_once(monkeypatch):
+    seen = []
+
+    def counted(m):
+        seen.append(m)
+        return prime_power_factorization(m)
+
+    monkeypatch.setattr(additive, "prime_power_factorization", counted)
+    # non-surjective, Empty, Dense and Residual rules, and a modulus whose
+    # factorisation runs the trial phase above the Miller-Rabin bound
+    big = 1_000_003**2 * 7 * 998_244_353 * 1_000_000_007
+    for rule in (
+        AdditiveRule(4, 1, {0: 2}), RULE90, M6_RULE, M4_RULE,
+        AdditiveRule(360, 1, {-1: 60, 0: 7, 1: 30}), AdditiveRule(big, 1, {0: 1}),
+    ):
+        seen.clear()
+        report = classify_additive(rule)
+        assert seen.count(rule.modulus) == 1, (rule, seen)
+        # every other factorisation is of some p - 1, for the identity power
+        assert len(seen) == 1 or report.stp is StpVerdict.RESIDUAL
 
 
 def _phi(p: int, e: int) -> int:

@@ -41,6 +41,7 @@ from periodika.engine import (
     step,
     temporal_cycle,
 )
+from periodika import oracles
 from periodika.oracles import (
     MAX_POWER_CELLS,
     MAX_POWERS,
@@ -361,15 +362,20 @@ def _reference_walk(rule):
 @st.composite
 def walk_rules(draw):
     """Rules over 2..4 letters with radius 0..2 and offset -2..2; constant
-    and identity rules over such windows among them."""
+    and identity rules over such windows among them, and letter
+    permutations of one window position, whose powers repeat up to a
+    translation with period the permutation's order."""
     k = draw(st.integers(2, 4))
-    kind = draw(st.sampled_from(("table", "constant", "identity")))
+    kind = draw(st.sampled_from(("table", "constant", "identity", "permuted shift")))
     if kind == "table":
         return draw(table_rules(k, 2))
     radius, offset = draw(st.integers(0, 2)), draw(st.integers(-2, 2))
     if kind == "constant":
         return TableRule(k, radius, (draw(st.integers(0, k - 1)),) * k ** (2 * radius + 1), offset)
-    return pad_table(identity_rule(k), max(radius, abs(offset)), offset)
+    if kind == "identity":
+        return pad_table(identity_rule(k), max(radius, abs(offset)), offset)
+    perm, j = draw(st.permutations(range(k))), draw(st.integers(0, 2 * radius))
+    return TableRule(k, radius, tuple(perm[w[j]] for w in product(range(k), repeat=2 * radius + 1)), offset)
 
 
 @settings(SETTINGS, max_examples=150)
@@ -377,6 +383,23 @@ def walk_rules(draw):
 def test_power_walk_matches_a_walk_over_padded_tables(rule):
     cert, spans = _power_walk(rule)
     assert (cert, [_span_rule(rule.alphabet_size, *span) for span in spans]) == _reference_walk(rule)
+
+
+def test_power_walk_of_a_shift_stops_at_its_first_translated_repeat(monkeypatch):
+    # F^1 is F^0 moved by one cell, so no power can repeat exactly; the
+    # other 63 powers are translates, not compositions
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _compose(*args)
+
+    monkeypatch.setattr(oracles, "_compose", counted)
+    rule = table_from_additive(parse_rule_spec("additive:m=2;r=1;c=0,0,1"))
+    cert, spans = _power_walk(rule)
+    assert len(calls) == 1
+    assert cert == OracleUnknown("power budget exhausted", MAX_POWERS)
+    assert (cert, [_span_rule(2, *span) for span in spans]) == _reference_walk(rule)
 
 
 @st.composite

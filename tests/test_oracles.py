@@ -1,5 +1,6 @@
-"""Independent brute-force deciders: surjectivity by preimage balance,
-equicontinuity by rule-power table repeats, and product rules."""
+"""Independent brute-force deciders: surjectivity by the de Bruijn subset
+automaton (against the preimage-count walk it replaced), equicontinuity by
+rule-power table repeats, and product rules."""
 
 from __future__ import annotations
 
@@ -10,7 +11,11 @@ from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from test_kernel_properties import table_rules
+from periodika import oracles
 from periodika.configs import CyclicConfig, EpConfig, equals, map_letters, product_config
 from periodika.engine import step
 from periodika.oracles import (
@@ -66,6 +71,61 @@ def test_surjectivity_oracle_agrees_with_the_coefficient_test():
         for rule in _all_additive(m):
             expected = is_surjective_additive(rule)
             assert surjectivity_oracle(table_from_additive(rule)) == expected
+
+
+def _preimage_count_surjectivity(rule: TableRule) -> bool:
+    """Surjectivity by balance of preimage counts: a rule of radius r over k
+    letters is onto iff every word w has exactly ``k**(2r)`` preimage words
+    of length ``len(w) + 2r``.  The count vector (preimage paths per de
+    Bruijn state) evolves under one transfer per letter, and the reachable
+    vectors are explored until one has the wrong sum; in the balanced case
+    the entries stay bounded, so the walk ends."""
+    k, r = rule.alphabet_size, rule.radius
+    states = k ** (2 * r)
+    table = rule.table
+    buckets: list[list[tuple[int, int]]] = [[] for _ in range(k)]
+    for u in range(states):
+        base = u * k
+        for c in range(k):
+            buckets[table[base + c]].append((u, (base + c) % states))
+    start = (1,) * states
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        vec = frontier.pop()
+        for a in range(k):
+            nxt = [0] * states
+            for u, v in buckets[a]:
+                nxt[v] += vec[u]
+            if sum(nxt) != states:
+                return False
+            t = tuple(nxt)
+            if t not in seen:
+                seen.add(t)
+                frontier.append(t)
+    return True
+
+
+def test_surjectivity_oracle_agrees_with_preimage_counts():
+    tables = [TableRule.from_wolfram(code) for code in range(256)]
+    tables += [table_from_additive(rule) for m in range(2, 9) for rule in _all_additive(m)]
+    assert len(tables) == 1551
+    for table in tables:
+        assert surjectivity_oracle(table) == _preimage_count_surjectivity(table), table
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 4).flatmap(lambda k: table_rules(k, 1)))
+def test_surjectivity_oracle_agrees_with_preimage_counts_on_drawn_tables(table):
+    assert surjectivity_oracle(table) == _preimage_count_surjectivity(table)
+
+
+def test_surjectivity_oracle_refuses_past_its_cap(monkeypatch):
+    # onto, and the all-states set has a proper image, so a second set is met
+    assert surjectivity_oracle(M4_TABLE)
+    monkeypatch.setattr(oracles, "MAX_PREIMAGE_VECTORS", 1)
+    with pytest.raises(ResourceCapError, match="exceeded cap"):
+        surjectivity_oracle(M4_TABLE)
 
 
 # ---------------------------------------------------------------------------
