@@ -5,85 +5,52 @@ image of a spatially periodic configuration is spatially periodic with the
 same (or a dividing) period, and the image of an eventually periodic
 configuration is eventually periodic with the mid widened by at most the
 window width.  Orbit computations therefore never approximate.
+
+Every step reads a rule's essential span through ``rules._kernel``, never
+its declared radius or offset.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from itertools import islice
 
 from .configs import Config, CyclicConfig, EpConfig, _canonical_ep, _canonical_word, _cells, _repeat, _state
-from .rules import TableRule, _image
+from .rules import TableRule, _kernel
 
 
-def _kernel(rule: TableRule):
-    """``(pack, image)`` for stepping ``rule``: ``pack`` turns a letter
-    sequence into the type the orbit walks carry, and ``image(cells)``
-    gives, in that type, one output letter per full window of ``cells``.
-
-    A table of at most 256 entries packs one byte per cell, and
-    ``_byte_image`` reads every window at once; wider tables keep tuples
-    and read each window with ``rules._image``.  The pair is built once per
-    rule and kept in its ``__dict__``, beside the fields, which the frozen
-    dataclass compares, hashes and prints without it."""
-    kernel = rule.__dict__.get("_kernel")
-    if kernel is None:
-        k, width, table = rule.alphabet_size, rule.width, rule.table
-        if len(table) > 256:
-            kernel = tuple, partial(_image, table, k, width)
-        else:
-            lut = bytes(table).ljust(256, b"\0")
-            kernel = bytes, partial(_byte_image, lut, k, range(8 * width - 8, -8, -8))
-        rule.__dict__["_kernel"] = kernel
-    return kernel
-
-
-def _byte_image(lut: bytes, k: int, shifts: range, cells: bytes) -> bytes:
-    """The image of ``cells``, one byte per letter, under the rule over
-    ``k`` letters whose table, padded to 256 entries, is ``lut``; ``shifts``
-    runs ``8 (width - 1), ..., 8, 0``.
-
-    Byte ``i`` of ``x + (x >> 8) k + (x >> 16) k^2 + ...`` (``width`` terms,
-    ``x`` the cells as one big-endian integer) is the big-endian index of
-    the window that ends at cell ``i``.  Every index is below 256, so no
-    byte carries into the next, and ``translate`` looks them all up."""
-    x = int.from_bytes(cells, "big")
-    idx = 0
-    for bits in shifts:  # the sum above, by Horner's rule
-        idx = idx * k + (x >> bits)
-    # the first width - 1 bytes index incomplete windows and are dropped
-    return idx.to_bytes(len(cells), "big")[len(shifts) - 1 :].translate(lut)
-
-
-def _cyclic_image(rule: TableRule, image, word):
+def _cyclic_image(kernel, word):
     """One step of the spatially periodic configuration repeating the
     packed ``word`` from coordinate 0, read over coordinates ``0 ..
-    len(word) - 1``; ``image`` is the rule's (see ``_kernel``)."""
-    return image(_repeat(word, rule.offset - rule.radius, len(word) + rule.width - 1))
+    len(word) - 1``; ``kernel`` is the rule's (see ``rules._kernel``)."""
+    _, width, lo, image = kernel
+    return image(_repeat(word, lo, len(word) + width - 1))
 
 
-def _ep_image(rule: TableRule, image, left, mid, right, start: int):
+def _ep_image(kernel, left, mid, right, start: int):
     """One step of ``^inf(left) . mid . (right)^inf`` with the packed mid at
     ``start``, as raw (not yet canonical) ``left, mid, right, start``;
-    ``image`` is the rule's (see ``_kernel``)."""
-    r = rule.radius
-    ell, rho = len(left), len(right)
-    # Cells start - 2r - ell .. end + 2r + rho - 1; the image then covers the
-    # new left tail period, the new mid and the new right tail period.
-    img = image(_repeat(left, -2 * r - ell, 2 * r + ell) + mid + _repeat(right, 0, 2 * r + rho))
-    return img[:ell], img[ell : len(img) - rho], img[len(img) - rho :], start - rule.offset - r
+    ``kernel`` is the rule's (see ``rules._kernel``)."""
+    _, width, lo, image = kernel
+    d, ell, rho = width - 1, len(left), len(right)
+    # Cells start - d - ell .. end + d + rho - 1 (d = width - 1); the image
+    # then covers the new left tail period, the new mid and the new right
+    # tail period.  Cell c reads cells c + lo .. c + lo + d, so the image
+    # starts at cell start - d - ell - lo.
+    img = image(_repeat(left, -d - ell, d + ell) + mid + _repeat(right, 0, d + rho))
+    return img[:ell], img[ell : len(img) - rho], img[len(img) - rho :], start - d - lo
 
 
 def step(rule: TableRule, x: Config) -> Config:
     if rule.alphabet_size != x.alphabet_size:
         raise ValueError("alphabet mismatch")
-    pack, image = _kernel(rule)
+    kernel = _kernel(rule)
+    pack = type(kernel[0])
     # the public constructors turn packed letters back into tuples of ints
     if isinstance(x, CyclicConfig):
-        return CyclicConfig(x.alphabet_size, _cyclic_image(rule, image, pack(x.word)))
+        return CyclicConfig(x.alphabet_size, _cyclic_image(kernel, pack(x.word)))
     left, mid, right = map(pack, (x.left, x.mid, x.right))
-    return EpConfig(x.alphabet_size, *_ep_image(rule, image, left, mid, right, x.start))
+    return EpConfig(x.alphabet_size, *_ep_image(kernel, left, mid, right, x.start))
 
 
 def _orbit(rule: TableRule, state, succ: dict | None = None):
@@ -91,9 +58,10 @@ def _orbit(rule: TableRule, state, succ: dict | None = None):
     F^2(x), ...`` for ``x`` given by its canonical state (see
     ``configs._state``), stepped without building configurations: image
     letters come from the validated table.  The words of every state are
-    packed by the rule's kernel (see ``_kernel``): ``bytes`` or tuples,
-    which ``configs._cells`` reads alike.  A spatially periodic state takes
-    the cyclic kernel.  The caller checks that the alphabets match.
+    packed in the type of the rule's span table (see ``rules._kernel``):
+    ``bytes`` or tuples, which ``configs._cells`` reads alike.  A spatially
+    periodic state takes the cyclic kernel.  The caller checks that the
+    alphabets match.
 
     ``succ`` is a successor memo that one search shares across all its
     walks of one rule: it maps the translation class ``(left, mid, right)``
@@ -102,24 +70,25 @@ def _orbit(rule: TableRule, state, succ: dict | None = None):
     one entry serves every translate.  Only images that are not spatially
     periodic are stored, because those are anchored at start 0, not
     translated.  Independent re-checks walk without a memo."""
-    pack, image = _kernel(rule)
+    kernel = _kernel(rule)
+    pack = type(kernel[0])
     left, mid, right, start = state = (*map(pack, state[:3]), state[3])
     if not mid and left == right:
         word = left
         while True:
             yield word, mid, word, 0
-            word = _canonical_word(_cyclic_image(rule, image, word), 0)
+            word = _canonical_word(_cyclic_image(kernel, word), 0)
     if succ is None:
         while True:
             yield state
-            state = _canonical_ep(*_ep_image(rule, image, *state))
+            state = _canonical_ep(*_ep_image(kernel, *state))
     while True:
         yield state
         left, mid, right, start = state
         key = left, mid, right
         hit = succ.get(key)
         if hit is None:
-            state = _canonical_ep(*_ep_image(rule, image, *state))
+            state = _canonical_ep(*_ep_image(kernel, *state))
             if state[1] or state[0] != state[2]:
                 succ[key] = (*state[:3], state[3] - start)
         else:

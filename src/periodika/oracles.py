@@ -1,9 +1,10 @@
 """Brute-force oracles that cross-check the coefficient-level criteria.
 
 These work on explicit tables only, so they are independent of the
-additive shortcuts.  Surjectivity is decided on the de Bruijn graph by its
-subset automaton: F is onto iff no word empties the set of all states.
-Equicontinuity is decided by comparing the canonical tables of rule powers
+additive shortcuts, and both read a rule through ``rules._kernel``, its
+table cut to the essential span.  Surjectivity is decided on the de Bruijn
+graph by its subset automaton: F is onto iff no word empties the set of
+all states.  Equicontinuity is decided by comparing the canonical tables of rule powers
 until two are equal; a power that equals an earlier one up to a nonzero
 translation ends the walk, because from there on no two powers can be
 equal.  Both are exact-or-Unknown; neither ever guesses.
@@ -18,6 +19,7 @@ from .rules import (
     ResourceCapError,
     TableRule,
     _compose,
+    _kernel,
     _table_rule,
     _trim,
     pad_table,
@@ -34,23 +36,35 @@ MAX_PRODUCT_CELLS = 250_000
 def surjectivity_oracle(rule: TableRule) -> bool:
     """Exact surjectivity test by the subset automaton of the de Bruijn graph.
 
-    The states of a rule of radius r over k letters are the words of
-    length 2r; reading the window ``u c`` (u a state, c a letter) goes from
-    u to the last 2r letters of ``u c`` and is labelled by the table's
-    output there.  A word has a preimage iff it labels a path, so F is
-    surjective iff no word drives the set of all states to the empty set
-    (Hedlund 1969; Amoroso and Patt 1972).  The sets reachable from the full
-    set, each an int bitmask, are explored exhaustively, and the first
-    empty image answers False.  The window offset is ignored: precomposing
-    with a shift preserves surjectivity.
+    The automaton reads the rule's essential span (see ``rules._kernel``):
+    padding a table or moving its window changes no global map.  For a
+    span of w positions over k letters the states are the words of length
+    w - 1; reading the window ``u c`` (u a state, c a letter) goes from u to
+    the last w - 1 letters of ``u c`` and is labelled by the table's output
+    there.  A word has a preimage iff it labels a path, so F is surjective
+    iff no word drives the set of all states to the empty set (Hedlund
+    1969; Amoroso and Patt 1972).  The sets reachable from the full set,
+    each an int bitmask, are explored exhaustively, and the first empty
+    image answers False.  A span of one position is onto iff its table is
+    a permutation.
     """
-    k, r = rule.alphabet_size, rule.radius
-    states = k ** (2 * r)
+    k = rule.alphabet_size
+    table, width, _, _ = _kernel(rule)
+    if width == 1:
+        return len(set(table)) == k
+    states = k ** (width - 1)
     # moves[u] holds k fields of ``states`` bits: field a is the set of
-    # states u reaches by reading an output a
-    moves = [0] * states
-    for i, a in enumerate(rule.table):
-        moves[i // k] |= 1 << a * states + i % states
+    # states u reaches by reading an output a.  On letter c, u reads
+    # table[u*k + c] and goes to u*k % states + c, a multiple of k plus c,
+    # so its moves are its row's from state 0, shifted by u*k % states
+    rows: dict = {}
+    moves = []
+    for i in range(0, len(table), k):  # i = u*k
+        row = table[i : i + k]
+        mask = rows.get(row)
+        if mask is None:
+            mask = rows[row] = sum(1 << a * states + c for c, a in enumerate(row))
+        moves.append(mask << i % states)
     full = (1 << states) - 1
     seen = {full}
     frontier = [full]
@@ -105,21 +119,15 @@ def equicontinuity_oracle(rule: TableRule) -> EquicontinuityCert | OracleUnknown
     return _packed_power_walk(rule)[0]
 
 
-def _power_walk(rule: TableRule) -> tuple[EquicontinuityCert | OracleUnknown, list[tuple]]:
+def _packed_power_walk(rule: TableRule) -> tuple[EquicontinuityCert | OracleUnknown, list[tuple]]:
     """``equicontinuity_oracle``'s search, returning with its result the
     span tables ``(table, width, lo)`` of ``F^0, F^1, ...`` it built, each
     trimmed to its essential span (see ``rules._trim``); after a
     certificate ``(q, p)`` they are exactly ``F^0 .. F^(q+p)``, after a
-    translated repeat ``F^0 .. F^MAX_POWERS``.  The tables are tuples."""
-    result, powers = _packed_power_walk(rule)
-    return result, [(tuple(table), width, lo) for table, width, lo in powers]
-
-
-def _packed_power_walk(rule: TableRule) -> tuple[EquicontinuityCert | OracleUnknown, list[tuple]]:
-    """``_power_walk`` with the span tables as the walk keeps them: tuples,
-    or ``bytes`` when F's trimmed table has at most 256 entries (the size
-    rule of ``engine._kernel``); ``bytes`` tables are composed by
-    ``rules._compose_bytes``.
+    translated repeat ``F^0 .. F^MAX_POWERS``.  The tables have the type of
+    F's span table in ``rules._kernel``, which the walk starts from:
+    ``bytes`` (composed by ``rules._compose_bytes``) when it has at most
+    256 entries, else tuples.
 
     F^(n+1) = F o F^n is composed over the span of F^n widened by F's, then
     trimmed.  A trimmed table is canonical, so the pair ``(table, width)``
@@ -133,10 +141,8 @@ def _packed_power_walk(rule: TableRule) -> tuple[EquicontinuityCert | OracleUnkn
     constant power trims to ``lo = 0`` and repeats exactly).  The rest of
     the list is those translates, and the result is that walk's."""
     k = rule.alphabet_size
-    f, f_w, f_lo = _trim(rule.table, k, rule.width, rule.offset - rule.radius)
-    pack = bytes if len(f) <= 256 else tuple
-    f = pack(f)
-    cur = pack(range(k)), 1, 0
+    f, f_w, f_lo, _ = _kernel(rule)
+    cur = type(f)(range(k)), 1, 0
     powers = [cur]
     memo = {cur[:2]: 0}
     for n in range(1, MAX_POWERS + 1):

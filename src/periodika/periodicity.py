@@ -56,9 +56,9 @@ from .rules import (
     AdditiveRule,
     NotSurjectiveError,
     TableRule,
-    _is_bijective,
+    _bijective_ends,
+    _kernel,
     _table_size,
-    _trim,
     _window_images,
     table_from_additive,
 )
@@ -128,7 +128,8 @@ def jointly_periodic_points(rule: TableRule, n: int, t_max: int) -> JpCensus:
 def _successors(rule: TableRule, n: int) -> list[int]:
     """Entry ``j`` is the index of the image of the cyclic word ``j`` of
     length ``n``, built level by level for all ``k**n`` words at once."""
-    k, w, table = rule.alphabet_size, rule.width, rule.table
+    k = rule.alphabet_size
+    table, w, lo, _ = _kernel(rule)
     states = k**n
     # G, the image with each window starting at its own cell.  Cells
     # 0 .. n - w read the word linearly; each later cell wraps around and
@@ -143,9 +144,9 @@ def _successors(rule: TableRule, n: int) -> list[int]:
     for i in range(max(0, n - w + 1), n):
         d = k ** (cells - w - i)
         succ = [g * k + table[x // d % top] for g, x in zip(succ, xs)]
-    # the map commutes with rotation: cell c of the image is cell
-    # c + offset - radius of G, so rotate every index left by that much
-    s = (rule.offset - rule.radius) % n
+    # the map commutes with rotation: cell c of the image is cell c + lo
+    # of G, so rotate every index left by that much
+    s = lo % n
     if s:
         low, high = k ** (n - s), k**s
         succ = [g % low * high + g // low for g in succ]
@@ -393,13 +394,11 @@ def _drift_sides(rule: TableRule) -> tuple[int | None, int | None]:
     Either way the deviation boundary is strictly monotone, so no orbit of
     a non-spatially-periodic configuration can return to it.
     """
-    k = rule.alphabet_size
     # a constant rule trims to the single position 0, so neither side drifts
-    table, width, lo = _trim(rule.table, k, rule.width, rule.offset - rule.radius)
+    table, width, lo, _ = _kernel(rule)
     hi = lo + width - 1
-    left = lo if lo != 0 and _is_bijective(table, k, width, 0) else None
-    right = hi if hi != 0 and _is_bijective(table, k, width, width - 1) else None
-    return (left, right)
+    left, right = _bijective_ends(table, rule.alphabet_size, width)
+    return (lo if lo != 0 and left else None, hi if hi != 0 and right else None)
 
 
 def _prune_sides(table: TableRule, additive: AdditiveRule | None):

@@ -14,13 +14,18 @@ Two representations are used throughout the package:
 Table indices are big-endian: the window word ``(x_{-r}, ..., x_r)`` maps
 to ``sum x_j * k^(position from the right)``, which matches the usual
 Wolfram numbering for ``k=2, r=1``.
+
+Padding a table or moving its window changes no global map, so every exact
+reader takes one view of a table rule, ``_kernel``: its table cut to the
+essential span.  Only this module reads a rule's radius and offset.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from itertools import chain, cycle
+from functools import partial
+from itertools import cycle
 
 
 class RuleSpecError(ValueError):
@@ -245,35 +250,6 @@ def power_additive(f: AdditiveRule, h: int) -> AdditiveRule:
     return acc
 
 
-def _fibres(table: tuple[int, ...], k: int, width: int, j: int) -> list[tuple[int, ...]]:
-    """The outputs along window position ``j`` (0-based, left to right) of a
-    table over ``width`` positions and ``k`` letters: one tuple per letter
-    ``a``, holding the output with ``a`` at ``j`` for every assignment of the
-    other positions, in the same order in all ``k`` tuples.
-
-    Column ``i`` of the tuples is the fibre of assignment ``i``: position
-    ``j`` is bijective iff every column holds ``k`` distinct outputs."""
-    n = len(table)
-    stride = k ** (width - 1 - j)
-    block = stride * k
-    # index = base + a * stride + low; read whichever of base / low has the
-    # fewer values as the outer loop, so the slices stay long
-    if stride <= n // block:
-        return [
-            tuple(chain.from_iterable(table[a * stride + low :: block] for low in range(stride)))
-            for a in range(k)
-        ]
-    return [
-        tuple(
-            chain.from_iterable(
-                table[base + a * stride : base + a * stride + stride]
-                for base in range(0, n, block)
-            )
-        )
-        for a in range(k)
-    ]
-
-
 def _is_essential(table, k: int, width: int, j: int) -> bool:
     """Whether a table (a tuple, or ``bytes``) over ``width`` positions
     depends on position ``j`` (0-based, left to right): some letter's
@@ -281,9 +257,9 @@ def _is_essential(table, k: int, width: int, j: int) -> bool:
     n = len(table)
     stride = k ** (width - 1 - j)
     block = stride * k
-    # index = base + a * stride + low, as in _fibres: compare whole slices
-    # against letter 0's, strided by block when there are few lows, else
-    # one block at a time against letter 0's run repeated k - 1 times
+    # index = base + a * stride + low: compare whole slices against letter
+    # 0's, strided by block when there are few lows, else one block at a
+    # time against letter 0's run repeated k - 1 times
     if stride <= n // block:
         for low in range(stride):
             ref = table[low::block]
@@ -296,10 +272,17 @@ def _is_essential(table, k: int, width: int, j: int) -> bool:
     )
 
 
-def _is_bijective(table: tuple[int, ...], k: int, width: int, j: int) -> bool:
-    """Whether a table over ``width`` positions is bijective in position
-    ``j`` (0-based, left to right) for every assignment of the others."""
-    return all(len(set(col)) == k for col in zip(*_fibres(table, k, width, j)))
+def _bijective_ends(table, k: int, width: int) -> tuple[bool, bool]:
+    """Whether a table (a tuple, or ``bytes``) over ``width`` positions is
+    bijective in its first and in its last position, for every assignment
+    of the others."""
+    n = len(table)
+    # position 0 picks one of k leading blocks, and each column across them
+    # must hold k letters; the last position runs through each k-entry run
+    blocks = [table[b : b + n // k] for b in range(0, n, n // k)]
+    left = all(len(set(col)) == k for col in zip(*blocks))
+    right = all(len(set(table[b : b + k])) == k for b in range(0, n, k))
+    return left, right
 
 
 def _essential_ends(table, k: int, width: int) -> tuple[int, int] | None:
@@ -356,6 +339,45 @@ def _span_rule(k: int, table: tuple[int, ...], width: int, lo: int) -> TableRule
     return _table_rule(k, radius, _pad(table, k, 0, 1 - width % 2), lo + radius)
 
 
+def _kernel(rule: TableRule):
+    """``(table, width, lo, image)``: the table of ``rule`` cut to its
+    essential span, over the positions ``lo .. lo + width - 1`` (see
+    ``_trim``), and the reader of its image.  A span table of at most 256
+    entries is ``bytes``, read by ``_byte_image`` (every window of a cell
+    run at once), a wider one a tuple, read by ``_image``; the cells and
+    the image have the type of ``table``.  Built once per rule and kept in
+    its ``__dict__``, beside the fields, which the frozen dataclass
+    compares, hashes and prints without it."""
+    kernel = rule.__dict__.get("_kernel")
+    if kernel is None:
+        k = rule.alphabet_size
+        table, width, lo = _trim(rule.table, k, rule.width, rule.offset - rule.radius)
+        if len(table) > 256:
+            image = partial(_image, table, k, width)
+        else:
+            table = bytes(table)
+            image = partial(_byte_image, table.ljust(256, b"\0"), k, range(8 * width - 8, -8, -8))
+        kernel = rule.__dict__["_kernel"] = table, width, lo, image
+    return kernel
+
+
+def _byte_image(lut: bytes, k: int, shifts: range, cells: bytes) -> bytes:
+    """The image of ``cells``, one byte per letter, under the rule over
+    ``k`` letters whose table, padded to 256 entries, is ``lut``; ``shifts``
+    runs ``8 (width - 1), ..., 8, 0``.
+
+    Byte ``i`` of ``x + (x >> 8) k + (x >> 16) k^2 + ...`` (``width`` terms,
+    ``x`` the cells as one big-endian integer) is the big-endian index of
+    the window that ends at cell ``i``.  Every index is below 256, so no
+    byte carries into the next, and ``translate`` looks them all up."""
+    x = int.from_bytes(cells, "big")
+    idx = 0
+    for bits in shifts:  # the sum above, by Horner's rule
+        idx = idx * k + (x >> bits)
+    # the first width - 1 bytes index incomplete windows and are dropped
+    return idx.to_bytes(len(cells), "big")[len(shifts) - 1 :].translate(lut)
+
+
 def canonicalize_table(rule: TableRule) -> TableRule:
     """Minimal-window form of a table rule.
 
@@ -365,8 +387,8 @@ def canonicalize_table(rule: TableRule) -> TableRule:
     Two table rules induce the same global map iff their canonical forms
     are identical.
     """
-    k = rule.alphabet_size
-    return _span_rule(k, *_trim(rule.table, k, rule.width, rule.offset - rule.radius))
+    table, width, lo, _ = _kernel(rule)
+    return _span_rule(rule.alphabet_size, tuple(table), width, lo)
 
 
 def pad_table(rule: TableRule, radius: int, offset: int = 0) -> TableRule:

@@ -7,10 +7,11 @@ against walks without one, the canonical form of eventually periodic
 configurations against other presentations of the same configuration, the
 window reader ``_cells`` with everything built on it (traces, letterwise
 joins) against ``value_at`` one coordinate at a time, orbit walks on both
-sides of the packed kernel's selection (bytes or tuples) against a step read
-cell by cell, the oracle's power walk over trimmed span tables against a
-walk over padded public tables, and the packed (``bytes``) composition and
-trim of span tables against the tuple route."""
+sides of the packed kernel's selection (bytes or tuples, by the size of the
+essential span) against a step read cell by cell, the oracle's power walk
+over trimmed span tables against a walk over padded public tables, and the
+packed (``bytes``) composition and trim of span tables against the tuple
+route."""
 
 from __future__ import annotations
 
@@ -35,7 +36,6 @@ from periodika.configs import (
 from periodika.engine import (
     CycleResult,
     CycleTimeout,
-    _kernel,
     _orbit,
     space_time,
     step,
@@ -47,16 +47,16 @@ from periodika.oracles import (
     MAX_POWERS,
     EquicontinuityCert,
     OracleUnknown,
-    _power_walk,
+    _packed_power_walk,
     product_rule,
 )
 from periodika.rules import (
     AdditiveRule,
     TableRule,
+    _bijective_ends,
     _compose,
-    _fibres,
-    _is_bijective,
     _is_essential,
+    _kernel,
     _span_rule,
     _trim,
     _window_images,
@@ -205,27 +205,43 @@ def test_padding_and_canonical_form_keep_the_image(case, grow, shift):
     assert canonicalize_table(padded) == canonicalize_table(rule)
 
 
-def _outputs_along(rule, j):
-    """Output tuples as window position ``j`` runs over the alphabet, one per
-    assignment of the other positions."""
-    k = rule.alphabet_size
-    for w in product(range(k), repeat=rule.width):
+def _outputs_along(table, k, width, j):
+    """Output tuples of a table over ``width`` positions and ``k`` letters
+    as window position ``j`` runs over the alphabet, one per assignment of
+    the other positions."""
+    # product() yields the words in big-endian index order, and position j
+    # has place value k^(width - 1 - j)
+    stride = k ** (width - 1 - j)
+    for base, w in enumerate(product(range(k), repeat=width)):
         if w[j] == 0:
-            yield tuple(
-                rule.table[encode_word(w[:j] + (a,) + w[j + 1 :], k)] for a in range(k)
-            )
+            yield tuple(table[base + a * stride] for a in range(k))
+
+
+def _reference_essential(table, k, width):
+    """The positions whose letter changes some output, read off
+    ``_outputs_along``."""
+    return [
+        j for j in range(width) if any(len(set(o)) > 1 for o in _outputs_along(table, k, width, j))
+    ]
+
+
+def _reference_bijective_ends(table, k, width):
+    """Whether every output tuple along the first / the last position holds
+    ``k`` distinct letters."""
+    return tuple(
+        all(len(set(o)) == k for o in _outputs_along(table, k, width, j)) for j in (0, width - 1)
+    )
 
 
 @SETTINGS
 @given(table_rules())
 def test_variable_scans_match_single_position_perturbation(rule):
-    k, width = rule.alphabet_size, rule.width
-    essential = [j for j in range(width) if any(len(set(o)) > 1 for o in _outputs_along(rule, j))]
-    assert [j for j in range(width) if _is_essential(rule.table, k, width, j)] == essential
+    k, width, table = rule.alphabet_size, rule.width, rule.table
+    essential = _reference_essential(table, k, width)
+    assert [j for j in range(width) if _is_essential(table, k, width, j)] == essential
     lo = rule.offset - rule.radius
     assert essential_span(rule) == ((lo + essential[0], lo + essential[-1]) if essential else None)
-    bijective = [all(len(set(o)) == k for o in _outputs_along(rule, j)) for j in range(width)]
-    assert [_is_bijective(rule.table, k, width, j) for j in range(width)] == bijective
+    assert _bijective_ends(table, k, width) == _reference_bijective_ends(table, k, width)
 
 
 SHIFT_RULES = [
@@ -289,18 +305,31 @@ def test_spatially_periodic_ep_config_walks_like_its_cyclic_word(case, phase, st
 # ---------------------------------------------------------------------------
 # the packed window kernel
 
-# (k, radius): tables of 243 and of exactly 256 entries step bytes, tables
-# of 300, 343 and 512 entries step tuples
+# (k, radius): random tables of 243 and of exactly 256 entries step bytes,
+# tables of 300, 343 and 512 entries step tuples
 KERNEL_SHAPES = ((3, 2), (256, 0), (300, 0), (7, 1), (2, 4))
+
+# the pack follows the size of the essential span: both rules read 512
+# window words, the first depends on two positions only (64 entries) and
+# steps bytes, the second on all three and steps tuples
+TRIMMED_RULES = [
+    table_from_additive(parse_rule_spec(spec))
+    for spec in ("additive:m=8;r=1;c=0,3,2", "additive:m=8;r=1;c=4,1,4")
+]
+
+
+@st.composite
+def random_kernel_rules(draw):
+    k, radius = draw(st.sampled_from(KERNEL_SHAPES))
+    rng = Random(draw(st.integers(0, 2**32)))
+    table = tuple(rng.randrange(k) for _ in range(k ** (2 * radius + 1)))
+    return TableRule(k, radius, table, draw(st.integers(-2, 2)))
 
 
 @st.composite
 def kernel_cases(draw):
-    k, radius = draw(st.sampled_from(KERNEL_SHAPES))
-    rng = Random(draw(st.integers(0, 2**32)))
-    table = tuple(rng.randrange(k) for _ in range(k ** (2 * radius + 1)))
-    rule = TableRule(k, radius, table, draw(st.integers(-2, 2)))
-    return rule, draw(configs(k)), draw(st.integers(0, 6))
+    rule = draw(st.one_of(random_kernel_rules(), st.sampled_from(TRIMMED_RULES)))
+    return rule, draw(configs(rule.alphabet_size)), draw(st.integers(0, 6))
 
 
 def _reference_step(rule, x):
@@ -325,8 +354,11 @@ def _reference_step(rule, x):
 @given(kernel_cases())
 def test_packed_kernel_matches_a_per_cell_reference(case):
     rule, x, steps = case
-    pack, _ = _kernel(rule)
-    assert pack is (bytes if len(rule.table) <= 256 else tuple)
+    k = rule.alphabet_size
+    table, width, lo, _ = _kernel(rule)
+    assert (tuple(table), width, lo) == _reference_trim(rule.table, k, rule.width, rule.window[0])
+    pack = type(table)
+    assert pack is (bytes if len(table) <= 256 else tuple)
     want = [x]
     for _ in range(steps):
         want.append(_reference_step(rule, want[-1]))
@@ -336,6 +368,15 @@ def test_packed_kernel_matches_a_per_cell_reference(case):
     rows = tuple(tuple(value_at(y, i) for i in range(-12, 13)) for y in want)
     assert space_time(rule, x, steps, -12, 12).rows == rows
     assert temporal_cycle(rule, x, 12, 64) == _full_walk(rule, x, 12, 64, _reference_step)
+
+
+def test_the_kernel_packs_by_the_size_of_the_essential_span():
+    narrow, wide = TRIMMED_RULES
+    assert len(narrow.table) == len(wide.table) == 512
+    table, width, lo, _ = _kernel(narrow)
+    assert type(table) is bytes and (len(table), width, lo) == (64, 2, 0)
+    table, width, lo, _ = _kernel(wide)
+    assert type(table) is tuple and (len(table), width, lo) == (512, 3, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -378,11 +419,18 @@ def walk_rules(draw):
     return TableRule(k, radius, tuple(perm[w[j]] for w in product(range(k), repeat=2 * radius + 1)), offset)
 
 
+def power_rules(rule):
+    """The power walk's result, with its span tables read as tuples and
+    padded into TableRules."""
+    cert, spans = _packed_power_walk(rule)
+    k = rule.alphabet_size
+    return cert, [_span_rule(k, tuple(table), width, lo) for table, width, lo in spans]
+
+
 @settings(SETTINGS, max_examples=150)
 @given(walk_rules())
 def test_power_walk_matches_a_walk_over_padded_tables(rule):
-    cert, spans = _power_walk(rule)
-    assert (cert, [_span_rule(rule.alphabet_size, *span) for span in spans]) == _reference_walk(rule)
+    assert power_rules(rule) == _reference_walk(rule)
 
 
 def test_power_walk_of_a_shift_stops_at_its_first_translated_repeat(monkeypatch):
@@ -396,10 +444,10 @@ def test_power_walk_of_a_shift_stops_at_its_first_translated_repeat(monkeypatch)
 
     monkeypatch.setattr(oracles, "_compose", counted)
     rule = table_from_additive(parse_rule_spec("additive:m=2;r=1;c=0,0,1"))
-    cert, spans = _power_walk(rule)
+    cert, powers = power_rules(rule)
     assert len(calls) == 1
     assert cert == OracleUnknown("power budget exhausted", MAX_POWERS)
-    assert (cert, [_span_rule(2, *span) for span in spans]) == _reference_walk(rule)
+    assert (cert, powers) == _reference_walk(rule)
 
 
 @st.composite
@@ -425,9 +473,9 @@ def compose_cases(draw):
 
 
 def _reference_trim(table, k, width, lo):
-    """``_trim`` from the fibre test: the kept positions read with every
-    stripped position at letter 0."""
-    ends = [j for j in range(width) if (out := _fibres(table, k, width, j)).count(out[0]) < k]
+    """``_trim`` from single-position perturbation: the kept positions read
+    with every stripped position at letter 0."""
+    ends = _reference_essential(table, k, width)
     if not ends:
         return (table[0],) * k, 1, 0
     first, last = ends[0], ends[-1]
@@ -449,6 +497,8 @@ def test_packed_composition_and_trim_match_the_tuple_route(case):
         table_, w_, lo_ = _reference_trim(table, k, w, lo)
         assert _trim(table, k, w, lo) == (table_, w_, lo_)
         assert _trim(bytes(table), k, w, lo) == (bytes(table_), w_, lo_)
+        ends = _reference_bijective_ends(table, k, w)
+        assert _bijective_ends(table, k, w) == _bijective_ends(bytes(table), k, w) == ends
 
 
 # rules over more than 256 window words keep tuples in the power walk
@@ -461,8 +511,7 @@ def test_wide_rules_compose_and_walk_like_their_additive_powers():
         assert len(rule.table) > 256 and canonicalize_table(rule) == rule
         square = table_from_additive(power_additive(f, 2))
         assert canonicalize_table(compose_table(rule, rule)) == canonicalize_table(square)
-        cert, spans = _power_walk(rule)
-        powers = [_span_rule(rule.alphabet_size, *span) for span in spans]
+        cert, powers = power_rules(rule)
         assert (cert, powers) == _reference_walk(rule)
         assert isinstance(cert, OracleUnknown) and len(powers) >= 2
         for n, power in enumerate(powers[1:], 1):
@@ -474,9 +523,9 @@ def test_every_table_the_package_returns_is_a_tuple():
     rules = [small, identity_rule(4), TableRule.from_wolfram(110)] + list(map(table_from_additive, WIDE_RULES))
     out = []
     for rule in rules:
-        spans = _power_walk(rule)[1]
-        assert all(type(table) is tuple for table, _, _ in spans)
-        out += [_span_rule(rule.alphabet_size, *span) for span in spans]
+        # the walk keeps the kernel's pack, and builds no TableRule
+        pack = type(_kernel(rule)[0])
+        assert all(type(table) is pack for table, _, _ in _packed_power_walk(rule)[1])
         out += [rule, canonicalize_table(rule), compose_table(rule, rule), pad_table(rule, rule.radius + 1)]
         out.append(product_rule(rule, identity_rule(2)))
     for rule in out:

@@ -14,14 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from test_kernel_properties import table_rules
+from test_kernel_properties import power_rules, table_rules
 from periodika import oracles
 from periodika.configs import CyclicConfig, EpConfig, equals, map_letters, product_config
 from periodika.engine import step
 from periodika.oracles import (
     EquicontinuityCert,
     OracleUnknown,
-    _power_walk,
     equicontinuity_oracle,
     product_rule,
     surjectivity_oracle,
@@ -32,7 +31,6 @@ from periodika.rules import (
     AdditiveRule,
     ResourceCapError,
     TableRule,
-    _span_rule,
     canonicalize_table,
     compose_table,
     encode_word,
@@ -120,6 +118,17 @@ def test_surjectivity_oracle_agrees_with_preimage_counts_on_drawn_tables(table):
     assert surjectivity_oracle(table) == _preimage_count_surjectivity(table)
 
 
+def test_surjectivity_oracle_reads_the_essential_span():
+    # the automaton runs on the span alone: a padded, moved window gives
+    # the same answer, and so does the count-vector walk over all 2^6
+    # states of the padded window
+    for code in range(256):
+        rule = TableRule.from_wolfram(code)
+        padded = pad_table(rule, 3, 1)
+        assert surjectivity_oracle(padded) == surjectivity_oracle(rule), code
+        assert surjectivity_oracle(rule) == _preimage_count_surjectivity(padded), code
+
+
 def test_surjectivity_oracle_refuses_past_its_cap(monkeypatch):
     # onto, and the all-states set has a proper image, so a second set is met
     assert surjectivity_oracle(M4_TABLE)
@@ -200,8 +209,7 @@ def _walk_records():
     ]
     for label, rule in labelled:
         # equicontinuity_oracle(rule) is the walk's first result
-        cert, spans = _power_walk(rule)
-        powers = [_span_rule(rule.alphabet_size, *span) for span in spans]
+        cert, powers = power_rules(rule)
         digest = hashlib.sha256(repr([(p.radius, p.offset, p.table) for p in powers]).encode())
         yield {
             "rule": label,

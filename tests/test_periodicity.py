@@ -9,6 +9,7 @@ from itertools import permutations, product
 
 import pytest
 
+from test_kernel_properties import power_rules
 from periodika.configs import (
     CyclicConfig,
     EpConfig,
@@ -18,9 +19,9 @@ from periodika.configs import (
     value_at,
 )
 from periodika import periodicity
-from periodika.engine import CycleResult, CycleTimeout, _kernel, step
+from periodika.engine import CycleResult, CycleTimeout, step
 from periodika.additive import is_surjective_additive
-from periodika.oracles import EquicontinuityCert, _power_walk, product_rule
+from periodika.oracles import EquicontinuityCert, _packed_power_walk, product_rule
 from periodika.periodicity import (
     BlockingCert,
     BlockingMiss,
@@ -41,7 +42,7 @@ from periodika.rules import (
     NotSurjectiveError,
     ResourceCapError,
     TableRule,
-    _span_rule,
+    _kernel,
     identity_rule,
     encode_word,
     essential_span,
@@ -225,8 +226,8 @@ def _spans_fit(spans, j, s, word_len):
 def _first_fitting_word(rule, k_max):
     """The exact branch as a plain search: the first ``(word_len, u, j)``
     whose column holds the dependence window of every power."""
-    cert, powers = _power_walk(rule)
-    spans = [essential_span(_span_rule(rule.alphabet_size, *t)) for t in powers]
+    cert, powers = power_rules(rule)
+    spans = [essential_span(power) for power in powers]
     s = max(rule.radius, 1)
     for word_len in range(s, k_max + 1):
         for u in product(range(rule.alphabet_size), repeat=word_len):
@@ -243,7 +244,7 @@ def test_exact_blocking_word_is_the_first_word_whose_column_fits():
     rules += [
         TableRule(3, 1, tuple(p[w // 3 % 3] for w in range(27))) for p in permutations(range(3))
     ]
-    certified = [rule for rule in rules if isinstance(_power_walk(rule)[0], EquicontinuityCert)]
+    certified = [rule for rule in rules if isinstance(_packed_power_walk(rule)[0], EquicontinuityCert)]
     assert len(certified) == 70
     for rule in certified:
         for k_max in range(9):
@@ -500,8 +501,8 @@ def test_return_witness_rechecks_without_the_successor_memo():
     # a memo that maps y to itself makes the cycle detection see a return
     # after one step; the re-check walks the orbit afresh and refuses it
     y = EpConfig(2, (0,), (1,), (0,), 0)
-    pack, _ = _kernel(RULE90)
-    key = tuple(map(pack, (y.left, y.mid, y.right)))  # memo keys are packed states
+    pack = type(_kernel(RULE90)[0])  # memo keys are packed states
+    key = tuple(map(pack, (y.left, y.mid, y.right)))
     poisoned = {key: (*key, 0)}
     with pytest.raises(AssertionError, match="re-verification at period 1"):
         periodicity._return_witness(RULE90, y, 8, succ=poisoned)

@@ -10,13 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_kernel_properties import power_rules
 from periodika.configs import CyclicConfig, EpConfig, equals
 from periodika.engine import step
 from periodika.oracles import (
     MAX_POWER_CELLS,
     MAX_POWERS,
     EquicontinuityCert,
-    _power_walk,
     product_rule,
 )
 from periodika.rules import (
@@ -24,8 +24,7 @@ from periodika.rules import (
     ResourceCapError,
     RuleSpecError,
     TableRule,
-    _is_bijective,
-    _span_rule,
+    _bijective_ends,
     _table_rule,
     canonicalize_table,
     compose_additive,
@@ -298,11 +297,7 @@ def test_derived_tables_pass_the_public_checks():
         product_rule(m4, rule90),
         table_from_additive(AdditiveRule(6, 2, {-2: 5, 1: 3})),
     ]
-    derived += [
-        _span_rule(rule.alphabet_size, *span)
-        for rule in (rule90, m4, shift)
-        for span in _power_walk(rule)[1]
-    ]
+    derived += [power for rule in (rule90, m4, shift) for power in power_rules(rule)[1]]
     for rule in derived:
         assert TableRule(rule.alphabet_size, rule.radius, rule.table, rule.offset) == rule
 
@@ -412,8 +407,7 @@ def test_table_powers_match_additive_powers_up_to_the_oracle_cap():
                 built.append(cur)
                 widest = max(widest, width)
             # the walk builds the same powers, up to its first repeat
-            cert, spans = _power_walk(table)
-            powers = [_span_rule(m, *span) for span in spans]
+            cert, powers = power_rules(table)
             assert powers == built[: len(powers)], (m, coeffs)
             assert isinstance(cert, EquicontinuityCert) or powers == built, (m, coeffs)
     assert widest == 13  # m = 2 reaches the oracle's widest tables, 2^13 entries
@@ -473,8 +467,7 @@ def test_padding_preserves_the_global_map():
 
 def _permutative_sides(rule: TableRule) -> tuple[bool, bool]:
     """Whether the table is bijective in its leftmost / rightmost variable."""
-    k, width = rule.alphabet_size, rule.width
-    return (_is_bijective(rule.table, k, width, 0), _is_bijective(rule.table, k, width, width - 1))
+    return _bijective_ends(rule.table, rule.alphabet_size, rule.width)
 
 
 def test_permutativity_examples():
