@@ -35,7 +35,6 @@ from .configs import (
     ConfigSpecError,
     CyclicConfig,
     EpConfig,
-    equals,
     is_spatially_periodic,
     join_letterwise,
     map_letters,
@@ -44,7 +43,6 @@ from .configs import (
     product_config,
     render_config,
     shift,
-    value_at,
 )
 from .engine import (
     CycleResult,
@@ -60,7 +58,6 @@ from .oracles import (
     EquicontinuityCert,
     OracleUnknown,
     equicontinuity_oracle,
-    product_rule,
     surjectivity_oracle,
 )
 from .periodicity import (
@@ -89,12 +86,9 @@ from .rules import (
     canonicalize_table,
     compose_additive,
     compose_table,
-    encode_word,
-    essential_span,
-    identity_rule,
-    pad_table,
     parse_rule_spec,
     power_additive,
+    product_rule,
     render_rule_spec,
     table_from_additive,
 )

@@ -14,7 +14,8 @@ letters that match a tail are absorbed into it, and configurations with
 empty mid are anchored (spatially periodic ones at coordinate 0,
 two-regime ones at the leftmost possible boundary).  Equality of the
 frozen dataclasses therefore decides equality of the configurations they
-denote.
+denote, within one class; across the two, the canonical states of
+``_state`` are equal iff the configurations are.
 """
 
 from __future__ import annotations
@@ -170,17 +171,6 @@ def _ep(alphabet_size: int, left, mid, right, start: int) -> EpConfig:
     return x
 
 
-def value_at(x: Config, i: int) -> int:
-    """Letter at coordinate ``i``."""
-    if isinstance(x, CyclicConfig):
-        return x.word[i % len(x.word)]
-    if i < x.start:
-        return x.left[(i - x.start) % len(x.left)]
-    if i < x.end:
-        return x.mid[i - x.start]
-    return x.right[(i - x.end) % len(x.right)]
-
-
 def _state(x: Config):
     """Canonical ``(left, mid, right, start)`` of ``x``; the cyclic word ``w``
     is ``(w, (), w, 0)``, its canonical form as an ``EpConfig``."""
@@ -223,13 +213,6 @@ def is_spatially_periodic(x: Config) -> bool:
     if isinstance(x, CyclicConfig):
         return True
     return not x.mid and x.left == x.right
-
-
-def equals(x: Config, y: Config) -> bool:
-    """Exact equality of the denoted configurations (cross-class aware)."""
-    if x.alphabet_size != y.alphabet_size:
-        raise ValueError("alphabet mismatch")
-    return _state(x) == _state(y)
 
 
 def map_letters(x: Config, fn, alphabet_size: int) -> Config:

@@ -4,33 +4,24 @@ These work on explicit tables only, so they are independent of the
 additive shortcuts, and both read a rule through ``rules._kernel``, its
 table cut to the essential span.  Surjectivity is decided on the de Bruijn
 graph by its subset automaton: F is onto iff no word empties the set of
-all states.  Equicontinuity is decided by comparing the canonical tables of rule powers
-until two are equal; a power that equals an earlier one up to a nonzero
-translation ends the walk, because from there on no two powers can be
-equal.  Both are exact-or-Unknown; neither ever guesses.
+all states.  Equicontinuity is decided by comparing the canonical tables
+of rule powers until two are equal; a power that equals an earlier one up
+to a nonzero translation ends the walk, because from there on no two
+powers can be equal.  Both are exact-or-Unknown; neither ever guesses.
+Only the power walk's table cap reads the declared radius of the rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
-from .rules import (
-    ResourceCapError,
-    TableRule,
-    _compose,
-    _kernel,
-    _table_rule,
-    _trim,
-    pad_table,
-)
+from .rules import ResourceCapError, TableRule, _compose, _kernel, _trim
 
 # Caps on the oracles' exact work; hitting one raises ``ResourceCapError``
 # or yields ``OracleUnknown``, never a wrong verdict.
 MAX_PREIMAGE_VECTORS = 1_000_000  # state sets of the subset automaton
 MAX_POWERS = 64
 MAX_POWER_CELLS = 30_000
-MAX_PRODUCT_CELLS = 250_000
 
 
 def surjectivity_oracle(rule: TableRule) -> bool:
@@ -133,7 +124,10 @@ def _packed_power_walk(rule: TableRule) -> tuple[EquicontinuityCert | OracleUnkn
     trimmed.  A trimmed table is canonical, so the pair ``(table, width)``
     keys the repeat memo as it is, and ``lo`` tells an exact repeat from a
     translated one.  The cap test reads ``width // 2``, the radius of the
-    canonical TableRule, as if the padded tables were composed.
+    power's canonical TableRule, and ``rule.radius``, the declared radius
+    of F, not that of its kernel: it caps the table of the canonical power
+    composed with F's table as declared, so a padded F reaches the cap at
+    a lower power than its canonical form.
 
     After a translated repeat ``F^n = s^t o F^q`` every later power is the
     one ``p = n - q`` back, moved by t; its width is one the cap test has
@@ -162,19 +156,3 @@ def _packed_power_walk(rule: TableRule) -> tuple[EquicontinuityCert | OracleUnkn
             break
     return OracleUnknown("power budget exhausted", MAX_POWERS), powers
 
-
-def product_rule(f: TableRule, g: TableRule) -> TableRule:
-    """Table of the product map (F x G) over the fused alphabet ``a*kg + b``."""
-    radius = max(f.radius + abs(f.offset), g.radius + abs(g.offset))
-    kf, kg = f.alphabet_size, g.alphabet_size
-    k = kf * kg
-    width = 2 * radius + 1
-    if k**width > MAX_PRODUCT_CELLS:
-        raise ResourceCapError("product table too large")
-    fp = pad_table(f, radius, 0)
-    gp = pad_table(g, radius, 0)
-    table = tuple(
-        fp(d // kg for d in word) * kg + gp(d % kg for d in word)
-        for word in product(range(k), repeat=width)
-    )
-    return _table_rule(k, radius, table)

@@ -46,12 +46,7 @@ from .configs import (
     product_config,
 )
 from .engine import CycleResult, CycleTimeout, _cycle, _orbit, step
-from .oracles import (
-    EquicontinuityCert,
-    _packed_power_walk,
-    product_rule,
-    surjectivity_oracle,
-)
+from .oracles import EquicontinuityCert, _packed_power_walk, surjectivity_oracle
 from .rules import (
     AdditiveRule,
     NotSurjectiveError,
@@ -60,6 +55,7 @@ from .rules import (
     _kernel,
     _table_size,
     _window_images,
+    product_rule,
     table_from_additive,
 )
 
@@ -248,6 +244,7 @@ def blocking_word_search(
     if min(k_max, steps) < 0 or bg_period < 1:
         raise ValueError("k_max and steps must be non-negative and bg_period positive")
     k = rule.alphabet_size
+    # the column is as wide as the declared radius, not the kernel's span
     s = max(rule.radius, 1)
     cert, powers = _packed_power_walk(rule)
     if isinstance(cert, EquicontinuityCert):
@@ -504,13 +501,14 @@ def stp_empty_scan(
         return ScanResult(bounds, examined, (), False)
 
     _table_size(k, mid_len_max)
+    # the mid grows by at most width - 1 per step, so this cap never binds
+    max_mid = mid_len_max + (_kernel(table)[1] - 1) * t_max
     examined = 0
     violations: list[StpWitness] = []
     succ: dict = {}
     for y in candidates():
         examined += 1
-        # the mid grows by at most width - 1 per step, so this cap never binds
-        res = _return_witness(table, y, t_max, mid_len_max + (table.width - 1) * t_max, succ)
+        res = _return_witness(table, y, t_max, max_mid, succ)
         if isinstance(res, StpWitness):
             violations.append(res)
             if len(violations) == max_violations:

@@ -17,7 +17,12 @@ Wolfram numbering for ``k=2, r=1``.
 
 Padding a table or moving its window changes no global map, so every exact
 reader takes one view of a table rule, ``_kernel``: its table cut to the
-essential span.  Only this module reads a rule's radius and offset.
+essential span.  The builders of new tables (``TableRule.from_wolfram``,
+``table_from_additive``, ``compose_table`` and ``product_rule``) refuse a
+table of more than ``MAX_TABLE_ENTRIES`` entries before building it.
+Outside this module only two routines read a rule's declared radius: the
+table cap of the oracles' power walk and the column of the blocking word
+search; none reads its offset.
 """
 
 from __future__ import annotations
@@ -103,14 +108,6 @@ class TableRule:
     def width(self) -> int:
         return 2 * self.radius + 1
 
-    @property
-    def window(self) -> tuple[int, int]:
-        """Leftmost and rightmost window position relative to the cell."""
-        return (self.offset - self.radius, self.offset + self.radius)
-
-    def __call__(self, word) -> int:
-        return self.table[encode_word(word, self.alphabet_size)]
-
     @classmethod
     def from_wolfram(cls, code: int, alphabet_size: int = 2, radius: int = 1) -> "TableRule":
         """Build the rule numbered ``code`` in the Wolfram convention.
@@ -147,18 +144,6 @@ def _table_rule(
     # the frozen dataclass blocks attribute assignment, not its __dict__
     rule.__dict__.update(alphabet_size=alphabet_size, radius=radius, table=table, offset=offset)
     return rule
-
-
-def encode_word(word, alphabet_size: int) -> int:
-    """Big-endian base-``alphabet_size`` value of a letter sequence."""
-    idx = 0
-    for a in word:
-        idx = idx * alphabet_size + a
-    return idx
-
-
-def identity_rule(alphabet_size: int) -> TableRule:
-    return TableRule(alphabet_size, 0, tuple(range(alphabet_size)))
 
 
 @dataclass(frozen=True)
@@ -285,35 +270,16 @@ def _bijective_ends(table, k: int, width: int) -> tuple[bool, bool]:
     return left, right
 
 
-def _essential_ends(table, k: int, width: int) -> tuple[int, int] | None:
-    """First and last essential position (0-based) of a table over ``width``
-    positions, or None when it is constant."""
-    # only the outermost essential positions matter: scan in from both ends
-    first = next((j for j in range(width) if _is_essential(table, k, width, j)), None)
-    if first is None:
-        return None
-    last = next(j for j in reversed(range(first, width)) if _is_essential(table, k, width, j))
-    return first, last
-
-
-def essential_span(rule: TableRule) -> tuple[int, int] | None:
-    """Exact dependence span relative to the cell, or None for constant rules."""
-    ends = _essential_ends(rule.table, rule.alphabet_size, rule.width)
-    if ends is None:
-        return None
-    lo = rule.offset - rule.radius
-    return (lo + ends[0], lo + ends[1])
-
-
 def _trim(table, k: int, width: int, lo: int) -> tuple:
     """A span table -- ``table`` over the ``width`` positions ``lo ..`` --
     cut to its essential span, as ``(table, width, lo)``, the table of the
     same type (tuple or ``bytes``).  A constant map keeps one inessential
     position, at 0."""
-    ends = _essential_ends(table, k, width)
-    if ends is None:
+    # only the outermost essential positions matter: scan in from both ends
+    first = next((j for j in range(width) if _is_essential(table, k, width, j)), None)
+    if first is None:
         return table[:1] * k, 1, 0
-    first, last = ends
+    last = next(j for j in reversed(range(first, width)) if _is_essential(table, k, width, j))
     # the kept positions read with every stripped position at letter 0
     return table[: k ** (width - first) : k ** (width - 1 - last)], last - first + 1, lo + first
 
@@ -391,19 +357,6 @@ def canonicalize_table(rule: TableRule) -> TableRule:
     return _span_rule(rule.alphabet_size, tuple(table), width, lo)
 
 
-def pad_table(rule: TableRule, radius: int, offset: int = 0) -> TableRule:
-    """Re-express ``rule`` over the window ``offset +- radius``.
-
-    The new window must contain the old one.
-    """
-    k = rule.alphabet_size
-    (old_lo, old_hi), lo, hi = rule.window, offset - radius, offset + radius
-    if lo > old_lo or hi < old_hi:
-        raise ValueError("padded window must contain the original window")
-    _table_size(k, 2 * radius + 1)
-    return _table_rule(k, radius, _pad(rule.table, k, old_lo - lo, hi - old_hi), offset)
-
-
 def _window_images(table, k: int, width: int, length: int) -> list[int]:
     """Entry ``j`` is the big-endian index of the image of word ``j`` of
     ``length >= width`` cells, one output letter per full window."""
@@ -451,6 +404,31 @@ def compose_table(f: TableRule, g: TableRule) -> TableRule:
     _table_size(k, 2 * radius + 1)
     table = _compose(k, f.table, f.width, g.table, g.width)
     return _table_rule(k, radius, table, f.offset + g.offset)
+
+
+def product_rule(f: TableRule, g: TableRule) -> TableRule:
+    """Table of the product map F x G over the fused alphabet ``a*kg + b``
+    (``a`` a letter of ``f``, ``b`` one of ``g``).
+
+    Both factors are read over the union of their essential spans (see
+    ``_kernel``): the product depends on a position iff F or G does."""
+    kf, kg = f.alphabet_size, g.alphabet_size
+    k = kf * kg
+    ft, f_w, f_lo, _ = _kernel(f)
+    gt, g_w, g_lo, _ = _kernel(g)
+    lo, end = min(f_lo, g_lo), max(f_lo + f_w, g_lo + g_w)
+    width = end - lo
+    _table_size(k, width)
+    ft = _pad(ft, kf, f_lo - lo, end - f_lo - f_w)
+    gt = _pad(gt, kg, g_lo - lo, end - g_lo - g_w)
+    # one level per window position, left to right (big-endian): the fused
+    # letter a*kg + b extends every f-index by a and every g-index by b
+    fi, gi = [0], [0]
+    f_letters, g_letters = [d // kg for d in range(k)], [d % kg for d in range(k)]
+    for _ in range(width):
+        fi = [i * kf + a for i in fi for a in f_letters]
+        gi = [i * kg + b for i in gi for b in g_letters]
+    return _span_rule(k, tuple([ft[i] * kg + gt[j] for i, j in zip(fi, gi)]), width, lo)
 
 
 _ADDITIVE_RE = re.compile(r"^m=(\d+);r=(\d+);c=(-?\d+(?:,-?\d+)*)$")

@@ -1,0 +1,104 @@
+"""Reference readings of rules and configurations for the tests, written
+from the definitions and independent of the package's table and
+configuration kernels: window words encoded letter by letter, tables
+padded word by word, essential positions found entry by entry, letters
+read off a configuration's presentation and configurations compared
+letter by letter."""
+
+from __future__ import annotations
+
+from itertools import product
+from math import lcm
+
+from periodika.configs import CyclicConfig
+from periodika.rules import TableRule
+
+
+def encode_word(word, k: int) -> int:
+    """Big-endian base-``k`` value of a letter sequence."""
+    idx = 0
+    for a in word:
+        idx = idx * k + a
+    return idx
+
+
+def window(rule: TableRule) -> tuple[int, int]:
+    """Leftmost and rightmost position, relative to the updated cell, of the
+    window ``rule`` declares."""
+    return rule.offset - rule.radius, rule.offset + rule.radius
+
+
+def identity_rule(k: int) -> TableRule:
+    return TableRule(k, 0, tuple(range(k)))
+
+
+def pad_table(rule: TableRule, radius: int, offset: int = 0) -> TableRule:
+    """``rule`` over the window ``offset +- radius``, which must contain its
+    own: each word of the new window looks up the letters under the old."""
+    k = rule.alphabet_size
+    (old_lo, old_hi), lo = window(rule), offset - radius
+    if lo > old_lo or offset + radius < old_hi:
+        raise ValueError("padded window must contain the original window")
+    kept = range(old_lo - lo, old_hi - lo + 1)
+    table = tuple(
+        rule.table[encode_word([w[j] for j in kept], k)]
+        for w in product(range(k), repeat=2 * radius + 1)
+    )
+    return TableRule(k, radius, table, offset)
+
+
+def essential_positions(table, k: int, width: int) -> list[int]:
+    """The positions (0-based, left to right) of a table over ``width``
+    positions and ``k`` letters on which some output depends: position j
+    is essential iff some entry differs from the entry of its word with
+    letter 0 at j."""
+    out = []
+    for j in range(width):
+        stride = k ** (width - 1 - j)
+        # i // stride % k is the letter at j of word i
+        if any(table[i] != table[i - i // stride % k * stride] for i in range(len(table))):
+            out.append(j)
+    return out
+
+
+def essential_span(rule: TableRule) -> tuple[int, int] | None:
+    """Exact dependence span relative to the cell, or None for a constant
+    rule."""
+    essential = essential_positions(rule.table, rule.alphabet_size, rule.width)
+    if not essential:
+        return None
+    lo = window(rule)[0]
+    return lo + essential[0], lo + essential[-1]
+
+
+def value_at(x, i: int) -> int:
+    """Letter at coordinate ``i`` of a configuration."""
+    if isinstance(x, CyclicConfig):
+        return x.word[i % len(x.word)]
+    if i < x.start:
+        return x.left[(i - x.start) % len(x.left)]
+    if i < x.end:
+        return x.mid[i - x.start]
+    return x.right[(i - x.end) % len(x.right)]
+
+
+def _extent(x):
+    """Start and end of the mid (0, 0 for a cyclic word), and the tail lengths."""
+    if isinstance(x, CyclicConfig):
+        return 0, 0, (len(x.word),)
+    return x.start, x.end, (len(x.left), len(x.right))
+
+
+def equals(x, y) -> bool:
+    """Whether two configurations over one alphabet agree at every
+    coordinate.  Left of both mids and right of both, both are periodic
+    with periods dividing ``p``, the lcm of all tail lengths, so ``p``
+    coordinates more on each side decide the rest.  Equal fields denote
+    equal configurations, whether or not they are canonical."""
+    if x.alphabet_size != y.alphabet_size:
+        raise ValueError("alphabet mismatch")
+    if x == y:
+        return True
+    (xs, xe, xp), (ys, ye, yp) = _extent(x), _extent(y)
+    p = lcm(*xp, *yp)
+    return all(value_at(x, i) == value_at(y, i) for i in range(min(xs, ys) - p, max(xe, ye) + p))

@@ -30,18 +30,12 @@ from periodika.additive import (
     permutative_power,
     report_to_json,
 )
-from periodika.configs import (
-    CyclicConfig,
-    equals,
-    is_spatially_periodic,
-    render_config,
-    shift,
-)
+from reference_helpers import equals
+from periodika.configs import CyclicConfig, is_spatially_periodic, render_config, shift
 from periodika.engine import step
 from periodika.oracles import (
     EquicontinuityCert,
     equicontinuity_oracle,
-    product_rule,
     surjectivity_oracle,
 )
 from periodika.periodicity import (
@@ -52,7 +46,7 @@ from periodika.periodicity import (
     stp_witness,
     stp_witness_additive,
 )
-from periodika.rules import AdditiveRule, power_additive, table_from_additive
+from periodika.rules import AdditiveRule, power_additive, product_rule, table_from_additive
 
 GOLDEN = Path(__file__).parent / "golden"
 

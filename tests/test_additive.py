@@ -36,7 +36,8 @@ from periodika.additive import (
     report_to_json,
 )
 from periodika.additive import _MR_BOUND, _TRIAL_LIMIT
-from periodika.configs import CyclicConfig, EpConfig, equals
+from reference_helpers import equals
+from periodika.configs import CyclicConfig, EpConfig
 from periodika.rules import (
     AdditiveRule,
     NotSurjectiveError,

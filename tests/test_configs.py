@@ -10,13 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_helpers import equals, value_at
 from periodika.configs import (
     ConfigSpecError,
     CyclicConfig,
     EpConfig,
     _cyclic,
     _ep,
-    equals,
     is_spatially_periodic,
     join_letterwise,
     map_letters,
@@ -25,7 +25,6 @@ from periodika.configs import (
     product_config,
     render_config,
     shift,
-    value_at,
 )
 
 

@@ -7,13 +7,8 @@ from itertools import product
 
 import pytest
 
-from periodika.configs import (
-    CyclicConfig,
-    EpConfig,
-    equals,
-    shift,
-    value_at,
-)
+from reference_helpers import equals, identity_rule
+from periodika.configs import CyclicConfig, EpConfig, shift
 from periodika.engine import (
     CycleResult,
     CycleTimeout,
@@ -26,7 +21,6 @@ from periodika.engine import (
 from periodika.rules import (
     AdditiveRule,
     TableRule,
-    identity_rule,
     power_additive,
     table_from_additive,
 )

@@ -1,17 +1,17 @@
 """Property tests that pin the window kernel to definitions that do not use
 it: stepping, composition, padding, canonicalisation and the per-variable
-scans are each checked against a direct reading of the table through
-``encode_word`` and ``value_at``, orbit detection against a walk that
+scans are each checked against a direct reading of the table through the
+definitions in ``reference_helpers``, orbit detection against a walk that
 memoises every state exactly, orbit walks through a shared successor memo
 against walks without one, the canonical form of eventually periodic
 configurations against other presentations of the same configuration, the
 window reader ``_cells`` with everything built on it (traces, letterwise
-joins) against ``value_at`` one coordinate at a time, orbit walks on both
-sides of the packed kernel's selection (bytes or tuples, by the size of the
-essential span) against a step read cell by cell, the oracle's power walk
-over trimmed span tables against a walk over padded public tables, and the
-packed (``bytes``) composition and trim of span tables against the tuple
-route."""
+joins) against the reference ``value_at`` one coordinate at a time, orbit
+walks on both sides of the packed kernel's selection (bytes or tuples, by
+the size of the essential span) against a step read cell by cell, the
+oracle's power walk over trimmed span tables against a walk over padded
+public tables, and the packed (``bytes``) composition and trim of span
+tables against the tuple route."""
 
 from __future__ import annotations
 
@@ -28,10 +28,8 @@ from periodika.configs import (
     _canonical_ep,
     _cells,
     _state,
-    equals,
     join_letterwise,
     shift,
-    value_at,
 )
 from periodika.engine import (
     CycleResult,
@@ -48,7 +46,6 @@ from periodika.oracles import (
     EquicontinuityCert,
     OracleUnknown,
     _packed_power_walk,
-    product_rule,
 )
 from periodika.rules import (
     AdditiveRule,
@@ -62,13 +59,20 @@ from periodika.rules import (
     _window_images,
     canonicalize_table,
     compose_table,
+    parse_rule_spec,
+    power_additive,
+    product_rule,
+    table_from_additive,
+)
+from reference_helpers import (
     encode_word,
+    equals,
+    essential_positions,
     essential_span,
     identity_rule,
     pad_table,
-    parse_rule_spec,
-    power_additive,
-    table_from_additive,
+    value_at,
+    window,
 )
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -124,11 +128,11 @@ def _coordinates(x, margin):
 @given(rule_and_config())
 def test_step_reads_the_table_at_every_window(case):
     rule, x = case
-    lo, hi = rule.window
+    lo, hi = window(rule)
     y = step(rule, x)
     for i in _coordinates(x, 12 + rule.width + abs(rule.offset)):
-        window = [value_at(x, c) for c in range(i + lo, i + hi + 1)]
-        assert value_at(y, i) == rule.table[encode_word(window, rule.alphabet_size)]
+        cells = [value_at(x, c) for c in range(i + lo, i + hi + 1)]
+        assert value_at(y, i) == rule.table[encode_word(cells, rule.alphabet_size)]
 
 
 @SETTINGS
@@ -217,14 +221,6 @@ def _outputs_along(table, k, width, j):
             yield tuple(table[base + a * stride] for a in range(k))
 
 
-def _reference_essential(table, k, width):
-    """The positions whose letter changes some output, read off
-    ``_outputs_along``."""
-    return [
-        j for j in range(width) if any(len(set(o)) > 1 for o in _outputs_along(table, k, width, j))
-    ]
-
-
 def _reference_bijective_ends(table, k, width):
     """Whether every output tuple along the first / the last position holds
     ``k`` distinct letters."""
@@ -237,10 +233,11 @@ def _reference_bijective_ends(table, k, width):
 @given(table_rules())
 def test_variable_scans_match_single_position_perturbation(rule):
     k, width, table = rule.alphabet_size, rule.width, rule.table
-    essential = _reference_essential(table, k, width)
+    essential = essential_positions(table, k, width)
     assert [j for j in range(width) if _is_essential(table, k, width, j)] == essential
-    lo = rule.offset - rule.radius
-    assert essential_span(rule) == ((lo + essential[0], lo + essential[-1]) if essential else None)
+    # the kernel spans the essential positions; a constant one keeps position 0
+    _, kernel_width, kernel_lo, _ = _kernel(rule)
+    assert (kernel_lo, kernel_lo + kernel_width - 1) == (essential_span(rule) or (0, 0))
     assert _bijective_ends(table, k, width) == _reference_bijective_ends(table, k, width)
 
 
@@ -335,7 +332,7 @@ def kernel_cases(draw):
 def _reference_step(rule, x):
     """One step of ``x``, each image letter read off ``value_at`` through
     ``encode_word``."""
-    k, (lo, hi) = rule.alphabet_size, rule.window
+    k, (lo, hi) = rule.alphabet_size, window(rule)
 
     def image(i):
         return rule.table[encode_word([value_at(x, c) for c in range(i + lo, i + hi + 1)], k)]
@@ -356,7 +353,7 @@ def test_packed_kernel_matches_a_per_cell_reference(case):
     rule, x, steps = case
     k = rule.alphabet_size
     table, width, lo, _ = _kernel(rule)
-    assert (tuple(table), width, lo) == _reference_trim(rule.table, k, rule.width, rule.window[0])
+    assert (tuple(table), width, lo) == _reference_trim(rule.table, k, rule.width, window(rule)[0])
     pack = type(table)
     assert pack is (bytes if len(table) <= 256 else tuple)
     want = [x]
@@ -473,9 +470,9 @@ def compose_cases(draw):
 
 
 def _reference_trim(table, k, width, lo):
-    """``_trim`` from single-position perturbation: the kept positions read
-    with every stripped position at letter 0."""
-    ends = _reference_essential(table, k, width)
+    """``_trim`` from the reference essential positions: the kept positions
+    read with every stripped position at letter 0."""
+    ends = essential_positions(table, k, width)
     if not ends:
         return (table[0],) * k, 1, 0
     first, last = ends[0], ends[-1]
@@ -526,7 +523,7 @@ def test_every_table_the_package_returns_is_a_tuple():
         # the walk keeps the kernel's pack, and builds no TableRule
         pack = type(_kernel(rule)[0])
         assert all(type(table) is pack for table, _, _ in _packed_power_walk(rule)[1])
-        out += [rule, canonicalize_table(rule), compose_table(rule, rule), pad_table(rule, rule.radius + 1)]
+        out += [rule, canonicalize_table(rule), compose_table(rule, rule)]
         out.append(product_rule(rule, identity_rule(2)))
     for rule in out:
         assert type(rule.table) is tuple and all(type(a) is int for a in rule.table)

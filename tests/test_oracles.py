@@ -14,15 +14,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_helpers import encode_word, equals, identity_rule, pad_table
 from test_kernel_properties import power_rules, table_rules
-from periodika import oracles
-from periodika.configs import CyclicConfig, EpConfig, equals, map_letters, product_config
+from periodika import oracles, rules
+from periodika.configs import CyclicConfig, EpConfig, map_letters, product_config
 from periodika.engine import step
 from periodika.oracles import (
     EquicontinuityCert,
     OracleUnknown,
     equicontinuity_oracle,
-    product_rule,
     surjectivity_oracle,
 )
 from periodika.periodicity import blocking_word_search
@@ -33,9 +33,7 @@ from periodika.rules import (
     TableRule,
     canonicalize_table,
     compose_table,
-    encode_word,
-    identity_rule,
-    pad_table,
+    product_rule,
     render_rule_spec,
     table_from_additive,
 )
@@ -242,14 +240,21 @@ def test_product_of_identities_is_the_product_identity():
 
 
 def test_product_rule_steps_componentwise():
+    shift = table_from_additive(AdditiveRule(2, 1, {1: 1}))
+    padded = pad_table(RULE90, 3, 2)
     pairs = [
         (RULE90, identity_rule(2)),
         (M4_TABLE, RULE90),
-        (table_from_additive(AdditiveRule(2, 1, {1: 1})), RULE90),
+        (shift, RULE90),
+        (padded, M4_TABLE),
+        (canonicalize_table(shift), padded),  # the first reads x_1 alone, at offset 1
     ]
     for f, g in pairs:
         kf, kg = f.alphabet_size, g.alphabet_size
         prod = product_rule(f, g)
+        # the product reads the essential spans only
+        canonical = product_rule(canonicalize_table(f), canonicalize_table(g))
+        assert canonicalize_table(canonical) == canonicalize_table(prod)
         samples = [
             (CyclicConfig(kf, (1, 0)), CyclicConfig(kg, (1, 1, 0))),
             (
@@ -266,7 +271,17 @@ def test_product_rule_steps_componentwise():
             assert equals(map_letters(stepped, lambda c: c % kg, kg), step(g, y))
 
 
-def test_product_rule_resource_cap():
-    wide = pad_table(RULE90, 4)
+def test_product_rule_resource_cap(monkeypatch):
+    # a padded window is not read: RULE90 over radius 4 still spans 3 cells
+    padded = pad_table(RULE90, 4)
+    assert len(product_rule(padded, padded).table) == 4**3
+    # x_-5 + x_5 depends on all 11 cells of its span, and 4^11 > 2 000 000:
+    # refused before either span table is padded
+    wide = table_from_additive(AdditiveRule(2, 5, {-5: 1, 5: 1}))
+
+    def unreached(*args):
+        raise AssertionError("a table was padded past the cap")
+
+    monkeypatch.setattr(rules, "_pad", unreached)
     with pytest.raises(ResourceCapError):
         product_rule(wide, wide)

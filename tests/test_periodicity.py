@@ -9,19 +9,13 @@ from itertools import permutations, product
 
 import pytest
 
+from reference_helpers import encode_word, equals, essential_span, identity_rule, value_at
 from test_kernel_properties import power_rules
-from periodika.configs import (
-    CyclicConfig,
-    EpConfig,
-    equals,
-    is_spatially_periodic,
-    render_config,
-    value_at,
-)
+from periodika.configs import CyclicConfig, EpConfig, is_spatially_periodic, render_config
 from periodika import periodicity
 from periodika.engine import CycleResult, CycleTimeout, step
 from periodika.additive import is_surjective_additive
-from periodika.oracles import EquicontinuityCert, _packed_power_walk, product_rule
+from periodika.oracles import EquicontinuityCert, _packed_power_walk
 from periodika.periodicity import (
     BlockingCert,
     BlockingMiss,
@@ -43,9 +37,7 @@ from periodika.rules import (
     ResourceCapError,
     TableRule,
     _kernel,
-    identity_rule,
-    encode_word,
-    essential_span,
+    product_rule,
     table_from_additive,
 )
 

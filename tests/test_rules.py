@@ -10,15 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_helpers import encode_word, equals, essential_span, identity_rule, pad_table
 from test_kernel_properties import power_rules
-from periodika.configs import CyclicConfig, EpConfig, equals
+from periodika.configs import CyclicConfig, EpConfig
 from periodika.engine import step
-from periodika.oracles import (
-    MAX_POWER_CELLS,
-    MAX_POWERS,
-    EquicontinuityCert,
-    product_rule,
-)
+from periodika.oracles import MAX_POWER_CELLS, MAX_POWERS, EquicontinuityCert
 from periodika.rules import (
     AdditiveRule,
     ResourceCapError,
@@ -29,12 +25,9 @@ from periodika.rules import (
     canonicalize_table,
     compose_additive,
     compose_table,
-    encode_word,
-    essential_span,
-    identity_rule,
-    pad_table,
     parse_rule_spec,
     power_additive,
+    product_rule,
     render_rule_spec,
     table_from_additive,
 )
@@ -100,8 +93,8 @@ def test_wolfram_code_expansion():
     # code 90 = binary 01011010, bit v is the output of the window with
     # big-endian value v
     assert rule.table == (0, 1, 0, 1, 1, 0, 1, 0)
-    assert rule((1, 0, 1)) == 0
-    assert rule((1, 0, 0)) == 1
+    assert rule.table[encode_word((1, 0, 1), 2)] == 0
+    assert rule.table[encode_word((1, 0, 0), 2)] == 1
     assert rule.wolfram_code() == 90
 
 
@@ -127,15 +120,18 @@ def test_table_builders_refuse_oversized_tables():
         lambda: TableRule.from_wolfram(0, alphabet_size=10, radius=5),
         lambda: table_from_additive(AdditiveRule(9, 5, {-5: 1, 5: 1})),
         lambda: compose_table(wide, wide),
-        lambda: pad_table(rule90, 10),
+        # 9 fused letters over the 9-cell span of x_-4 + x_4
+        lambda: product_rule(*[table_from_additive(AdditiveRule(3, 4, {-4: 1, 4: 1}))] * 2),
     ):
         with pytest.raises(ResourceCapError):
             build()
 
 
 def test_window_accounts_for_offset():
+    # reads the last cell of the window 0 .. 2
     rule = TableRule(2, 1, (0, 1, 0, 1, 0, 1, 0, 1), offset=1)
-    assert rule.window == (0, 2)
+    assert essential_span(rule) == (2, 2)
+    assert canonicalize_table(rule) == TableRule(2, 0, (0, 1), 2)
     assert rule.width == 3
 
 
@@ -240,11 +236,11 @@ def test_rendered_rule_literals_are_fixed_points(text):
 
 
 def test_table_from_additive_values():
-    table = table_from_additive(M4_RULE)
-    assert table((0, 0, 0)) == 0
-    assert table((1, 0, 0)) == 2  # 2*1 + 0 + 0 mod 4
-    rule90 = table_from_additive(RULE90)
-    assert rule90((1, 1, 1)) == 0  # 1 + 1 mod 2
+    table = table_from_additive(M4_RULE).table
+    assert table[encode_word((0, 0, 0), 4)] == 0
+    assert table[encode_word((1, 0, 0), 4)] == 2  # 2*1 + 0 + 0 mod 4
+    rule90 = table_from_additive(RULE90).table
+    assert rule90[encode_word((1, 1, 1), 2)] == 0  # 1 + 1 mod 2
 
 
 def test_rule_90_is_wolfram_90():
@@ -279,7 +275,7 @@ def test_trusted_constructor_matches_the_public_one():
         assert trusted == public and public == trusted
         assert hash(trusted) == hash(public)
         assert repr(trusted) == repr(public)
-        assert trusted.width == public.width and trusted.window == public.window
+        assert trusted.width == public.width
     assert _table_rule(2, 0, (0, 1)) == identity_rule(2)
     assert _table_rule(2, 0, (0, 1), 1) != identity_rule(2)
 
@@ -293,8 +289,8 @@ def test_derived_tables_pass_the_public_checks():
         compose_table(m4, m4),
         canonicalize_table(shift),
         canonicalize_table(TableRule(3, 1, (2,) * 27, -1)),
-        pad_table(shift, 2, 1),
         product_rule(m4, rule90),
+        product_rule(shift, canonicalize_table(shift)),
         table_from_additive(AdditiveRule(6, 2, {-2: 5, 1: 3})),
     ]
     derived += [power for rule in (rule90, m4, shift) for power in power_rules(rule)[1]]
