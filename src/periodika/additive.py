@@ -23,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from itertools import count, product
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .configs import Config, join_letterwise, map_letters
 from .rules import (
@@ -143,11 +143,11 @@ def off_center_gcd(rule: AdditiveRule) -> int:
     return gcd(*(c for j, c in rule.coeffs.items() if j != 0))
 
 
-def _sensitivity_witness(rule: AdditiveRule, factorization) -> int | None:
+def _sensitivity_witness(rule: AdditiveRule, factors) -> int | None:
     """Least prime of the modulus that misses the off-center gcd, if any,
-    given the modulus's ``prime_power_factorization``."""
+    given the rule's ``decompose_crt`` factors."""
     g = off_center_gcd(rule)
-    return next((p for p, _ in factorization if g % p != 0), None)
+    return next((f.prime for f in factors if g % f.prime != 0), None)
 
 
 @dataclass(frozen=True)
@@ -164,25 +164,18 @@ class PrimePowerFactor:
 
 
 def decompose_crt(rule: AdditiveRule) -> tuple[PrimePowerFactor, ...]:
-    return _decompose_crt(rule, prime_power_factorization(rule.modulus))
-
-
-def _decompose_crt(rule: AdditiveRule, factorization) -> tuple[PrimePowerFactor, ...]:
-    """``decompose_crt`` given the modulus's ``prime_power_factorization``."""
-    factors = []
-    for p, k in factorization:
-        q = p**k
-        reduced = AdditiveRule(q, rule.radius, {j: c % q for j, c in rule.coeffs.items()})
-        factors.append(PrimePowerFactor(p, k, reduced))
-    return tuple(factors)
+    """The rule reduced mod each prime power of its modulus, in prime order;
+    the one place the modulus is factored."""
+    return tuple(
+        PrimePowerFactor(p, k, AdditiveRule(p**k, rule.radius, rule.coeffs))
+        for p, k in prime_power_factorization(rule.modulus)
+    )
 
 
 def crt_join_letter(residues: tuple[int, ...], moduli: tuple[int, ...]) -> int:
     if len(residues) != len(moduli):
         raise ValueError("residue tuple length does not match moduli")
-    total = 1
-    for q in moduli:
-        total *= q
+    total = prod(moduli)
     x = 0
     for r, q in zip(residues, moduli):
         if not 0 <= r < q:
@@ -200,12 +193,7 @@ def crt_split(x: Config, factors: tuple[PrimePowerFactor, ...]) -> tuple[Config,
 def crt_join(components, factors: tuple[PrimePowerFactor, ...]) -> Config:
     """Inverse of ``crt_split``: combine residue configurations."""
     moduli = tuple(f.modulus for f in factors)
-    total = 1
-    for q in moduli:
-        total *= q
-    return join_letterwise(
-        components, lambda *res: crt_join_letter(res, moduli), total
-    )
+    return join_letterwise(components, lambda *res: crt_join_letter(res, moduli), prod(moduli))
 
 
 def boundary_indices(factor: PrimePowerFactor) -> tuple[int, int]:
@@ -308,19 +296,19 @@ def identity_power(rule: AdditiveRule) -> int | None:
     divides the lcm over factors of p**(e-1) * phi(p**e); it is found by
     dividing out each prime of that lcm while the power stays the identity.
     """
-    return _identity_power(rule, prime_power_factorization(rule.modulus))
+    return _identity_power(rule, decompose_crt(rule))
 
 
-def _identity_power(rule: AdditiveRule, factorization) -> int | None:
-    """``identity_power`` given the modulus's ``prime_power_factorization``."""
-    if _sensitivity_witness(rule, factorization) is not None:
+def _identity_power(rule: AdditiveRule, factors) -> int | None:
+    """``identity_power`` given the rule's ``decompose_crt`` factors."""
+    if _sensitivity_witness(rule, factors) is not None:
         return None
-    t = lcm(*(p ** (2 * e - 2) * (p - 1) for p, e in factorization))
+    t = lcm(*(f.prime ** (2 * f.exponent - 2) * (f.prime - 1) for f in factors))
     if power_additive(rule, t).coeffs != {0: 1}:
         return None
     # the primes of t, from parts smaller than the modulus
-    primes = {p for p, e in factorization if e > 1}
-    primes.update(q for p, _ in factorization for q, _ in prime_power_factorization(p - 1))
+    primes = {f.prime for f in factors if f.exponent > 1}
+    primes.update(q for f in factors for q, _ in prime_power_factorization(f.prime - 1))
     for q in sorted(primes):
         while t % q == 0 and power_additive(rule, t // q).coeffs == {0: 1}:
             t //= q
@@ -336,10 +324,9 @@ def classify_additive(rule: AdditiveRule) -> ClassificationReport:
     temporal periodicity verdict is left unknown.
     """
     g = _coefficient_gcd(rule)
-    surjective = g == 1
-    # factored once, for the witness, the CRT split and the identity power
-    factorization = prime_power_factorization(rule.modulus)
-    witness = _sensitivity_witness(rule, factorization)
+    # factored once, for the witness, the factor classes and the identity power
+    factors = decompose_crt(rule)
+    witness = _sensitivity_witness(rule, factors)
     sensitive = witness is not None
     certificates: dict = {
         "surjectivity": {"criterion": "gcd of modulus and coefficients", "gcd": g},
@@ -349,69 +336,57 @@ def classify_additive(rule: AdditiveRule) -> ClassificationReport:
             "witness_prime": witness,
         },
     }
-    if not surjective:
+    reports: tuple[FactorReport, ...] = ()
+    stp = StpVerdict.UNKNOWN
+    if g != 1:
         certificates["note"] = (
             "rule is not surjective; transitivity and positive expansivity "
             "(which require surjectivity) are reported false and the strict "
             "temporal periodicity verdict is left unknown"
         )
-        return ClassificationReport(
-            rule=rule,
-            surjective=False,
-            sensitive=sensitive,
-            equicontinuous=not sensitive,
-            transitive=False,
-            positively_expansive=False,
-            stp=StpVerdict.UNKNOWN,
-            factors=(),
-            certificates=certificates,
-        )
-    factor_reports = []
-    classes = []
-    for factor in _decompose_crt(rule, factorization):
-        L, R = boundary_indices(factor)
-        cls = classify_prime_power(factor)
-        h = permutative_power(factor).h
-        factor_reports.append(FactorReport(factor.prime, factor.exponent, cls, L, R, h))
-        classes.append(cls)
-    any_eq = any(c is FactorClass.EQUICONTINUOUS for c in classes)
-    all_eq = all(c is FactorClass.EQUICONTINUOUS for c in classes)
-    if all_eq != (not sensitive):  # pragma: no cover - criteria provably agree
-        raise AssertionError("factor classes disagree with the sensitivity criterion")
-    transitive = not any_eq
-    positively_expansive = all(c is FactorClass.POSITIVELY_EXPANSIVE for c in classes)
-    if not any_eq:
-        stp = StpVerdict.EMPTY
-    elif all_eq:
-        stp = StpVerdict.RESIDUAL
     else:
-        stp = StpVerdict.DENSE
-    certificates["factor_classes"] = {
-        "criterion": (
-            "boundary indices of coefficients coprime to p: L=R=0 equicontinuous, "
-            "L<0<R positively expansive, otherwise transitive and not expansive"
+        reports = tuple(
+            FactorReport(
+                f.prime, f.exponent, classify_prime_power(f), *boundary_indices(f),
+                permutative_power(f).h,
+            )
+            for f in factors
         )
-    }
-    certificates["stp"] = {
-        "criterion": (
-            "empty iff no factor is equicontinuous (iff transitive); residual iff "
-            "all factors are equicontinuous; dense otherwise"
-        )
-    }
-    if all_eq:
-        certificates["equicontinuity"] = {
-            "criterion": "some power of the rule is the identity",
-            "identity_power": _identity_power(rule, factorization),
+        eq = [r.factor_class is FactorClass.EQUICONTINUOUS for r in reports]
+        if all(eq) == sensitive:  # pragma: no cover - criteria provably agree
+            raise AssertionError("factor classes disagree with the sensitivity criterion")
+        if all(eq):
+            stp = StpVerdict.RESIDUAL
+        else:
+            stp = StpVerdict.DENSE if any(eq) else StpVerdict.EMPTY
+        certificates["factor_classes"] = {
+            "criterion": (
+                "boundary indices of coefficients coprime to p: L=R=0 equicontinuous, "
+                "L<0<R positively expansive, otherwise transitive and not expansive"
+            )
         }
+        certificates["stp"] = {
+            "criterion": (
+                "empty iff no factor is equicontinuous (iff transitive); residual iff "
+                "all factors are equicontinuous; dense otherwise"
+            )
+        }
+        if not sensitive:
+            certificates["equicontinuity"] = {
+                "criterion": "some power of the rule is the identity",
+                "identity_power": _identity_power(rule, factors),
+            }
     return ClassificationReport(
         rule=rule,
-        surjective=True,
+        surjective=g == 1,
         sensitive=sensitive,
         equicontinuous=not sensitive,
-        transitive=transitive,
-        positively_expansive=positively_expansive,
+        transitive=stp is StpVerdict.EMPTY,
+        # false with no factor reports, as for a rule that is not surjective
+        positively_expansive=bool(reports)
+        and all(r.factor_class is FactorClass.POSITIVELY_EXPANSIVE for r in reports),
         stp=stp,
-        factors=tuple(factor_reports),
+        factors=reports,
         certificates=certificates,
     )
 

@@ -192,19 +192,15 @@ class BlockingMiss:
 
 
 def _constant_column_offset(
-    rule: TableRule, u, s: int, bg_period: int, steps: int, succ: dict
+    rule: TableRule, u, s: int, tails: list, steps: int, succ: dict
 ) -> int | None:
     """Least offset ``j`` whose column ``[j, j + s)`` reads the same for
     ``steps`` steps in every eventually periodic context ``^inf(a) . u .
-    (b)^inf`` with tail periods up to ``bg_period``, or ``None``.  Each
+    (b)^inf`` with ``a`` and ``b`` in ``tails``, or ``None``.  Each
     context's orbit is walked once, for all offsets at the same time, and
     only while some offset still agrees with the first context's; the walks
-    step through the successor memo ``succ`` (see ``engine._orbit``).  A
-    tail that repeats a shorter one gives the same context, so only
-    primitive tails are walked."""
-    k, n = rule.alphabet_size, len(u)
-    words = (t for p in range(1, bg_period + 1) for t in product(range(k), repeat=p))
-    tails = [t for t in words if primitive_root(t) == t]
+    step through the successor memo ``succ`` (see ``engine._orbit``)."""
+    n = len(u)
     offsets = range(n - s + 1)
     ref = None
     for a, b in product(tails, repeat=2):
@@ -238,8 +234,9 @@ def blocking_word_search(
     certificate the check is bounded simulation, marked BoundedVerified;
     all of its context walks share one successor memo (see
     ``engine._orbit``), which lives only as long as the call, and more
-    words than ``rules.MAX_TABLE_ENTRIES`` of length ``k_max`` are refused
-    before the first is tried.
+    words than ``rules.MAX_TABLE_ENTRIES`` of length ``k_max``, or
+    background words of length ``bg_period``, are refused before the first
+    is tried.  The background tails are built once for every word.
     """
     if min(k_max, steps) < 0 or bg_period < 1:
         raise ValueError("k_max and steps must be non-negative and bg_period positive")
@@ -256,10 +253,15 @@ def blocking_word_search(
             return BlockingMiss(k_max, bg_period, steps)
         return BlockingCert((0,) * word_len, j, s, 0, cert.q + cert.p, BlockingStatus.EXACT)
     _table_size(k, k_max)
+    _table_size(k, bg_period)
+    # a tail that repeats a shorter one gives the same context, so only
+    # primitive tails are walked
+    words = (t for p in range(1, bg_period + 1) for t in product(range(k), repeat=p))
+    tails = [t for t in words if primitive_root(t) == t]
     succ: dict = {}
     for word_len in range(s, k_max + 1):
         for u in product(range(k), repeat=word_len):
-            j = _constant_column_offset(rule, u, s, bg_period, steps, succ)
+            j = _constant_column_offset(rule, u, s, tails, steps, succ)
             if j is not None:
                 return BlockingCert(u, j, s, bg_period, steps, BlockingStatus.BOUNDED_VERIFIED)
     return BlockingMiss(k_max, bg_period, steps)
@@ -465,12 +467,15 @@ def stp_empty_scan(
     bounds = ScanBounds(tail_period_max, mid_len_max, t_max)
     census = _primitive_points(table, tail_period_max, t_max)
     tails = sorted(((cfg.word, t) for cfg, t in census), key=lambda wt: (len(wt[0]), wt))
-    pairs = [(a, b) for a, ta in tails for b, tb in tails if lcm(ta, tb) <= t_max]
+
+    def pairs():
+        # streamed: the tail pairs can outnumber memory before a cap is read
+        return ((a, b) for a, ta in tails for b, tb in tails if lcm(ta, tb) <= t_max)
 
     def candidates():
         # tails from the census and mids from product(range(k)) are letters
         # of the alphabet, so the candidates skip the public checks
-        for a, b in pairs:
+        for a, b in pairs():
             if a != b:
                 yield _ep(k, a, (), b, 0)
             for n in range(1, mid_len_max + 1):
@@ -496,7 +501,7 @@ def stp_empty_scan(
         # a canonical mid starts unlike a[0] and ends unlike b[-1]
         longer = sum((k - 1) ** 2 * k ** (n - 2) for n in range(2, mid_len_max + 1))
         examined = sum(
-            (a != b) + (mid_len_max > 0) * (k - 2 + (a[0] == b[-1])) + longer for a, b in pairs
+            (a != b) + (mid_len_max > 0) * (k - 2 + (a[0] == b[-1])) + longer for a, b in pairs()
         )
         return ScanResult(bounds, examined, (), False)
 

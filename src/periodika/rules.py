@@ -173,15 +173,8 @@ class AdditiveRule:
                 reduced[j] = c
         object.__setattr__(self, "coeffs", dict(sorted(reduced.items())))
 
-    def __eq__(self, other):
-        if not isinstance(other, AdditiveRule):
-            return NotImplemented
-        return (
-            self.modulus == other.modulus
-            and self.radius == other.radius
-            and self.coeffs == other.coeffs
-        )
-
+    # the generated __eq__ compares the stored (reduced, zero-free, sorted)
+    # coefficients; the dict is unhashable, so the hash reads its items
     def __hash__(self):
         return hash((self.modulus, self.radius, tuple(sorted(self.coeffs.items()))))
 

@@ -203,6 +203,16 @@ def test_blocking_word_bounded_verification_without_certificate():
     assert cert.verified_background_period == 2 and cert.verified_steps == 16
 
 
+def test_bounded_blocking_search_refuses_background_words_over_the_cap():
+    # 2^21 tails of length 21 exceed the table cap: refused before any is built
+    with pytest.raises(ResourceCapError):
+        blocking_word_search(RULE90, bg_period=21)
+    # the exact path never reads bg_period, so it is not capped
+    cert = blocking_word_search(M4_TABLE, bg_period=30)
+    assert cert.status is BlockingStatus.EXACT
+    assert cert == blocking_word_search(M4_TABLE)
+
+
 def _spans_fit(spans, j, s, word_len):
     """Whether every power's dependence window, shifted into the observed
     column, stays inside the word ``[0, word_len)``."""
@@ -268,8 +278,10 @@ def test_bounded_blocking_search_matches_a_stepping_reference(monkeypatch):
     rules += [TableRule(3, 1, tuple(rng.randrange(3) for _ in range(27))) for _ in range(12)]
     found = [blocking_word_search(rule, 3, 1, 6) for rule in rules]
 
-    def first_constant_offset(rule, u, s, bg_period, steps, succ):
-        contexts = _rows_by_stepping(rule, u, bg_period, steps)
+    def first_constant_offset(rule, u, s, tails, steps, succ):
+        # the search hands over its primitive tails; the reference steps
+        # every tail up to the longest of them
+        contexts = _rows_by_stepping(rule, u, max(map(len, tails)), steps)
         for j in range(len(u) - s + 1):
             if len({tuple(row[j : j + s] for row in rows) for rows in contexts}) == 1:
                 return j
@@ -325,6 +337,15 @@ def test_stp_witness_miss_for_a_transitive_rule():
     out = stp_witness(RULE90, fake, (1,))
     assert isinstance(out, WitnessMiss)
     assert out.t_max == 64
+
+
+def test_stp_witness_miss_for_a_preperiodic_orbit(monkeypatch):
+    # no seed of a surjective rule is known whose orbit is preperiodic, so
+    # the branch is reached through a stubbed return check
+    monkeypatch.setattr(periodicity, "_return_witness", lambda *args: CycleResult(3, 2))
+    cert = blocking_word_search(M4_TABLE)
+    out = stp_witness(M4_TABLE, cert, (1,))
+    assert out == WitnessMiss(64, "orbit is preperiodic (preperiod 3)")
 
 
 def test_stp_witness_rejects_degenerate_seeds():
@@ -435,6 +456,16 @@ def test_scan_reports_violations_for_an_equicontinuous_rule():
 def test_scan_truncates_at_the_violation_cap():
     result = stp_empty_scan(M4_ADD, 1, 1, 4, max_violations=10)
     assert len(result.violations) == 10 and result.truncated
+
+
+def test_scan_streams_its_tail_pairs():
+    # 90 000 tails make 8.1e9 tail pairs, walked or counted one at a time:
+    # the run stops at the violation cap, or at the mids cap before walking
+    rule = AdditiveRule(300, 0, {0: 7})
+    result = stp_empty_scan(rule, 2, 1, 32, 5)
+    assert len(result.violations) == 5 and result.truncated
+    with pytest.raises(ResourceCapError):
+        stp_empty_scan(rule, 2, 3, 32, 5)
 
 
 def test_scan_walks_tails_by_length_then_word():

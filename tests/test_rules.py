@@ -157,6 +157,18 @@ def test_additive_rule_equality_and_hash():
     assert AdditiveRule(4, 1, {0: 5}) == AdditiveRule(4, 1, {0: 1})
     assert hash(AdditiveRule(4, 1, {0: 5})) == hash(AdditiveRule(4, 1, {0: 1}))
     assert AdditiveRule(4, 1, {0: 1}) != AdditiveRule(4, 2, {0: 1})
+    # the generated __eq__ reads the stored coefficients: reduced, sorted
+    # and without zeros, whatever the order and size of the given ones
+    reordered = AdditiveRule(6, 1, {1: 2, -1: 8})
+    assert reordered == AdditiveRule(6, 1, {-1: 2, 1: 2})
+    assert hash(reordered) == hash(AdditiveRule(6, 1, {-1: 2, 1: 2}))
+    assert AdditiveRule(6, 1, {-1: 2, 0: 6, 1: 2}) == reordered
+    assert AdditiveRule(6, 1, {-1: 2, 0: 0}) == AdditiveRule(6, 1, {-1: 2})
+    assert AdditiveRule(2, 1, {-1: 1, 1: 1}) != table_from_additive(RULE90)
+    assert AdditiveRule(6, 1, {-1: 2, 1: 3}) != reordered
+    seen = {reordered: "a", AdditiveRule(6, 1, {-1: 2}): "b"}
+    assert seen[AdditiveRule(6, 1, {-1: 14, 1: -4})] == "a"
+    assert len(seen) == 2
 
 
 # ---------------------------------------------------------------------------
