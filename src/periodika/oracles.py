@@ -8,7 +8,6 @@ all states.  Equicontinuity is decided by comparing the canonical tables
 of rule powers until two are equal; a power that equals an earlier one up
 to a nonzero translation ends the walk, because from there on no two
 powers can be equal.  Both are exact-or-Unknown; neither ever guesses.
-Only the power walk's table cap reads the declared radius of the rule.
 """
 
 from __future__ import annotations
@@ -123,11 +122,8 @@ def _packed_power_walk(rule: TableRule) -> tuple[EquicontinuityCert | OracleUnkn
     F^(n+1) = F o F^n is composed over the span of F^n widened by F's, then
     trimmed.  A trimmed table is canonical, so the pair ``(table, width)``
     keys the repeat memo as it is, and ``lo`` tells an exact repeat from a
-    translated one.  The cap test reads ``width // 2``, the radius of the
-    power's canonical TableRule, and ``rule.radius``, the declared radius
-    of F, not that of its kernel: it caps the table of the canonical power
-    composed with F's table as declared, so a padded F reaches the cap at
-    a lower power than its canonical form.
+    translated one.  The cap test reads ``width // 2``, the radius of a
+    span's canonical TableRule, for the power and for F.
 
     After a translated repeat ``F^n = s^t o F^q`` every later power is the
     one ``p = n - q`` back, moved by t; its width is one the cap test has
@@ -141,7 +137,7 @@ def _packed_power_walk(rule: TableRule) -> tuple[EquicontinuityCert | OracleUnkn
     memo = {cur[:2]: 0}
     for n in range(1, MAX_POWERS + 1):
         g, g_w, g_lo = cur
-        if k ** (2 * (g_w // 2 + rule.radius) + 1) > MAX_POWER_CELLS:
+        if k ** (2 * (g_w // 2 + f_w // 2) + 1) > MAX_POWER_CELLS:
             return OracleUnknown(f"table cap reached at power {n}", n - 1), powers
         cur = _trim(_compose(k, f, f_w, g, g_w), k, g_w + f_w - 1, g_lo + f_lo)
         powers.append(cur)

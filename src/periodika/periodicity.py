@@ -48,8 +48,10 @@ from .configs import (
 from .engine import CycleResult, CycleTimeout, _cycle, _orbit, step
 from .oracles import EquicontinuityCert, _packed_power_walk, surjectivity_oracle
 from .rules import (
+    MAX_TABLE_ENTRIES,
     AdditiveRule,
     NotSurjectiveError,
+    ResourceCapError,
     TableRule,
     _bijective_ends,
     _kernel,
@@ -235,14 +237,14 @@ def blocking_word_search(
     all of its context walks share one successor memo (see
     ``engine._orbit``), which lives only as long as the call, and more
     words than ``rules.MAX_TABLE_ENTRIES`` of length ``k_max``, or
-    background words of length ``bg_period``, are refused before the first
-    is tried.  The background tails are built once for every word.
+    background tails up to length ``bg_period`` of more letters than that
+    cap, are refused before the first is tried.  The background tails are
+    built once for every word.
     """
     if min(k_max, steps) < 0 or bg_period < 1:
         raise ValueError("k_max and steps must be non-negative and bg_period positive")
     k = rule.alphabet_size
-    # the column is as wide as the declared radius, not the kernel's span
-    s = max(rule.radius, 1)
+    s = max(_kernel(rule)[1] // 2, 1)
     cert, powers = _packed_power_walk(rule)
     if isinstance(cert, EquicontinuityCert):
         # F^0 spans [0, 0], so lo <= 0 <= hi and the column fits at j = -lo;
@@ -253,7 +255,9 @@ def blocking_word_search(
             return BlockingMiss(k_max, bg_period, steps)
         return BlockingCert((0,) * word_len, j, s, 0, cert.q + cert.p, BlockingStatus.EXACT)
     _table_size(k, k_max)
-    _table_size(k, bg_period)
+    # the tails hold fewer than k / (k - 1) times this many letters
+    if bg_period * _table_size(k, bg_period) > MAX_TABLE_ENTRIES:
+        raise ResourceCapError(f"background tails exceed the cap of {MAX_TABLE_ENTRIES} letters")
     # a tail that repeats a shorter one gives the same context, so only
     # primitive tails are walked
     words = (t for p in range(1, bg_period + 1) for t in product(range(k), repeat=p))
@@ -401,16 +405,14 @@ def _drift_sides(rule: TableRule) -> tuple[int | None, int | None]:
 
 
 def _prune_sides(table: TableRule, additive: AdditiveRule | None):
-    """Drift sides ``(modulus, left, right)`` that rule out every return:
-    the rule's own, or else those of all its prime-power factors; empty when
-    neither applies."""
-    own = _drift_sides(table)
-    if own != (None, None):
-        return [(table.alphabet_size, *own)]
+    """Drift sides ``(modulus, left, right)`` of every factor, or empty when
+    some factor has none: a table rule is its own single factor, an
+    additive rule splits into its prime-power factors."""
     if additive is None:
-        return []
-    factors = decompose_crt(additive)
-    sides = [(f.modulus, *_drift_sides(table_from_additive(f.rule))) for f in factors]
+        factors = [(table.alphabet_size, table)]
+    else:
+        factors = [(f.modulus, table_from_additive(f.rule)) for f in decompose_crt(additive)]
+    sides = [(q, *_drift_sides(t)) for q, t in factors]
     return sides if all(dl is not None or dr is not None for _, dl, dr in sides) else []
 
 
@@ -442,13 +444,13 @@ def stp_empty_scan(
     of them.  The tails are the jointly periodic words within the bound (a
     periodic orbit forces periodic tails).
 
-    Two prunes shortcut the orbit walks, both backed by the monotone-defect
+    One prune shortcuts the orbit walks, backed by the monotone-defect
     argument of ``_drift_sides`` and spot-checked against single engine
-    steps: a rule that is itself bijective in a nonzero boundary variable
-    admits no returning candidate at all, and an additive rule whose
-    prime-power reductions are all drift-sided admits none either, because
-    a return of the full configuration forces a return of every residue
-    and at least one residue is not spatially periodic.
+    steps: when every factor of the rule (a table rule is its own, an
+    additive rule has its prime-power reductions) is bijective in a nonzero
+    boundary variable, no candidate returns, because a return of the full
+    configuration forces a return of every residue and at least one
+    residue is not spatially periodic.
 
     The walked candidates share one successor memo (see ``engine._orbit``),
     which lives only as long as the call: candidate orbits fall into the

@@ -20,9 +20,6 @@ reader takes one view of a table rule, ``_kernel``: its table cut to the
 essential span.  The builders of new tables (``TableRule.from_wolfram``,
 ``table_from_additive``, ``compose_table`` and ``product_rule``) refuse a
 table of more than ``MAX_TABLE_ENTRIES`` entries before building it.
-Outside this module only two routines read a rule's declared radius: the
-table cap of the oracles' power walk and the column of the blocking word
-search; none reads its offset.
 """
 
 from __future__ import annotations

@@ -263,6 +263,10 @@ def test_blocking_text(capsys):
     assert out == "word=000 offset=1 width=1 status=Exact\n"
     out = run(capsys, ["blocking", "--rule", "wolfram:90", "--format", "text"])
     assert out == "no blocking word within bounds\n"
+    # the identity mod 8 and its padding to radius 2 read one kernel
+    for spec in ("additive:m=8;r=1;c=0,1,0", "additive:m=8;r=2;c=0,0,1,0,0"):
+        out = run(capsys, ["blocking", "--rule", spec, "--format", "text"])
+        assert out == "word=0 offset=0 width=1 status=Exact\n"
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,10 @@ from periodika.oracles import (
     EquicontinuityCert,
     OracleUnknown,
     _packed_power_walk,
+    equicontinuity_oracle,
+    surjectivity_oracle,
 )
+from periodika.periodicity import blocking_word_search, jointly_periodic_points, stp_empty_scan
 from periodika.rules import (
     AdditiveRule,
     TableRule,
@@ -387,7 +390,7 @@ def _reference_walk(rule):
     cur = identity_rule(k)
     powers, memo = [cur], {cur: 0}
     for n in range(1, MAX_POWERS + 1):
-        if k ** (2 * (cur.radius + rule.radius) + 1) > MAX_POWER_CELLS:
+        if k ** (2 * (cur.radius + canonicalize_table(rule).radius) + 1) > MAX_POWER_CELLS:
             return OracleUnknown(f"table cap reached at power {n}", n - 1), powers
         cur = canonicalize_table(compose_table(rule, cur))
         powers.append(cur)
@@ -527,6 +530,40 @@ def test_every_table_the_package_returns_is_a_tuple():
         out.append(product_rule(rule, identity_rule(2)))
     for rule in out:
         assert type(rule.table) is tuple and all(type(a) is int for a in rule.table)
+
+
+def _padding_cases():
+    """A seeded sample of the elementary rules and of the radius-1 additive
+    tables with m = 2..9, the identity mod 8 (its padding's table cap would
+    cut the power walk at power 1 if it read the declared radius) and the
+    shift x_1 mod 8."""
+    rng = Random(20)
+    rules = [TableRule.from_wolfram(code) for code in rng.sample(range(256), 16)]
+    for _ in range(12):
+        m = rng.randrange(2, 10)
+        rules.append(table_from_additive(AdditiveRule(m, 1, {j: rng.randrange(m) for j in (-1, 0, 1)})))
+    rules += [table_from_additive(AdditiveRule(8, 1, c)) for c in ({0: 1}, {1: 1})]
+    return rules
+
+
+def _answers(rule):
+    """Every oracle and search answer on ``rule`` at small bounds."""
+    k = rule.alphabet_size
+    return (
+        equicontinuity_oracle(rule),
+        _packed_power_walk(rule),
+        blocking_word_search(rule, 6 if k == 2 else 2, 1, 2),
+        surjectivity_oracle(rule),
+        jointly_periodic_points(rule, 3, 8),
+        stp_empty_scan(rule, 1, 2, 8),
+        temporal_cycle(rule, EpConfig(k, (0,), (1, k - 1), (1,), 0), 64, 40),
+    )
+
+
+def test_searches_and_oracles_answer_a_padded_rule_like_the_rule():
+    # padding changes no global map, so no answer may read the declared window
+    for rule in _padding_cases():
+        assert _answers(pad_table(rule, rule.radius + 1)) == _answers(rule), rule
 
 
 # ---------------------------------------------------------------------------

@@ -204,9 +204,12 @@ def test_blocking_word_bounded_verification_without_certificate():
 
 
 def test_bounded_blocking_search_refuses_background_words_over_the_cap():
-    # 2^21 tails of length 21 exceed the table cap: refused before any is built
-    with pytest.raises(ResourceCapError):
-        blocking_word_search(RULE90, bg_period=21)
+    # the tails up to length P hold fewer than 2 P 2^P letters: 17 * 2^17
+    # is over the cap of 2 000 000, and so is 21 * 2^21; refused before any
+    # tail is built
+    for bg_period in (17, 21):
+        with pytest.raises(ResourceCapError):
+            blocking_word_search(RULE90, bg_period=bg_period)
     # the exact path never reads bg_period, so it is not capped
     cert = blocking_word_search(M4_TABLE, bg_period=30)
     assert cert.status is BlockingStatus.EXACT
