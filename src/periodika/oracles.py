@@ -4,10 +4,14 @@ These work on explicit tables only, so they are independent of the
 additive shortcuts, and both read a rule through ``rules._kernel``, its
 table cut to the essential span.  Surjectivity is decided on the de Bruijn
 graph by its subset automaton: F is onto iff no word empties the set of
-all states.  Equicontinuity is decided by comparing the canonical tables
-of rule powers until two are equal; a power that equals an earlier one up
-to a nonzero translation ends the walk, because from there on no two
-powers can be equal.  Both are exact-or-Unknown; neither ever guesses.
+all states.  The same automaton, read forwards along a left tail and
+backwards along a right tail, decides whether an eventually periodic
+configuration has a preimage at all; the empty-STP scan skips the
+candidates that have none.  Equicontinuity is decided by comparing the
+canonical tables of rule powers until two are equal; a power that equals
+an earlier one up to a nonzero translation ends the walk, because from
+there on no two powers can be equal.  All are exact-or-Unknown; none ever
+guesses.
 """
 
 from __future__ import annotations
@@ -36,25 +40,16 @@ def surjectivity_oracle(rule: TableRule) -> bool:
     1969; Amoroso and Patt 1972).  The sets reachable from the full set,
     each an int bitmask, are explored exhaustively, and the first empty
     image answers False.  A span of one position is onto iff its table is
-    a permutation.
+    a permutation.  The move masks hold k state sets per state, one table
+    entry each; more than ``MAX_PREIMAGE_VECTORS`` of them are refused
+    before the first is built.
     """
     k = rule.alphabet_size
     table, width, _, _ = _kernel(rule)
     if width == 1:
         return len(set(table)) == k
     states = k ** (width - 1)
-    # moves[u] holds k fields of ``states`` bits: field a is the set of
-    # states u reaches by reading an output a.  On letter c, u reads
-    # table[u*k + c] and goes to u*k % states + c, a multiple of k plus c,
-    # so its moves are its row's from state 0, shifted by u*k % states
-    rows: dict = {}
-    moves = []
-    for i in range(0, len(table), k):  # i = u*k
-        row = table[i : i + k]
-        mask = rows.get(row)
-        if mask is None:
-            mask = rows[row] = sum(1 << a * states + c for c, a in enumerate(row))
-        moves.append(mask << i % states)
+    moves = _move_masks(table, k, states)
     full = (1 << states) - 1
     seen = {full}
     frontier = [full]
@@ -75,6 +70,113 @@ def surjectivity_oracle(rule: TableRule) -> bool:
                 seen.add(nxt)
                 frontier.append(nxt)
     return True
+
+
+def _move_masks(table, k: int, states: int, backward: bool = False) -> list[int]:
+    """The moves of the de Bruijn graph of a span table over ``k`` letters
+    with ``states`` = k^(width - 1) states, width >= 2: entry u holds k
+    fields of ``states`` bits, field a the states u reaches along an edge
+    labelled a, or with ``backward`` the states that reach u along one.
+    The k·states fields (one per table entry) are counted against
+    ``MAX_PREIMAGE_VECTORS`` before the first is built.
+
+    The window ``u c`` is table entry u*k + c, from u to u*k % states + c, a
+    multiple of k plus c, so u's moves are its row's from state 0, shifted
+    by u*k % states.  Backwards, v = d c is entered from the k states ``b
+    d`` along entry b*states + v, so v's column ``table[v::states]`` is
+    shifted by d = v // k onto the states b*(states // k)."""
+    if len(table) > MAX_PREIMAGE_VECTORS:
+        raise ResourceCapError(f"subset-automaton moves of {len(table)} state sets exceeded cap")
+    masks: dict = {}
+    moves = []
+    if backward:
+        spread = states // k
+        for v in range(states):
+            col = table[v::states]
+            mask = masks.get(col)
+            if mask is None:
+                mask = masks[col] = sum(1 << a * states + b * spread for b, a in enumerate(col))
+            moves.append(mask << v // k)
+        return moves
+    for i in range(0, len(table), k):  # i = u*k
+        row = table[i : i + k]
+        mask = masks.get(row)
+        if mask is None:
+            mask = masks[row] = sum(1 << a * states + c for c, a in enumerate(row))
+        moves.append(mask << i % states)
+    return moves
+
+
+def _preimage_test(rule: TableRule):
+    """``has_preimage(a, mid, b)``: whether the eventually periodic
+    configuration ``^inf(a) . mid . (b)^inf`` lies in F(X), exactly.
+
+    On the de Bruijn graph of the kernel (see ``surjectivity_oracle``) a
+    configuration has a preimage iff it labels a bi-infinite path.  S*(a),
+    the states that end a left-infinite path labelled ``^inf(a)``, is the
+    limit of the sets read from the full set one period of ``a`` at a time:
+    they decrease, so they settle within k^(width - 1) + 1 periods, and by
+    König's lemma a state in all of them ends an infinite path.  R*(b), the
+    states that start a right-infinite path labelled ``(b)^inf``, is the
+    same limit on the backward moves, reading ``b`` from its end.  The
+    configuration has a preimage iff the states reached from S*(a) along
+    ``mid`` meet R*(b) (Hedlund 1969; Amoroso and Patt 1972).  S* and R*
+    are kept per tail and the image of each state set met per letter, so a
+    later candidate costs its mid's lookups and one AND.  Over a span of
+    one position a configuration has a preimage iff each of its letters is
+    in the table's image.  Raises ``ResourceCapError`` where
+    ``_move_masks`` does."""
+    k = rule.alphabet_size
+    table, width, _, _ = _kernel(rule)
+    if width == 1:
+        image = set(table)
+        return lambda a, mid, b: image.issuperset((*a, *mid, *b))
+    states = k ** (width - 1)
+    full = (1 << states) - 1
+    reads = [_set_reader(_move_masks(table, k, states, back), states) for back in (False, True)]
+    forward = reads[0]
+    limits: list[dict] = [{}, {}]
+
+    def limit(word, back: int) -> int:
+        cur = limits[back].get(word)
+        if cur is None:
+            read, letters = reads[back], word[::-1] if back else word
+            cur, prev = full, None
+            while cur != prev:
+                prev = cur
+                for c in letters:
+                    cur = read(cur, c)
+            limits[back][word] = cur
+        return cur
+
+    def has_preimage(a, mid, b) -> bool:
+        cur = limit(a, 0)
+        for c in mid:
+            cur = forward(cur, c)
+        return bool(cur & limit(b, 1))
+
+    return has_preimage
+
+
+def _set_reader(moves: list[int], states: int):
+    """``read(cur, c)``: the states reached from the state set ``cur`` along
+    an edge labelled c, by the moves of ``_move_masks``; the k-field image
+    of each set is built once and kept."""
+    full = (1 << states) - 1
+    memo: dict = {}
+
+    def read(cur: int, c: int) -> int:
+        images = memo.get(cur)
+        if images is None:
+            images, todo = 0, cur
+            while todo:
+                low = todo & -todo
+                images |= moves[low.bit_length() - 1]
+                todo ^= low
+            memo[cur] = images
+        return images >> c * states & full
+
+    return read
 
 
 @dataclass(frozen=True)

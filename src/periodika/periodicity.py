@@ -46,7 +46,7 @@ from .configs import (
     product_config,
 )
 from .engine import CycleResult, CycleTimeout, _cycle, _orbit, step
-from .oracles import EquicontinuityCert, _packed_power_walk, surjectivity_oracle
+from .oracles import EquicontinuityCert, _packed_power_walk, _preimage_test, surjectivity_oracle
 from .rules import (
     MAX_TABLE_ENTRIES,
     AdditiveRule,
@@ -444,19 +444,27 @@ def stp_empty_scan(
     of them.  The tails are the jointly periodic words within the bound (a
     periodic orbit forces periodic tails).
 
-    One prune shortcuts the orbit walks, backed by the monotone-defect
-    argument of ``_drift_sides`` and spot-checked against single engine
-    steps: when every factor of the rule (a table rule is its own, an
-    additive rule has its prime-power reductions) is bijective in a nonzero
-    boundary variable, no candidate returns, because a return of the full
-    configuration forces a return of every residue and at least one
-    residue is not spatially periodic.
+    Two prunes shortcut the orbit walks; neither changes the count of
+    examined candidates or the violations.  The drift prune, backed by the
+    monotone-defect argument of ``_drift_sides`` and spot-checked against
+    single engine steps, skips the whole family: when every factor of the
+    rule (a table rule is its own, an additive rule has its prime-power
+    reductions) is bijective in a nonzero boundary variable, no candidate
+    returns, because a return of the full configuration forces a return of
+    every residue and at least one residue is not spatially periodic.
+    Otherwise the Garden-of-Eden prune skips each candidate with no
+    preimage: a return y = F^p(y) puts y in F(X), so a configuration
+    outside F(X) never returns.  Whether it is in F(X) is decided exactly
+    by the de Bruijn subset automaton (``oracles._preimage_test``).  An
+    onto additive rule has no Garden of Eden, so it is not asked, and a
+    rule whose automaton is over the cap of ``oracles._move_masks`` walks
+    every candidate.
 
     The walked candidates share one successor memo (see ``engine._orbit``),
     which lives only as long as the call: candidate orbits fall into the
     same attractors, and a hit replaces a step by a lookup.  Every
-    violation is still re-derived by a walk without the memo.  Without a
-    prune, more mids than ``rules.MAX_TABLE_ENTRIES`` of length
+    violation is still re-derived by a walk without the memo.  Without the
+    drift prune, more mids than ``rules.MAX_TABLE_ENTRIES`` of length
     ``mid_len_max`` are refused before the first candidate is walked.
     """
     if min(tail_period_max, mid_len_max, t_max) < 0:
@@ -475,23 +483,25 @@ def stp_empty_scan(
         return ((a, b) for a, ta in tails for b, tb in tails if lcm(ta, tb) <= t_max)
 
     def candidates():
-        # tails from the census and mids from product(range(k)) are letters
-        # of the alphabet, so the candidates skip the public checks
+        # the configurations ^inf(a) . mid . (b)^inf as (a, mid, b); tails
+        # from the census and mids from product(range(k)) are letters of
+        # the alphabet, so ``_ep`` builds them without the public checks
         for a, b in pairs():
             if a != b:
-                yield _ep(k, a, (), b, 0)
+                yield a, (), b
             for n in range(1, mid_len_max + 1):
                 for mid in product(range(k), repeat=n):
                     if mid[0] == a[0] or mid[-1] == b[-1]:
                         continue  # not canonical: would absorb into a tail
-                    yield _ep(k, a, mid, b, 0)
+                    yield a, mid, b
 
     sides = _prune_sides(table, additive)
     if sides:
         # No candidate can return: some defect boundary moves strictly every
         # step.  Spot-check the first few against one engine step each and
         # count the family without building it.
-        for y in islice(candidates(), 32):
+        for a, mid, b in islice(candidates(), 32):
+            y = _ep(k, a, mid, b, 0)
             img = step(table, y)
             for q, dl, dr in sides:
                 ry, rimg = (map_letters(z, lambda a, q=q: a % q, q) for z in (y, img))
@@ -508,14 +518,22 @@ def stp_empty_scan(
         return ScanResult(bounds, examined, (), False)
 
     _table_size(k, mid_len_max)
+    has_preimage = None
+    if additive is None or not is_surjective_additive(additive):
+        try:
+            has_preimage = _preimage_test(table)
+        except ResourceCapError:
+            pass  # past the automaton's cap every candidate is walked
     # the mid grows by at most width - 1 per step, so this cap never binds
     max_mid = mid_len_max + (_kernel(table)[1] - 1) * t_max
     examined = 0
     violations: list[StpWitness] = []
     succ: dict = {}
-    for y in candidates():
+    for a, mid, b in candidates():
         examined += 1
-        res = _return_witness(table, y, t_max, max_mid, succ)
+        if has_preimage is not None and not has_preimage(a, mid, b):
+            continue  # a Garden of Eden: not in F(X), so not periodic
+        res = _return_witness(table, _ep(k, a, mid, b, 0), t_max, max_mid, succ)
         if isinstance(res, StpWitness):
             violations.append(res)
             if len(violations) == max_violations:

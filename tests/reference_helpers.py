@@ -2,11 +2,12 @@
 from the definitions and independent of the package's table and
 configuration kernels: window words encoded letter by letter, tables
 padded word by word, essential positions found entry by entry, letters
-read off a configuration's presentation and configurations compared
-letter by letter."""
+read off a configuration's presentation, configurations compared letter
+by letter, and preimages traced cell by cell."""
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import product
 from math import lcm
 
@@ -45,6 +46,27 @@ def pad_table(rule: TableRule, radius: int, offset: int = 0) -> TableRule:
         for w in product(range(k), repeat=2 * radius + 1)
     )
     return TableRule(k, radius, table, offset)
+
+
+def mirror_rule(rule: TableRule) -> TableRule:
+    """The rule conjugated by the mirror x_i -> x_-i: each window word
+    looks up its reverse, around the mirrored offset."""
+    k = rule.alphabet_size
+    table = tuple(
+        rule.table[encode_word(w[::-1], k)] for w in product(range(k), repeat=rule.width)
+    )
+    return TableRule(k, rule.radius, table, -rule.offset)
+
+
+def rotate_letters(rule: TableRule) -> TableRule:
+    """The rule conjugated by the letter rotation a -> a + 1 mod k: each
+    window word looks up its letters rotated back, and its output moves on."""
+    k = rule.alphabet_size
+    table = tuple(
+        (rule.table[encode_word([(a - 1) % k for a in w], k)] + 1) % k
+        for w in product(range(k), repeat=rule.width)
+    )
+    return TableRule(k, rule.radius, table, rule.offset)
 
 
 def essential_positions(table, k: int, width: int) -> list[int]:
@@ -102,3 +124,41 @@ def equals(x, y) -> bool:
     (xs, xe, xp), (ys, ye, yp) = _extent(x), _extent(y)
     p = lcm(*xp, *yp)
     return all(value_at(x, i) == value_at(y, i) for i in range(min(xs, ys) - p, max(xe, ye) + p))
+
+
+def preimage_test(rule: TableRule):
+    """``has_preimage(a, mid, b)``: whether ``^inf(a) . mid . (b)^inf`` is an
+    image of ``rule``, by a dynamic program along the word ``a^L mid b^L``.
+
+    With d = width - 1 of the declared window, the program keeps, cell by
+    cell, the set of d-letter words that a preimage of the word read so far
+    can end on, starting from all of them; the word has a preimage iff the
+    set never empties.  The sets after each further period of a tail can
+    only shrink, so after L = k^d + 1 periods they have settled on both
+    sides, and the finite word has a preimage iff the configuration has.
+    The sets after ``a^L``, each set's successor per letter and the
+    verdicts of the sets before ``b^L`` are kept per call."""
+    k, d = rule.alphabet_size, rule.width - 1
+    reps = k**d + 1
+    succ: dict = {}  # (d-letter word, output) -> the d-letter words it enters
+    for w in product(range(k), repeat=d + 1):
+        succ.setdefault((w[:-1], rule.table[encode_word(w, k)]), []).append(w[1:])
+
+    @cache
+    def read(words, y):
+        return frozenset(v for u in words for v in succ.get((u, y), ()))
+
+    def run(words, letters):
+        for y in letters:
+            words = read(words, y)
+        return words
+
+    @cache
+    def left(a):
+        return run(frozenset(product(range(k), repeat=d)), a * reps)
+
+    @cache
+    def right(words, b):
+        return bool(run(words, b * reps))
+
+    return lambda a, mid, b: right(run(left(a), mid), b)

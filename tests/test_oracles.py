@@ -7,6 +7,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import tracemalloc
 from itertools import product
 from pathlib import Path
 
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference_helpers import encode_word, equals, identity_rule, pad_table
+from reference_helpers import encode_word, equals, identity_rule, pad_table, preimage_test
 from test_kernel_properties import power_rules, table_rules
 from periodika import oracles, rules
 from periodika.configs import CyclicConfig, EpConfig, map_letters, product_config
@@ -128,11 +129,59 @@ def test_surjectivity_oracle_reads_the_essential_span():
 
 
 def test_surjectivity_oracle_refuses_past_its_cap(monkeypatch):
+    # the 16 * 16^4 move fields of a radius-2 rule mod 16 are refused before
+    # the first is built: the call allocates next to nothing
+    wide = table_from_additive(AdditiveRule(16, 2, {-2: 2, -1: 1, 2: 2}))
+    rules._kernel(wide)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceCapError, match="exceeded cap"):
+            surjectivity_oracle(wide)
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
     # onto, and the all-states set has a proper image, so a second set is met
     assert surjectivity_oracle(M4_TABLE)
     monkeypatch.setattr(oracles, "MAX_PREIMAGE_VECTORS", 1)
     with pytest.raises(ResourceCapError, match="exceeded cap"):
         surjectivity_oracle(M4_TABLE)
+    # rule 106 is onto; its 8 move fields fit, the 12 state sets it meets
+    # do not
+    rule106 = TableRule.from_wolfram(106)
+    monkeypatch.setattr(oracles, "MAX_PREIMAGE_VECTORS", 8)
+    with pytest.raises(ResourceCapError, match="exploration exceeded cap"):
+        surjectivity_oracle(rule106)
+    monkeypatch.setattr(oracles, "MAX_PREIMAGE_VECTORS", 12)
+    assert surjectivity_oracle(rule106)
+
+
+# ---------------------------------------------------------------------------
+# preimages of eventually periodic configurations
+
+
+def _primitive_words(k: int, n_max: int):
+    return [w for n in range(1, n_max + 1) for w in product(range(k), repeat=n) if len(set(w)) == n]
+
+
+def test_preimage_test_agrees_with_a_cell_by_cell_reference():
+    # every state ^inf(a) . mid . (b)^inf with tails of primitive period <= 2
+    # and mids of length <= 2, over the elementary rules and the radius-1
+    # additive tables mod 3 and 4; an onto rule has no Garden of Eden
+    cases = [TableRule.from_wolfram(n) for n in range(256)]
+    cases += [table_from_additive(rule) for m in (3, 4) for rule in _all_additive(m)]
+    rejected = 0
+    for rule in cases:
+        k = rule.alphabet_size
+        tails = _primitive_words(k, 2)
+        mids = [w for n in range(3) for w in product(range(k), repeat=n)]
+        prune, ref = oracles._preimage_test(rule), preimage_test(rule)
+        onto = surjectivity_oracle(rule)
+        for a, mid, b in product(tails, mids, tails):
+            got = prune(a, mid, b)
+            assert got == ref(a, mid, b), (rule, a, mid, b)
+            assert got or not onto, (rule, a, mid, b)
+            rejected += not got
+    assert rejected > 0
 
 
 # ---------------------------------------------------------------------------

@@ -9,13 +9,27 @@ from itertools import permutations, product
 
 import pytest
 
-from reference_helpers import encode_word, equals, essential_span, identity_rule, value_at
+from reference_helpers import (
+    encode_word,
+    equals,
+    essential_span,
+    identity_rule,
+    mirror_rule,
+    rotate_letters,
+    value_at,
+)
 from test_kernel_properties import power_rules
 from periodika.configs import CyclicConfig, EpConfig, is_spatially_periodic, render_config
 from periodika import periodicity
 from periodika.engine import CycleResult, CycleTimeout, step
 from periodika.additive import is_surjective_additive
-from periodika.oracles import EquicontinuityCert, _packed_power_walk
+from periodika.oracles import (
+    EquicontinuityCert,
+    _packed_power_walk,
+    _preimage_test,
+    equicontinuity_oracle,
+    surjectivity_oracle,
+)
 from periodika.periodicity import (
     BlockingCert,
     BlockingMiss,
@@ -504,9 +518,9 @@ def _first_return(rule, x, max_steps, max_mid=None):
 
 def test_scan_agrees_with_a_plain_return_walk_on_every_elementary_rule(monkeypatch):
     # an early exit of the orbit detector, or a stale successor memo, must
-    # never drop a violation, and with no drift sides every candidate is
-    # walked: a prune must neither drop a violation nor count other than
-    # the family it skips
+    # never drop a violation, and with no drift sides and no preimage test
+    # every candidate is walked: a prune must neither drop a violation nor
+    # count other than the family it skips
     cases = [(TableRule.from_wolfram(n), (2, 2, 16)) for n in range(256)]
     cases += [(rule, (1, 1, 2)) for rule in RADIUS1_ADDS if is_surjective_additive(rule)]
     results = [stp_empty_scan(rule, *bounds) for rule, bounds in cases]
@@ -518,6 +532,7 @@ def test_scan_agrees_with_a_plain_return_walk_on_every_elementary_rule(monkeypat
 
     monkeypatch.setattr(periodicity, "_cycle", plain_cycle)
     monkeypatch.setattr(periodicity, "_drift_sides", lambda rule: (None, None))
+    monkeypatch.setattr(periodicity, "_preimage_test", lambda rule: lambda a, mid, b: True)
     assert results == [stp_empty_scan(rule, *bounds) for rule, bounds in cases]
     assert sum(len(r.violations) for r in results) > 0
     assert len(walked) == sum(r.examined for r in results)
@@ -575,3 +590,47 @@ def test_product_witness_scan_refuses_a_certified_rule_that_is_not_surjective():
 
 def test_product_witness_scan_empty_without_a_blocking_word():
     assert product_witness_scan(RULE90, identity_rule(2)) == ()
+
+
+# ---------------------------------------------------------------------------
+# conjugate rules
+
+
+def _conjugate_answers(rule: TableRule):
+    census = [len(jointly_periodic_points(rule, n, 16).points) for n in range(1, 7)]
+    scan = stp_empty_scan(rule, 2, 2, 16)
+    blocking = blocking_word_search(rule, 3, 2, 8)
+    return (
+        surjectivity_oracle(rule),
+        isinstance(equicontinuity_oracle(rule), EquicontinuityCert),
+        (len(blocking.word), blocking.status) if isinstance(blocking, BlockingCert) else None,
+        scan.examined,
+        len(scan.violations),
+        census,
+    )
+
+
+def test_conjugate_rules_get_the_same_answers():
+    # the mirror x_i -> x_-i and a letter rotation conjugate the global map,
+    # so no verdict or count may change; this guards the code that treats
+    # the left and right ends differently (the drift sides, the blocking
+    # offset, the two tail limits of the preimage test)
+    rng = random.Random(21)
+    cases = [TableRule.from_wolfram(n) for n in rng.sample(range(256), 24)]
+    for m in (3, 4):
+        adds = [rule for rule in RADIUS1_ADDS if rule.modulus == m]
+        cases += [table_from_additive(rule) for rule in rng.sample(adds, 6)]
+    for rule in cases:
+        k = rule.alphabet_size
+        mirror, rotated = mirror_rule(rule), rotate_letters(rule)
+        answers = _conjugate_answers(rule)
+        assert _conjugate_answers(mirror) == answers, rule
+        assert _conjugate_answers(rotated) == answers, rule
+        tails = [w for n in (1, 2) for w in product(range(k), repeat=n) if len(set(w)) == n]
+        mids = [w for n in range(3) for w in product(range(k), repeat=n)]
+        tests = [_preimage_test(r) for r in (rule, mirror, rotated)]
+        for a, mid, b in product(tails, mids, tails):
+            want = tests[0](a, mid, b)
+            assert tests[1](b[::-1], mid[::-1], a[::-1]) == want, (rule, a, mid, b)
+            turned = (tuple((c + 1) % k for c in w) for w in (a, mid, b))
+            assert tests[2](*turned) == want, (rule, a, mid, b)
