@@ -4,8 +4,8 @@ These work on explicit tables only, so they are independent of the
 additive shortcuts, and both read a rule through ``rules._kernel``, its
 table cut to the essential span.  Surjectivity is decided on the de Bruijn
 graph by its subset automaton: F is onto iff no word empties the set of
-all states.  The same automaton, read forwards along a left tail and
-backwards along a right tail, decides whether an eventually periodic
+all states.  The same automaton, read along a configuration's left tail,
+middle and right tail, decides whether an eventually periodic
 configuration has a preimage at all; the empty-STP scan skips the
 candidates that have none.  Equicontinuity is decided by comparing the
 canonical tables of rule powers until two are equal; a power that equals
@@ -72,32 +72,20 @@ def surjectivity_oracle(rule: TableRule) -> bool:
     return True
 
 
-def _move_masks(table, k: int, states: int, backward: bool = False) -> list[int]:
+def _move_masks(table, k: int, states: int) -> list[int]:
     """The moves of the de Bruijn graph of a span table over ``k`` letters
     with ``states`` = k^(width - 1) states, width >= 2: entry u holds k
     fields of ``states`` bits, field a the states u reaches along an edge
-    labelled a, or with ``backward`` the states that reach u along one.
-    The k·states fields (one per table entry) are counted against
-    ``MAX_PREIMAGE_VECTORS`` before the first is built.
+    labelled a.  The k·states fields (one per table entry) are counted
+    against ``MAX_PREIMAGE_VECTORS`` before the first is built.
 
     The window ``u c`` is table entry u*k + c, from u to u*k % states + c, a
     multiple of k plus c, so u's moves are its row's from state 0, shifted
-    by u*k % states.  Backwards, v = d c is entered from the k states ``b
-    d`` along entry b*states + v, so v's column ``table[v::states]`` is
-    shifted by d = v // k onto the states b*(states // k)."""
+    by u*k % states."""
     if len(table) > MAX_PREIMAGE_VECTORS:
         raise ResourceCapError(f"subset-automaton moves of {len(table)} state sets exceeded cap")
     masks: dict = {}
     moves = []
-    if backward:
-        spread = states // k
-        for v in range(states):
-            col = table[v::states]
-            mask = masks.get(col)
-            if mask is None:
-                mask = masks[col] = sum(1 << a * states + b * spread for b, a in enumerate(col))
-            moves.append(mask << v // k)
-        return moves
     for i in range(0, len(table), k):  # i = u*k
         row = table[i : i + k]
         mask = masks.get(row)
@@ -109,74 +97,89 @@ def _move_masks(table, k: int, states: int, backward: bool = False) -> list[int]
 
 def _preimage_test(rule: TableRule):
     """``has_preimage(a, mid, b)``: whether the eventually periodic
-    configuration ``^inf(a) . mid . (b)^inf`` lies in F(X), exactly.
+    configuration ``^inf(a) . mid . (b)^inf`` lies in F(X), exactly, or
+    None when the move masks would hold more than ``MAX_PREIMAGE_VECTORS``
+    bits.
 
     On the de Bruijn graph of the kernel (see ``surjectivity_oracle``) a
     configuration has a preimage iff it labels a bi-infinite path.  S*(a),
     the states that end a left-infinite path labelled ``^inf(a)``, is the
-    limit of the sets read from the full set one period of ``a`` at a time:
-    they decrease, so they settle within k^(width - 1) + 1 periods, and by
-    König's lemma a state in all of them ends an infinite path.  R*(b), the
-    states that start a right-infinite path labelled ``(b)^inf``, is the
-    same limit on the backward moves, reading ``b`` from its end.  The
-    configuration has a preimage iff the states reached from S*(a) along
-    ``mid`` meet R*(b) (Hedlund 1969; Amoroso and Patt 1972).  S* and R*
-    are kept per tail and the image of each state set met per letter, so a
+    limit of the sets read from the full set one period of ``a`` at a time.
+    R*(b), the states that start a right-infinite path labelled
+    ``(b)^inf``, is the limit of the sets that start a path of n periods of
+    ``b``: from the full set, keep each state whose one period of ``b``
+    ends in the set, the ends read forwards once per state.  Both chains
+    decrease, so they settle within V = k^(width - 1) steps, and by König's
+    lemma a state in every set of a chain ends, or starts, an infinite
+    path.  The configuration has a preimage iff the states reached from
+    S*(a) along ``mid`` meet R*(b) (Hedlund 1969; Amoroso and Patt 1972).
+    S* and R* are kept per tail and the image of each state set met, so a
     later candidate costs its mid's lookups and one AND.  Over a span of
     one position a configuration has a preimage iff each of its letters is
-    in the table's image.  Raises ``ResourceCapError`` where
-    ``_move_masks`` does."""
+    in the table's image.  The V move masks are k·V bits each; past the
+    budget of k·V² bits no test is built, so a scan of such a rule walks
+    every candidate."""
     k = rule.alphabet_size
     table, width, _, _ = _kernel(rule)
     if width == 1:
         image = set(table)
         return lambda a, mid, b: image.issuperset((*a, *mid, *b))
     states = k ** (width - 1)
+    if len(table) * states > MAX_PREIMAGE_VECTORS:
+        return None
     full = (1 << states) - 1
-    reads = [_set_reader(_move_masks(table, k, states, back), states) for back in (False, True)]
-    forward = reads[0]
-    limits: list[dict] = [{}, {}]
-
-    def limit(word, back: int) -> int:
-        cur = limits[back].get(word)
-        if cur is None:
-            read, letters = reads[back], word[::-1] if back else word
-            cur, prev = full, None
-            while cur != prev:
-                prev = cur
-                for c in letters:
-                    cur = read(cur, c)
-            limits[back][word] = cur
-        return cur
-
-    def has_preimage(a, mid, b) -> bool:
-        cur = limit(a, 0)
-        for c in mid:
-            cur = forward(cur, c)
-        return bool(cur & limit(b, 1))
-
-    return has_preimage
-
-
-def _set_reader(moves: list[int], states: int):
-    """``read(cur, c)``: the states reached from the state set ``cur`` along
-    an edge labelled c, by the moves of ``_move_masks``; the k-field image
-    of each set is built once and kept."""
-    full = (1 << states) - 1
-    memo: dict = {}
+    moves = _move_masks(table, k, states)
+    images_of: dict = {}
 
     def read(cur: int, c: int) -> int:
-        images = memo.get(cur)
+        # the states reached from the set cur along an edge labelled c; the
+        # k-field image of each set is built once and kept
+        images = images_of.get(cur)
         if images is None:
             images, todo = 0, cur
             while todo:
                 low = todo & -todo
                 images |= moves[low.bit_length() - 1]
                 todo ^= low
-            memo[cur] = images
+            images_of[cur] = images
         return images >> c * states & full
 
-    return read
+    def left(a) -> int:
+        cur, prev = full, None
+        while cur != prev:
+            prev = cur
+            for c in a:
+                cur = read(cur, c)
+        return cur
+
+    def right(b) -> int:
+        ends = []  # the states each state reaches along one period of b
+        for u in range(states):
+            cur = 1 << u
+            for c in b:
+                cur = read(cur, c)
+            ends.append(cur)
+        cur, prev = full, None
+        while cur != prev:
+            prev = cur
+            cur = sum(1 << u for u, end in enumerate(ends) if end & prev)
+        return cur
+
+    lefts: dict = {}
+    rights: dict = {}
+
+    def has_preimage(a, mid, b) -> bool:
+        cur = lefts.get(a)
+        if cur is None:
+            cur = lefts[a] = left(a)
+        for c in mid:
+            cur = read(cur, c)
+        ends = rights.get(b)
+        if ends is None:
+            ends = rights[b] = right(b)
+        return bool(cur & ends)
+
+    return has_preimage
 
 
 @dataclass(frozen=True)

@@ -457,8 +457,8 @@ def stp_empty_scan(
     outside F(X) never returns.  Whether it is in F(X) is decided exactly
     by the de Bruijn subset automaton (``oracles._preimage_test``).  An
     onto additive rule has no Garden of Eden, so it is not asked, and a
-    rule whose automaton is over the cap of ``oracles._move_masks`` walks
-    every candidate.
+    rule whose move masks are over the test's bit budget walks every
+    candidate.
 
     The walked candidates share one successor memo (see ``engine._orbit``),
     which lives only as long as the call: candidate orbits fall into the
@@ -520,10 +520,7 @@ def stp_empty_scan(
     _table_size(k, mid_len_max)
     has_preimage = None
     if additive is None or not is_surjective_additive(additive):
-        try:
-            has_preimage = _preimage_test(table)
-        except ResourceCapError:
-            pass  # past the automaton's cap every candidate is walked
+        has_preimage = _preimage_test(table)
     # the mid grows by at most width - 1 per step, so this cap never binds
     max_mid = mid_len_max + (_kernel(table)[1] - 1) * t_max
     examined = 0

@@ -5,6 +5,7 @@ witnesses."""
 from __future__ import annotations
 
 import random
+import tracemalloc
 from itertools import permutations, product
 
 import pytest
@@ -485,6 +486,22 @@ def test_scan_streams_its_tail_pairs():
         stp_empty_scan(rule, 2, 3, 32, 5)
 
 
+def test_scan_walks_past_the_preimage_tests_bit_budget_without_its_masks():
+    # not onto (its mod-2 factor is zero) and with no drift prune; its
+    # 10^4 move masks of 10^5 bits each are over the budget, so no test is
+    # built and every candidate is walked, in about what the walks take
+    rule = AdditiveRule(10, 2, {-2: 2, 2: 2})
+    assert not is_surjective_additive(rule)
+    assert _preimage_test(table_from_additive(rule)) is None
+    tracemalloc.start()
+    try:
+        result = stp_empty_scan(rule, 1, 1, 8)
+        assert tracemalloc.get_traced_memory()[1] < 8 << 20
+    finally:
+        tracemalloc.stop()
+    assert result.examined == 225 and not result.violations
+
+
 def test_scan_walks_tails_by_length_then_word():
     # swapping letters 0 and 1 gives the tail 2 the shortest temporal
     # period, so an order by period would walk it first
@@ -532,7 +549,7 @@ def test_scan_agrees_with_a_plain_return_walk_on_every_elementary_rule(monkeypat
 
     monkeypatch.setattr(periodicity, "_cycle", plain_cycle)
     monkeypatch.setattr(periodicity, "_drift_sides", lambda rule: (None, None))
-    monkeypatch.setattr(periodicity, "_preimage_test", lambda rule: lambda a, mid, b: True)
+    monkeypatch.setattr(periodicity, "_preimage_test", lambda rule: None)
     assert results == [stp_empty_scan(rule, *bounds) for rule, bounds in cases]
     assert sum(len(r.violations) for r in results) > 0
     assert len(walked) == sum(r.examined for r in results)
@@ -614,7 +631,7 @@ def test_conjugate_rules_get_the_same_answers():
     # the mirror x_i -> x_-i and a letter rotation conjugate the global map,
     # so no verdict or count may change; this guards the code that treats
     # the left and right ends differently (the drift sides, the blocking
-    # offset, the two tail limits of the preimage test)
+    # offset, the preimage test's left-tail limit and right-tail periods)
     rng = random.Random(21)
     cases = [TableRule.from_wolfram(n) for n in rng.sample(range(256), 24)]
     for m in (3, 4):
