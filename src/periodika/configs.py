@@ -31,10 +31,24 @@ class ConfigSpecError(ValueError):
 
 
 def primitive_root(word: tuple[int, ...]) -> tuple[int, ...]:
-    """Shortest ``u`` with ``word = u * (len(word) // len(u))``."""
+    """Shortest ``u`` with ``word = u * (len(word) // len(u))``, as a slice
+    of ``word``; a word of fewer than two letters is returned as it is.
+
+    The length of ``u`` is the least ``p >= 1`` at which ``word`` occurs in
+    ``word + word`` (Knuth, Morris & Pratt, SIAM J. Comput. 6, 1977), found
+    by one C-level substring search over the word as ``bytes``: the word
+    itself, or ``bytes(word)`` for a sequence of letters below 256.  A word
+    that ``bytes`` refuses (a letter past 255, a ``str``) tries each divisor
+    of its length instead."""
     n = len(word)
-    periods = (d for d in range(1, n + 1) if n % d == 0 and word[d:] == word[: n - d])
-    return word[: next(periods, n)]
+    if n < 2:
+        return word
+    try:
+        text = word if isinstance(word, bytes) else bytes(word)
+    except (ValueError, TypeError):
+        periods = (d for d in range(1, n + 1) if n % d == 0 and word[d:] == word[: n - d])
+        return word[: next(periods, n)]
+    return word[: (text + text).find(text, 1)]
 
 
 def _rot_left(word):
@@ -50,7 +64,7 @@ def _canonical_word(word: tuple[int, ...], phase: int) -> tuple[int, ...]:
     mod n]``: its primitive root read off from coordinate 0."""
     root = primitive_root(word)
     phase %= len(root)
-    return root[phase:] + root[:phase]
+    return root[phase:] + root[:phase] if phase else root
 
 
 def _canonical_ep(left, mid, right, start: int):

@@ -15,7 +15,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import islice
 
-from .configs import Config, CyclicConfig, EpConfig, _canonical_ep, _canonical_word, _cells, _repeat, _state
+from .configs import (
+    Config,
+    CyclicConfig,
+    _canonical_ep,
+    _canonical_word,
+    _cells,
+    _cyclic,
+    _ep,
+    _repeat,
+    _state,
+)
 from .rules import TableRule, _kernel
 
 
@@ -46,11 +56,12 @@ def step(rule: TableRule, x: Config) -> Config:
         raise ValueError("alphabet mismatch")
     kernel = _kernel(rule)
     pack = type(kernel[0])
-    # the public constructors turn packed letters back into tuples of ints
+    # image letters come from the validated table, so the trusted
+    # constructors take them once unpacked back into tuples of ints
     if isinstance(x, CyclicConfig):
-        return CyclicConfig(x.alphabet_size, _cyclic_image(kernel, pack(x.word)))
-    left, mid, right = map(pack, (x.left, x.mid, x.right))
-    return EpConfig(x.alphabet_size, *_ep_image(kernel, left, mid, right, x.start))
+        return _cyclic(x.alphabet_size, tuple(_cyclic_image(kernel, pack(x.word))))
+    left, mid, right, start = _ep_image(kernel, *map(pack, (x.left, x.mid, x.right)), x.start)
+    return _ep(x.alphabet_size, tuple(left), tuple(mid), tuple(right), start)
 
 
 def _orbit(rule: TableRule, state, succ: dict | None = None):

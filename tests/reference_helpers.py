@@ -1,9 +1,10 @@
 """Reference readings of rules and configurations for the tests, written
 from the definitions and independent of the package's table and
 configuration kernels: window words encoded letter by letter, tables
-padded word by word, essential positions found entry by entry, letters
-read off a configuration's presentation, configurations compared letter
-by letter, and preimages traced cell by cell."""
+padded word by word, essential positions found entry by entry, primitive
+roots found divisor by divisor, letters read off a configuration's
+presentation, configurations compared letter by letter, and preimages
+traced cell by cell."""
 
 from __future__ import annotations
 
@@ -91,6 +92,15 @@ def essential_span(rule: TableRule) -> tuple[int, int] | None:
         return None
     lo = window(rule)[0]
     return lo + essential[0], lo + essential[-1]
+
+
+def divisor_scan_root(word):
+    """Primitive root of ``word`` by trying each divisor ``d`` of its length
+    in turn: the first ``d`` at which the word equals itself shifted by
+    ``d`` gives the root ``word[:d]``."""
+    n = len(word)
+    periods = (d for d in range(1, n + 1) if n % d == 0 and word[d:] == word[: n - d])
+    return word[: next(periods, n)]
 
 
 def value_at(x, i: int) -> int:

@@ -10,11 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference_helpers import equals, value_at
+from reference_helpers import divisor_scan_root, equals, value_at
 from periodika.configs import (
     ConfigSpecError,
     CyclicConfig,
     EpConfig,
+    _canonical_ep,
+    _canonical_word,
     _cyclic,
     _ep,
     is_spatially_periodic,
@@ -26,6 +28,8 @@ from periodika.configs import (
     render_config,
     shift,
 )
+from periodika.engine import _cyclic_image, _ep_image, step
+from periodika.rules import TableRule, _kernel
 
 
 # ---------------------------------------------------------------------------
@@ -36,6 +40,71 @@ def test_primitive_root():
     assert primitive_root((0, 1, 0, 1)) == (0, 1)
     assert primitive_root((0, 1, 1)) == (0, 1, 1)
     assert primitive_root((0,)) == (0,)
+
+
+@st.composite
+def _root_inputs(draw):
+    """A word of a type that ``primitive_root`` takes: a power of a random
+    root, or random letters (empty and one-letter words included), with
+    letters below 2, 256 or 300, as bytes (letters below 256 only), a
+    tuple, a list or a str."""
+    top = draw(st.sampled_from((2, 256, 300)))
+    letters = st.integers(0, top - 1)
+    if draw(st.booleans()):
+        word = draw(st.lists(letters, min_size=1, max_size=6)) * draw(st.integers(1, 6))
+    else:
+        word = draw(st.lists(letters, max_size=12))
+    kinds = [tuple, list, lambda w: "".join(map(chr, w))]
+    if top <= 256:
+        kinds.append(bytes)
+    return draw(st.sampled_from(kinds))(word)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(_root_inputs())
+def test_primitive_root_agrees_with_the_divisor_scan(word):
+    root = primitive_root(word)
+    assert type(root) is type(word)
+    assert root == divisor_scan_root(word)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from((1, 2, 5040)),
+    st.sampled_from((2, 256, 300)),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from((bytes, tuple, list)),
+)
+def test_primitive_root_of_5040_letter_words(root_len, top, seed, kind):
+    if kind is bytes:
+        top = min(top, 256)
+    rng = random.Random(seed)
+    word = kind([rng.randrange(top) for _ in range(root_len)] * (5040 // root_len))
+    assert primitive_root(word) == divisor_scan_root(word)
+
+
+@st.composite
+def _packable_words(draw):
+    """Words over at most 256 letters, tails and cyclic word repeated so
+    that their roots are shorter: a cyclic word with a phase, and an
+    eventually periodic presentation, sometimes with equal tails."""
+    k = draw(st.integers(2, 256))
+    word, left, mid, right = (draw(_letter_words(k, n)) for n in (1, 1, 0, 1))
+    if draw(st.booleans()):
+        right = left
+    word, left, right = (w * draw(st.integers(1, 3)) for w in (word, left, right))
+    return word, draw(st.integers(-6, 6)), left, mid, right, draw(st.integers(-5, 5))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_packable_words())
+def test_canonical_forms_agree_on_bytes_and_tuples(case):
+    word, phase, left, mid, right, start = case
+    packed = _canonical_word(bytes(word), phase)
+    assert type(packed) is bytes and tuple(packed) == _canonical_word(word, phase)
+    *packed, packed_start = _canonical_ep(bytes(left), bytes(mid), bytes(right), start)
+    assert all(type(w) is bytes for w in packed)
+    assert (*map(tuple, packed), packed_start) == _canonical_ep(left, mid, right, start)
 
 
 def test_cyclic_reduces_to_primitive_root():
@@ -308,8 +377,21 @@ def _raw_words_any_alphabet(draw):
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(_raw_words_any_alphabet())
-def test_trusted_constructors_agree_with_the_public_ones(case):
+@given(_raw_words_any_alphabet(), st.integers(0, 2**32 - 1))
+def test_trusted_constructors_agree_with_the_public_ones(case, seed):
     k, word, left, mid, right, start = case
-    assert _cyclic(k, word) == CyclicConfig(k, word)
-    assert _ep(k, left, mid, right, start) == EpConfig(k, left, mid, right, start)
+    x, y = CyclicConfig(k, word), EpConfig(k, left, mid, right, start)
+    assert _cyclic(k, word) == x
+    assert _ep(k, left, mid, right, start) == y
+    # step builds its images with the trusted constructors; a radius-1
+    # table over up to 7 letters and a radius-0 one over more, so that the
+    # packed words are bytes for span tables of up to 256 entries and
+    # tuples for larger ones
+    radius = 1 if k <= 7 else 0
+    rng = random.Random(seed)
+    rule = TableRule(k, radius, tuple(rng.randrange(k) for _ in range(k ** (2 * radius + 1))))
+    kernel = _kernel(rule)
+    pack = type(kernel[0])
+    assert step(rule, x) == CyclicConfig(k, _cyclic_image(kernel, pack(x.word)))
+    image = _ep_image(kernel, *map(pack, (y.left, y.mid, y.right)), y.start)
+    assert step(rule, y) == EpConfig(k, *image)
