@@ -19,9 +19,7 @@ from .additive import (
     boundary_indices,
     classify_additive,
     classify_prime_power,
-    crt_join,
     crt_join_letter,
-    crt_split,
     decompose_crt,
     enumerate_additive_rules,
     is_surjective_additive,
@@ -36,11 +34,8 @@ from .configs import (
     CyclicConfig,
     EpConfig,
     is_spatially_periodic,
-    join_letterwise,
-    map_letters,
     parse_config,
     primitive_root,
-    product_config,
     render_config,
     shift,
 )

@@ -25,7 +25,6 @@ from enum import Enum
 from itertools import count, product
 from math import gcd, lcm, prod
 
-from .configs import Config, join_letterwise, map_letters
 from .rules import (
     AdditiveRule,
     NotSurjectiveError,
@@ -183,17 +182,6 @@ def crt_join_letter(residues: tuple[int, ...], moduli: tuple[int, ...]) -> int:
         stride = total // q
         x += r * stride * pow(stride, -1, q)
     return x % total
-
-
-def crt_split(x: Config, factors: tuple[PrimePowerFactor, ...]) -> tuple[Config, ...]:
-    """Letterwise residues of a configuration over the factor moduli."""
-    return tuple(map_letters(x, lambda a, q=f.modulus: a % q, f.modulus) for f in factors)
-
-
-def crt_join(components, factors: tuple[PrimePowerFactor, ...]) -> Config:
-    """Inverse of ``crt_split``: combine residue configurations."""
-    moduli = tuple(f.modulus for f in factors)
-    return join_letterwise(components, lambda *res: crt_join_letter(res, moduli), prod(moduli))
 
 
 def boundary_indices(factor: PrimePowerFactor) -> tuple[int, int]:

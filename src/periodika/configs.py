@@ -51,14 +51,6 @@ def primitive_root(word: tuple[int, ...]) -> tuple[int, ...]:
     return word[: (text + text).find(text, 1)]
 
 
-def _rot_left(word):
-    return word[1:] + word[:1]
-
-
-def _rot_right(word):
-    return word[-1:] + word[:-1]
-
-
 def _canonical_word(word: tuple[int, ...], phase: int) -> tuple[int, ...]:
     """Canonical word of the cyclic configuration ``x_i = word[(phase + i)
     mod n]``: its primitive root read off from coordinate 0."""
@@ -74,30 +66,42 @@ def _canonical_ep(left, mid, right, start: int):
     ``bytes`` that orbit walks step) and both tails are nonempty."""
     left = primitive_root(left)
     right = primitive_root(right)
-    # Absorb border letters that already match the adjacent tail.
-    while mid and mid[0] == left[0]:
-        left = _rot_left(left)
-        mid = mid[1:]
-        start += 1
-    while mid and mid[-1] == right[-1]:
-        right = _rot_right(right)
-        mid = mid[:-1]
+    # Absorb border letters that already match the adjacent tail: count
+    # each matching run by index, then cut the mid and rotate the tail once.
+    if mid and mid[0] == left[0]:
+        n, i = len(left), 1
+        while i < len(mid) and mid[i] == left[i % n]:
+            i += 1
+        r = i % n
+        left = left[r:] + left[:r]
+        mid = mid[i:]
+        start += i
+    if mid and mid[-1] == right[-1]:
+        n, j = len(right), 1
+        while j < len(mid) and mid[-1 - j] == right[-1 - j % n]:
+            j += 1
+        r = j % n
+        right = right[-r:] + right[:-r]
+        mid = mid[:-j]
     if not mid:
-        if len(left) == len(right) and left == right:
+        nl, nr = len(left), len(right)
+        if nl == nr and left == right:
             # Spatially periodic: anchor the root at coordinate 0.
-            phase = -start % len(left)
+            phase = -start % nl
             left = right = left[phase:] + left[:phase]
             start = 0
-        else:
-            # Two-regime configuration: slide the boundary leftmost.
-            guard = lcm(len(left), len(right))
-            while left[-1] == right[-1]:
-                left = _rot_right(left)
-                right = _rot_right(right)
-                start -= 1
-                guard -= 1
-                if guard < 0:  # pragma: no cover - primitivity rules this out
+        elif left[-1] == right[-1]:
+            # Two-regime configuration: slide the boundary leftmost, past
+            # the run on which both tails agree leftward.
+            guard, t = lcm(nl, nr), 1
+            while left[-1 - t % nl] == right[-1 - t % nr]:
+                t += 1
+                if t > guard:  # pragma: no cover - primitivity rules this out
                     raise AssertionError("boundary slide failed to terminate")
+            rl, rr = t % nl, t % nr
+            left = left[-rl:] + left[:-rl]
+            right = right[-rr:] + right[:-rr]
+            start -= t
     return left, mid, right, start
 
 
@@ -229,25 +233,12 @@ def is_spatially_periodic(x: Config) -> bool:
     return not x.mid and x.left == x.right
 
 
-def map_letters(x: Config, fn, alphabet_size: int) -> Config:
-    """Apply a letter map pointwise; the result is re-canonicalised."""
-    if isinstance(x, CyclicConfig):
-        return CyclicConfig(alphabet_size, tuple(fn(a) for a in x.word), 0)
-    return EpConfig(
-        alphabet_size,
-        tuple(fn(a) for a in x.left),
-        tuple(fn(a) for a in x.mid),
-        tuple(fn(a) for a in x.right),
-        x.start,
-    )
-
-
-def join_letterwise(components, fn, alphabet_size: int) -> Config:
-    """Combine configurations coordinatewise with ``fn(letters...)``.
-
-    All components must be CyclicConfig for a cyclic result; otherwise the
-    result is eventually periodic.
-    """
+def _join(components, fn, alphabet_size: int) -> Config:
+    """Combine configurations letterwise with ``fn(letters...)``: one
+    component is a letter map (a residue split), several a CRT join or a
+    product fuse.  The result is cyclic when every component is, otherwise
+    eventually periodic, and is built by the public constructors, so the
+    combined letters are validated."""
     components = tuple(components)
     if not components:
         raise ValueError("need at least one component")
@@ -264,13 +255,6 @@ def join_letterwise(components, fn, alphabet_size: int) -> Config:
     start, end = min(c.start for c in eps), max(c.end for c in eps)
     left, mid, right = joint(start - left_period, start), joint(start, end), joint(end, end + right_period)
     return EpConfig(alphabet_size, left, mid, right, start)
-
-
-def product_config(x: Config, y: Config) -> Config:
-    k2 = y.alphabet_size
-    return join_letterwise(
-        (x, y), lambda a, b: a * k2 + b, x.alphabet_size * k2
-    )
 
 
 def _word_to_text(word, alphabet_size: int) -> str:

@@ -39,11 +39,10 @@ from .configs import (
     _cells,
     _cyclic,
     _ep,
+    _join,
     _state,
     is_spatially_periodic,
-    map_letters,
     primitive_root,
-    product_config,
 )
 from .engine import CycleResult, CycleTimeout, _cycle, _orbit, step
 from .oracles import EquicontinuityCert, _packed_power_walk, _preimage_test, surjectivity_oracle
@@ -504,7 +503,7 @@ def stp_empty_scan(
             y = _ep(k, a, mid, b, 0)
             img = step(table, y)
             for q, dl, dr in sides:
-                ry, rimg = (map_letters(z, lambda a, q=q: a % q, q) for z in (y, img))
+                ry, rimg = (_join((z,), lambda a, q=q: a % q, q) for z in (y, img))
                 if is_spatially_periodic(ry):
                     continue
                 (y_lo, y_hi), (img_lo, img_hi) = _defects(ry), _defects(rimg)
@@ -571,9 +570,14 @@ def product_witness_scan(f: TableRule, g: TableRule) -> tuple[StpWitness, ...]:
                 break
     g_points = _primitive_points(g, 3, t_max)
     prod = product_rule(f, g)
+    kg = g.alphabet_size
     # F^t fixes the fused point, so its orbit returns within t steps
     fused = (
-        _return_witness(prod, product_config(wf.config, cg), lcm(wf.period, tg))
+        _return_witness(
+            prod,
+            _join((wf.config, cg), lambda a, b: a * kg + b, prod.alphabet_size),
+            lcm(wf.period, tg),
+        )
         for wf in f_wits
         for cg, tg in g_points
         if lcm(wf.period, tg) <= t_max

@@ -2,9 +2,10 @@
 from the definitions and independent of the package's table and
 configuration kernels: window words encoded letter by letter, tables
 padded word by word, essential positions found entry by entry, primitive
-roots found divisor by divisor, letters read off a configuration's
-presentation, configurations compared letter by letter, and preimages
-traced cell by cell."""
+roots found divisor by divisor, eventually periodic configurations
+canonicalised one border letter at a time, letters read off a
+configuration's presentation, configurations compared letter by letter,
+and preimages traced cell by cell."""
 
 from __future__ import annotations
 
@@ -101,6 +102,39 @@ def divisor_scan_root(word):
     n = len(word)
     periods = (d for d in range(1, n + 1) if n % d == 0 and word[d:] == word[: n - d])
     return word[: next(periods, n)]
+
+
+def canonical_ep(left, mid, right, start: int):
+    """Canonical ``(left, mid, right, start)`` of ``^inf(left) . mid .
+    (right)^inf`` with the mid at ``start``, one letter at a time: each
+    border letter that continues its tail is moved into it, then an empty
+    mid between two different tails slides leftward while both tails end
+    alike.  Words are tuples or ``bytes``, both tails nonempty; quadratic
+    in a long absorbed run or slide."""
+    left = divisor_scan_root(left)
+    right = divisor_scan_root(right)
+    while mid and mid[0] == left[0]:
+        left = left[1:] + left[:1]
+        mid = mid[1:]
+        start += 1
+    while mid and mid[-1] == right[-1]:
+        right = right[-1:] + right[:-1]
+        mid = mid[:-1]
+    if not mid:
+        if len(left) == len(right) and left == right:
+            phase = -start % len(left)
+            left = right = left[phase:] + left[:phase]
+            start = 0
+        else:
+            guard = lcm(len(left), len(right))
+            while left[-1] == right[-1]:
+                left = left[-1:] + left[:-1]
+                right = right[-1:] + right[:-1]
+                start -= 1
+                guard -= 1
+                if guard < 0:
+                    raise AssertionError("boundary slide failed to terminate")
+    return left, mid, right, start
 
 
 def value_at(x, i: int) -> int:

@@ -4,7 +4,10 @@ artifact files, deterministic JSON, and the exit-code contract."""
 from __future__ import annotations
 
 import json
+import os
 import shlex
+import subprocess
+import sys
 from itertools import product
 from pathlib import Path
 
@@ -22,6 +25,7 @@ from periodika.rules import TableRule, render_rule_spec
 
 GOLDEN = Path(__file__).parent / "golden"
 README = Path(__file__).parent.parent / "README.md"
+SRC = Path(__file__).parent.parent / "src"
 
 
 def run(capsys, argv, expect=EXIT_OK):
@@ -614,3 +618,21 @@ def test_exit_parse_on_unwritable_output(capsys):
 def test_help_exits_cleanly(capsys):
     assert main(["--help"]) == EXIT_OK
     assert "classify" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv, expect",
+    [
+        (["classify", "--rule", "additive:m=6;r=1;c=1,2,3"], EXIT_OK),
+        (["classify", "--rule", "wolfram:90"], EXIT_PARSE),
+    ],
+)
+def test_python_dash_m_matches_main(capsys, tmp_path, argv, expect):
+    # an uninstalled checkout runs the command line as `python -m periodika`
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "periodika", *argv],
+        capture_output=True, cwd=tmp_path, env=env, text=True, timeout=60,
+    )
+    assert proc.returncode == expect
+    assert proc.stdout == run(capsys, argv, expect)

@@ -7,10 +7,10 @@ import random
 from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reference_helpers import divisor_scan_root, equals, value_at
+from reference_helpers import canonical_ep, divisor_scan_root, equals, value_at
 from periodika.configs import (
     ConfigSpecError,
     CyclicConfig,
@@ -19,12 +19,10 @@ from periodika.configs import (
     _canonical_word,
     _cyclic,
     _ep,
+    _join,
     is_spatially_periodic,
-    join_letterwise,
-    map_letters,
     parse_config,
     primitive_root,
-    product_config,
     render_config,
     shift,
 )
@@ -105,6 +103,45 @@ def test_canonical_forms_agree_on_bytes_and_tuples(case):
     *packed, packed_start = _canonical_ep(bytes(left), bytes(mid), bytes(right), start)
     assert all(type(w) is bytes for w in packed)
     assert (*map(tuple, packed), packed_start) == _canonical_ep(left, mid, right, start)
+
+
+@st.composite
+def _absorbing_presentations(draw):
+    """An eventually periodic presentation whose mid continues its left
+    tail rightward and its right tail leftward for long runs (the runs may
+    meet or cross), and whose tails agree leftward for a long run, so that
+    border absorption and the boundary slide both have far to go."""
+    k = draw(st.sampled_from((2, 3, 256)))
+    left, right = draw(_letter_words(k, 1)), draw(_letter_words(k, 1))
+    if draw(st.booleans()):
+        # tails that end in a common run longer than either
+        common = draw(_letter_words(k, 1)) * draw(st.integers(1, 8))
+        left, right = left + common, right + common
+    n_left, n_right = draw(st.integers(0, 40)), draw(st.integers(0, 40))
+    mid = (
+        tuple(left[i % len(left)] for i in range(n_left))
+        + draw(_letter_words(k, 0))
+        + tuple(right[-1 - j % len(right)] for j in range(n_right))[::-1]
+    )
+    return k, left, mid, right, draw(st.integers(-6, 6))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_absorbing_presentations())
+# a 20 000-letter absorbed run and a 10 000-letter slide: on tuples the
+# letter-at-a-time canonicaliser takes over a second on each
+@example((2, (0,), (0,) * 20000 + (1,), (1,), 0))
+@example((2, (1,) + (0,) * 10000, (), (1,) + (0,) * 10001, 0))
+def test_canonical_ep_matches_the_letter_at_a_time_reference(case):
+    k, left, mid, right, start = case
+    packed = tuple(map(bytes, (left, mid, right)))
+    # the reference slices bytes fast enough for the long cases
+    expected = canonical_ep(*packed, start)
+    assert _canonical_ep(*packed, start) == expected
+    expected = (*map(tuple, expected[:3]), expected[3])
+    assert _canonical_ep(left, mid, right, start) == expected
+    x = EpConfig(k, left, mid, right, start)
+    assert (x.left, x.mid, x.right, x.start) == expected
 
 
 def test_cyclic_reduces_to_primitive_root():
@@ -265,16 +302,16 @@ def test_equals_across_classes():
 
 def test_map_letters_recanonicalizes():
     x = EpConfig(2, (0,), (1,), (0,), 0)
-    flipped = map_letters(x, lambda a: 1 - a, 2)
+    flipped = _join((x,), lambda a: 1 - a, 2)
     assert flipped == EpConfig(2, (1,), (0,), (1,), 0)
-    collapsed = map_letters(x, lambda a: 0, 2)
+    collapsed = _join((x,), lambda a: 0, 2)
     assert equals(collapsed, CyclicConfig(2, (0,)))
 
 
 def test_join_letterwise_on_cyclic_inputs():
     a = CyclicConfig(2, (0, 1))
     b = CyclicConfig(2, (0, 1, 1))
-    joined = join_letterwise((a, b), lambda p, q: p ^ q, 2)
+    joined = _join((a, b), lambda p, q: p ^ q, 2)
     assert isinstance(joined, CyclicConfig)
     assert len(joined.word) in (1, 2, 3, 6)
     for i in range(-12, 13):
@@ -284,7 +321,7 @@ def test_join_letterwise_on_cyclic_inputs():
 def test_join_letterwise_mixed_classes():
     a = EpConfig(2, (0,), (1,), (0,), 0)
     b = CyclicConfig(2, (0, 1))
-    joined = join_letterwise((a, b), lambda p, q: p + q, 3)
+    joined = _join((a, b), lambda p, q: p + q, 3)
     for i in range(-10, 11):
         assert value_at(joined, i) == value_at(a, i) + value_at(b, i)
 
@@ -292,10 +329,10 @@ def test_join_letterwise_mixed_classes():
 def test_product_split_round_trip():
     x = EpConfig(2, (0,), (1,), (0,), 0)
     y = CyclicConfig(3, (0, 2))
-    fused = product_config(x, y)
+    fused = _join((x, y), lambda a, b: a * 3 + b, 6)
     assert fused.alphabet_size == 6
-    assert equals(map_letters(fused, lambda c: c // 3, 2), x)
-    assert equals(map_letters(fused, lambda c: c % 3, 3), y)
+    assert equals(_join((fused,), lambda c: c // 3, 2), x)
+    assert equals(_join((fused,), lambda c: c % 3, 3), y)
 
 
 # ---------------------------------------------------------------------------

@@ -27,8 +27,8 @@ from periodika.configs import (
     EpConfig,
     _canonical_ep,
     _cells,
+    _join,
     _state,
-    join_letterwise,
     shift,
 )
 from periodika.engine import (
@@ -656,7 +656,7 @@ def test_join_letterwise_matches_a_per_coordinate_reference(components):
     size = 1
     for c in components:
         size *= c.alphabet_size
-    joined = join_letterwise(components, fn, size)
+    joined = _join(components, fn, size)
     assert isinstance(joined, CyclicConfig) == all(isinstance(c, CyclicConfig) for c in components)
     # past every mid both tails of the joint are periodic with period
     # dividing the lcm of all tail periods, so two of them on each side

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from reference_helpers import encode_word, equals, identity_rule, pad_table, preimage_test
 from test_kernel_properties import power_rules, table_rules
 from periodika import oracles, rules
-from periodika.configs import CyclicConfig, EpConfig, map_letters, product_config
+from periodika.configs import CyclicConfig, EpConfig, _join
 from periodika.engine import step
 from periodika.oracles import (
     EquicontinuityCert,
@@ -312,12 +312,12 @@ def test_product_rule_steps_componentwise():
             ),
         ]
         for x, y in samples:
-            fused = product_config(x, y)
+            fused = _join((x, y), lambda a, b: a * kg + b, kf * kg)
             stepped = step(prod, fused)
-            expected = product_config(step(f, x), step(g, y))
+            expected = _join((step(f, x), step(g, y)), lambda a, b: a * kg + b, kf * kg)
             assert equals(stepped, expected)
-            assert equals(map_letters(stepped, lambda c: c // kg, kf), step(f, x))
-            assert equals(map_letters(stepped, lambda c: c % kg, kg), step(g, y))
+            assert equals(_join((stepped,), lambda c: c // kg, kf), step(f, x))
+            assert equals(_join((stepped,), lambda c: c % kg, kg), step(g, y))
 
 
 def test_product_rule_resource_cap(monkeypatch):
