@@ -195,10 +195,17 @@ def ascii_render(trace: SpaceTimeTrace) -> str:
 
 
 def pgm_render(trace: SpaceTimeTrace) -> bytes:
-    """Binary PGM (P5) image, one pixel per cell, letters scaled to 0..255."""
+    """Binary PGM (P5) image, one pixel per cell, letters scaled to 0..255;
+    past 256 letters to 0..65535, two bytes per sample, most significant
+    first.  More than 65536 letters are refused."""
+    k = trace.alphabet_size
+    if k > 65536:
+        raise ValueError(f"a PGM image has at most 65536 grey levels, not {k}")
+    maxval = 255 if k <= 256 else 65535
+    scale = maxval // (k - 1)
     width = trace.hi - trace.lo + 1
     height = len(trace.rows)
-    scale = 255 // (trace.alphabet_size - 1)
-    header = f"P5\n{width} {height}\n255\n".encode("ascii")
-    body = bytes(a * scale for row in trace.rows for a in row)
+    header = f"P5\n{width} {height}\n{maxval}\n".encode("ascii")
+    samples = (a * scale for row in trace.rows for a in row)
+    body = bytes(samples) if maxval == 255 else b"".join(v.to_bytes(2, "big") for v in samples)
     return header + body

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import islice, product
 from math import lcm
+from sys import byteorder
 
 from .additive import (
     FactorClass,
@@ -124,10 +125,48 @@ def jointly_periodic_points(rule: TableRule, n: int, t_max: int) -> JpCensus:
 
 def _successors(rule: TableRule, n: int) -> list[int]:
     """Entry ``j`` is the index of the image of the cyclic word ``j`` of
-    length ``n``, built level by level for all ``k**n`` words at once."""
+    length ``n``, built for all ``k**n`` words at once: column by column
+    in byte lanes when the span table is ``bytes``, else level by level."""
     k = rule.alphabet_size
     table, w, lo, _ = _kernel(rule)
     states = k**n
+    if isinstance(table, bytes):
+        # One big int per column of all words, one byte per word; every int
+        # here reads its bytes in the host's byte order, so byte j is word
+        # j's.  Image cell c reads the digit columns (c + lo + i) % n, i < w,
+        # which folds in the wrap-around and the rotation by lo; their Horner
+        # sum is the window index column (bytes below k**w <= 256), and
+        # translate gives the cell's image letters.  g image cells share a
+        # byte lane (k**g <= 256); the groups are widened to 4-byte lanes and
+        # summed there, each lane a whole index (k**n <= MAX_TABLE_ENTRIES <
+        # 2**32), so the lanes are the host's 4-byte unsigned ints.
+        def column(c: int) -> int:
+            # digit c of every word: each letter k**(n - 1 - c) times, the
+            # run repeated k**c times
+            c %= n
+            run = b"".join(bytes((a,)) * k ** (n - 1 - c) for a in range(k))
+            return int.from_bytes(run * k**c, byteorder)
+
+        lut = table.ljust(256, b"\0")
+        g = 1
+        while k ** (g + 1) <= 256:
+            g += 1
+        window = [column(lo + i) for i in range(w - 1)]
+        wide = bytearray(4 * states)
+        low = 0 if byteorder == "little" else 3  # the low byte of a lane
+        lanes = packed = 0
+        for c in range(n):
+            window.append(column(c + lo + w - 1))
+            idx = 0
+            for col in window:
+                idx = idx * k + col
+            del window[0]
+            lanes = lanes * k + int.from_bytes(idx.to_bytes(states, byteorder).translate(lut), byteorder)
+            if c % g == g - 1 or c == n - 1:
+                wide[low::4] = lanes.to_bytes(states, byteorder)
+                packed = packed * k ** (c % g + 1) + int.from_bytes(wide, byteorder)
+                lanes = 0
+        return memoryview(packed.to_bytes(4 * states, byteorder)).cast("I").tolist()
     # G, the image with each window starting at its own cell.  Cells
     # 0 .. n - w read the word linearly; each later cell wraps around and
     # reads its window out of X, the word repeated reps times, which is

@@ -12,6 +12,7 @@ from periodika.configs import CyclicConfig, EpConfig, shift
 from periodika.engine import (
     CycleResult,
     CycleTimeout,
+    SpaceTimeTrace,
     ascii_render,
     pgm_render,
     space_time,
@@ -276,3 +277,12 @@ def test_pgm_render_scales_intermediate_letters():
     trace = space_time(identity_rule(3), CyclicConfig(3, (0, 1, 2)), 0, 0, 2)
     body = pgm_render(trace).split(b"\n", 3)[3]
     assert body == bytes((0, 127, 254))
+
+
+def test_pgm_render_writes_two_byte_samples_past_256_letters():
+    # 65535 // 299 = 219 grey levels per letter, most significant byte first
+    trace = space_time(identity_rule(300), CyclicConfig(300, (0, 150, 299)), 0, 0, 2)
+    assert pgm_render(trace) == b"P5\n3 1\n65535\n" + bytes((0, 0, 128, 82, 255, 201))
+    assert pgm_render(SpaceTimeTrace(65536, 0, 0, ((65535,),))).endswith(b"\n65535\n\xff\xff")
+    with pytest.raises(ValueError, match="65536"):
+        pgm_render(SpaceTimeTrace(65537, 0, 0, ((0,),)))

@@ -164,6 +164,12 @@ def _census_kernel_cases():
         cases.append((random_rule(3, 1, offset), 6))
         cases.append((random_rule(2, 2, offset), 8))
         cases += [(random_rule(k, 0, offset), n_max) for k, n_max in ((2, 8), (3, 6), (4, 5))]
+    for offset in range(-3, 4):
+        # span tables of 64, 125 and 216 bytes: 4, 3 and 3 image cells per
+        # byte lane
+        cases += [(random_rule(k, 1, offset), n_max) for k, n_max in ((4, 5), (5, 4), (6, 4))]
+        # span tables of 512 and 343 entries are tuples, built level by level
+        cases += [(random_rule(2, 4, offset), 10), (random_rule(7, 1, offset), 4)]
     return cases
 
 
