@@ -64,8 +64,13 @@ def _canonical_ep(left, mid, right, start: int):
     configuration ``^inf(left) . mid . (right)^inf`` with the mid at
     ``start``; all three are sequences of one type (tuples of ints, or the
     ``bytes`` that orbit walks step) and both tails are nonempty."""
-    left = primitive_root(left)
-    right = primitive_root(right)
+    return _absorb(primitive_root(left), mid, primitive_root(right), start)
+
+
+def _absorb(left, mid, right, start: int):
+    """``_canonical_ep`` of a presentation whose tails are already
+    primitive roots: the border letters that continue a tail move into it,
+    and an empty mid is anchored."""
     # Absorb border letters that already match the adjacent tail: count
     # each matching run by index, then cut the mid and rotate the tail once.
     if mid and mid[0] == left[0]:
@@ -181,9 +186,8 @@ def _cyclic(alphabet_size: int, word: tuple[int, ...]) -> CyclicConfig:
 
 def _ep(alphabet_size: int, left, mid, right, start: int) -> EpConfig:
     """``EpConfig(alphabet_size, left, mid, right, start)`` without the
-    checks: only for tuples of letters known to lie in the alphabet, with
-    both tails nonempty."""
-    left, mid, right, start = _canonical_ep(left, mid, right, start)
+    checks and without canonicalising: only for a canonical state (see
+    ``_canonical_ep``) of tuples of letters known to lie in the alphabet."""
     x = object.__new__(EpConfig)
     x.__dict__.update(alphabet_size=alphabet_size, left=left, mid=mid, right=right, start=start)
     return x
@@ -209,6 +213,8 @@ def _cells(left, mid, right, start: int, lo: int, hi: int) -> list[int]:
     right, start)``; empty when ``hi <= lo``.  A list of ints, also for
     ``bytes`` words, so that a long mid is copied once."""
     end = start + len(mid)
+    if start <= lo and hi <= end:
+        return list(mid[lo - start : hi - start])
     left_hi, right_lo = min(hi, start), max(lo, end)
     # both mid bounds are clamped at 0: a negative stop would count from
     # the end of the mid

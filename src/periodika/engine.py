@@ -7,7 +7,10 @@ configuration is eventually periodic with the mid widened by at most the
 window width.  Orbit computations therefore never approximate.
 
 Every step reads a rule's essential span through ``rules._kernel``, never
-its declared radius or offset.
+its declared radius or offset.  An eventually periodic walk pads each tail
+and roots each tail's image once, in two tables that live as long as the
+walk (see ``_ep_stepper``), so that a step images the mid and absorbs the
+new border, and nothing more.
 """
 
 from __future__ import annotations
@@ -18,13 +21,14 @@ from itertools import islice
 from .configs import (
     Config,
     CyclicConfig,
-    _canonical_ep,
+    _absorb,
     _canonical_word,
     _cells,
     _cyclic,
     _ep,
     _repeat,
     _state,
+    primitive_root,
 )
 from .rules import TableRule, _kernel
 
@@ -37,18 +41,39 @@ def _cyclic_image(kernel, word):
     return image(_repeat(word, lo, len(word) + width - 1))
 
 
-def _ep_image(kernel, left, mid, right, start: int):
-    """One step of ``^inf(left) . mid . (right)^inf`` with the packed mid at
-    ``start``, as raw (not yet canonical) ``left, mid, right, start``;
-    ``kernel`` is the rule's (see ``rules._kernel``)."""
+def _ep_stepper(kernel):
+    """The step of eventually periodic states under the rule whose kernel
+    is ``kernel`` (see ``rules._kernel``): a function of a packed state
+    ``left, mid, right, start`` whose tails are primitive roots, returning
+    the canonical packed image state.
+
+    A tail's image depends on the tail alone, so the stepper keeps two
+    tables, one per side, from each tail it has met to the tail's pad (the
+    cells around the mid that the image reads) and the primitive root of
+    the tail's image.  A tail is padded and its image rooted on its first
+    use only; a later step images the padded mid and absorbs the new
+    border letters.  The tables live as long as the stepper, one walk."""
     _, width, lo, image = kernel
-    d, ell, rho = width - 1, len(left), len(right)
-    # Cells start - d - ell .. end + d + rho - 1 (d = width - 1); the image
-    # then covers the new left tail period, the new mid and the new right
-    # tail period.  Cell c reads cells c + lo .. c + lo + d, so the image
-    # starts at cell start - d - ell - lo.
-    img = image(_repeat(left, -d - ell, d + ell) + mid + _repeat(right, 0, d + rho))
-    return img[:ell], img[ell : len(img) - rho], img[len(img) - rho :], start - d - lo
+    d = width - 1
+    lefts, rights = {}, {}
+
+    def advance(left, mid, right, start):
+        # The image of cells start - d - ell .. end + d + rho - 1 covers the
+        # new left tail period, the new mid and the new right tail period.
+        # Cell c reads cells c + lo .. c + lo + d, so the image starts at
+        # cell start - d - ell - lo.
+        ell, rho = len(left), len(right)
+        hit_l, hit_r = lefts.get(left), rights.get(right)
+        if hit_l is None or hit_r is None:
+            pad_l, pad_r = _repeat(left, -d - ell, d + ell), _repeat(right, 0, d + rho)
+            img = image(pad_l + mid + pad_r)
+            hit_l = lefts[left] = pad_l, primitive_root(img[:ell])
+            hit_r = rights[right] = pad_r, primitive_root(img[len(img) - rho :])
+        else:
+            img = image(hit_l[0] + mid + hit_r[0])
+        return _absorb(hit_l[1], img[ell : len(img) - rho], hit_r[1], start - d - lo)
+
+    return advance
 
 
 def step(rule: TableRule, x: Config) -> Config:
@@ -57,11 +82,12 @@ def step(rule: TableRule, x: Config) -> Config:
     kernel = _kernel(rule)
     pack = type(kernel[0])
     # image letters come from the validated table, so the trusted
-    # constructors take them once unpacked back into tuples of ints
+    # constructors take them once unpacked back into tuples of ints; the
+    # stepper's state is canonical already, and ``_ep`` keeps it as it is
     if isinstance(x, CyclicConfig):
         return _cyclic(x.alphabet_size, tuple(_cyclic_image(kernel, pack(x.word))))
-    left, mid, right, start = _ep_image(kernel, *map(pack, (x.left, x.mid, x.right)), x.start)
-    return _ep(x.alphabet_size, tuple(left), tuple(mid), tuple(right), start)
+    state = _ep_stepper(kernel)(*map(pack, (x.left, x.mid, x.right)), x.start)
+    return _ep(x.alphabet_size, *map(tuple, state[:3]), state[3])
 
 
 def _orbit(rule: TableRule, state, succ: dict | None = None):
@@ -71,8 +97,9 @@ def _orbit(rule: TableRule, state, succ: dict | None = None):
     letters come from the validated table.  The words of every state are
     packed in the type of the rule's span table (see ``rules._kernel``):
     ``bytes`` or tuples, which ``configs._cells`` reads alike.  A spatially
-    periodic state takes the cyclic kernel.  The caller checks that the
-    alphabets match.
+    periodic state takes the cyclic kernel; any other takes one stepper
+    (see ``_ep_stepper``) for the whole walk, whose tail tables die with
+    the walk.  The caller checks that the alphabets match.
 
     ``succ`` is a successor memo that one search shares across all its
     walks of one rule: it maps the translation class ``(left, mid, right)``
@@ -89,17 +116,18 @@ def _orbit(rule: TableRule, state, succ: dict | None = None):
         while True:
             yield word, mid, word, 0
             word = _canonical_word(_cyclic_image(kernel, word), 0)
+    advance = _ep_stepper(kernel)
     if succ is None:
         while True:
             yield state
-            state = _canonical_ep(*_ep_image(kernel, *state))
+            state = advance(*state)
     while True:
         yield state
         left, mid, right, start = state
         key = left, mid, right
         hit = succ.get(key)
         if hit is None:
-            state = _canonical_ep(*_ep_image(kernel, *state))
+            state = advance(*state)
             if state[1] or state[0] != state[2]:
                 succ[key] = (*state[:3], state[3] - start)
         else:

@@ -99,9 +99,10 @@ def jointly_periodic_points(rule: TableRule, n: int, t_max: int) -> JpCensus:
     states = _table_size(k, n)
     succ = _successors(rule, n)
     # Walk from every word, stamping each new word with the walk's number,
-    # until a stamped word: one stamped by this walk closes a new cycle.
-    period = [0] * states  # cycle length on cycle words, 0 elsewhere
+    # until a stamped word: one stamped by this walk closes a new cycle,
+    # whose words are points when the cycle is no longer than t_max.
     mark = [0] * states
+    period = {}  # cycle length of the words on cycles no longer than t_max
     for s in range(1, states + 1):
         v = s - 1
         while not mark[v]:
@@ -113,12 +114,19 @@ def jointly_periodic_points(rule: TableRule, n: int, t_max: int) -> JpCensus:
             while u != v:
                 cycle.append(u)
                 u = succ[u]
-            for u in cycle:
-                period[u] = len(cycle)
-    # distinct words of one length are distinct configurations; product()
-    # yields the words in index order, with letters in the alphabet
-    words = product(range(k), repeat=n)
-    points = [(_cyclic(k, w), t) for w, t in zip(words, period) if 0 < t <= t_max]
+            if len(cycle) <= t_max:
+                for u in cycle:
+                    period[u] = len(cycle)
+    # Only the points are decoded, in index order (the sort below then reads
+    # long sorted runs), each word as the words of its leading and its
+    # trailing half of the digits; distinct words of one length are
+    # distinct configurations, and product() yields letters of the alphabet
+    # in index order.
+    tails = list(product(range(k), repeat=n // 2))
+    heads = list(product(range(k), repeat=n - n // 2))
+    points = [
+        (_cyclic(k, heads[j // len(tails)] + tails[j % len(tails)]), period[j]) for j in sorted(period)
+    ]
     ordered = sorted(points, key=lambda it: (it[1], len(it[0].word), it[0].word))
     return JpCensus(k, n, t_max, tuple(ordered))
 
@@ -523,7 +531,8 @@ def stp_empty_scan(
     def candidates():
         # the configurations ^inf(a) . mid . (b)^inf as (a, mid, b); tails
         # from the census and mids from product(range(k)) are letters of
-        # the alphabet, so ``_ep`` builds them without the public checks
+        # the alphabet, so ``_ep`` builds their canonical states without
+        # the public checks
         for a, b in pairs():
             if a != b:
                 yield a, (), b
@@ -539,7 +548,7 @@ def stp_empty_scan(
         # step.  Spot-check the first few against one engine step each and
         # count the family without building it.
         for a, mid, b in islice(candidates(), 32):
-            y = _ep(k, a, mid, b, 0)
+            y = _ep(k, *_canonical_ep(a, mid, b, 0))
             img = step(table, y)
             for q, dl, dr in sides:
                 ry, rimg = (_join((z,), lambda a, q=q: a % q, q) for z in (y, img))
@@ -568,7 +577,8 @@ def stp_empty_scan(
         examined += 1
         if has_preimage is not None and not has_preimage(a, mid, b):
             continue  # a Garden of Eden: not in F(X), so not periodic
-        res = _return_witness(table, _ep(k, a, mid, b, 0), t_max, max_mid, succ)
+        y = _ep(k, *_canonical_ep(a, mid, b, 0))
+        res = _return_witness(table, y, t_max, max_mid, succ)
         if isinstance(res, StpWitness):
             violations.append(res)
             if len(violations) == max_violations:

@@ -3,9 +3,10 @@ from the definitions and independent of the package's table and
 configuration kernels: window words encoded letter by letter, tables
 padded word by word, essential positions found entry by entry, primitive
 roots found divisor by divisor, eventually periodic configurations
-canonicalised one border letter at a time, letters read off a
-configuration's presentation, configurations compared letter by letter,
-and preimages traced cell by cell."""
+canonicalised one border letter at a time and stepped by imaging each
+padded row whole, letters read off a configuration's presentation,
+configurations compared letter by letter, and preimages traced cell by
+cell."""
 
 from __future__ import annotations
 
@@ -135,6 +136,25 @@ def canonical_ep(left, mid, right, start: int):
                 if guard < 0:
                     raise AssertionError("boundary slide failed to terminate")
     return left, mid, right, start
+
+
+def ep_step(kernel, left, mid, right, start: int):
+    """Canonical state of the image of ``^inf(left) . mid . (right)^inf``
+    with the mid at ``start``, under the rule whose kernel is ``kernel``
+    (see ``rules._kernel``), in the type of the words: every step pads both
+    tails and images the whole row, then roots the image's tails and
+    canonicalises with ``canonical_ep``.  The image reader is the kernel's
+    own: this reference pins what a step does around it, and the window
+    kernel has references of its own."""
+    _, width, lo, image = kernel
+    d, ell, rho = width - 1, len(left), len(right)
+    # the d + ell cells left of the mid and the d + rho cells right of it;
+    # cell c reads cells c + lo .. c + lo + d, so the image starts at cell
+    # start - d - ell - lo
+    pad_l = (left * (d // ell + 2))[-d - ell :]
+    pad_r = (right * (d // rho + 2))[: d + rho]
+    img = image(pad_l + mid + pad_r)
+    return canonical_ep(img[:ell], img[ell : len(img) - rho], img[len(img) - rho :], start - d - lo)
 
 
 def value_at(x, i: int) -> int:

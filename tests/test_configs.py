@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reference_helpers import canonical_ep, divisor_scan_root, equals, value_at
+from reference_helpers import canonical_ep, divisor_scan_root, ep_step, equals, value_at
 from periodika.configs import (
     ConfigSpecError,
     CyclicConfig,
@@ -26,7 +26,7 @@ from periodika.configs import (
     render_config,
     shift,
 )
-from periodika.engine import _cyclic_image, _ep_image, step
+from periodika.engine import _cyclic_image, step
 from periodika.rules import TableRule, _kernel
 
 
@@ -419,7 +419,7 @@ def test_trusted_constructors_agree_with_the_public_ones(case, seed):
     k, word, left, mid, right, start = case
     x, y = CyclicConfig(k, word), EpConfig(k, left, mid, right, start)
     assert _cyclic(k, word) == x
-    assert _ep(k, left, mid, right, start) == y
+    assert _ep(k, *_canonical_ep(left, mid, right, start)) == y
     # step builds its images with the trusted constructors; a radius-1
     # table over up to 7 letters and a radius-0 one over more, so that the
     # packed words are bytes for span tables of up to 256 entries and
@@ -430,5 +430,5 @@ def test_trusted_constructors_agree_with_the_public_ones(case, seed):
     kernel = _kernel(rule)
     pack = type(kernel[0])
     assert step(rule, x) == CyclicConfig(k, _cyclic_image(kernel, pack(x.word)))
-    image = _ep_image(kernel, *map(pack, (y.left, y.mid, y.right)), y.start)
+    image = ep_step(kernel, *map(pack, (y.left, y.mid, y.right)), y.start)
     assert step(rule, y) == EpConfig(k, *image)

@@ -3,15 +3,16 @@ it: stepping, composition, padding, canonicalisation and the per-variable
 scans are each checked against a direct reading of the table through the
 definitions in ``reference_helpers``, orbit detection against a walk that
 memoises every state exactly, orbit walks through a shared successor memo
-against walks without one, the canonical form of eventually periodic
-configurations against other presentations of the same configuration, the
-window reader ``_cells`` with everything built on it (traces, letterwise
-joins) against the reference ``value_at`` one coordinate at a time, orbit
-walks on both sides of the packed kernel's selection (bytes or tuples, by
-the size of the essential span) against a step read cell by cell, the
-oracle's power walk over trimmed span tables against a walk over padded
-public tables, and the packed (``bytes``) composition and trim of span
-tables against the tuple route."""
+against walks without one, the eventually periodic step's per-walk tail
+tables against padding and imaging each row whole, the canonical form of
+eventually periodic configurations against other presentations of the
+same configuration, the window reader ``_cells`` with everything built on
+it (traces, letterwise joins) against the reference ``value_at`` one
+coordinate at a time, orbit walks on both sides of the packed kernel's
+selection (bytes or tuples, by the size of the essential span) against a
+step read cell by cell, the oracle's power walk over trimmed span tables
+against a walk over padded public tables, and the packed (``bytes``)
+composition and trim of span tables against the tuple route."""
 
 from __future__ import annotations
 
@@ -69,6 +70,7 @@ from periodika.rules import (
 )
 from reference_helpers import (
     encode_word,
+    ep_step,
     equals,
     essential_positions,
     essential_span,
@@ -595,6 +597,69 @@ def test_walks_through_one_successor_memo_match_plain_walks(case):
         state = _state(shift(x, n))
         plain = list(islice(_orbit(rule, state), steps + 1))
         assert list(islice(_orbit(rule, state, succ), steps + 1)) == plain
+
+
+# ---------------------------------------------------------------------------
+# the eventually periodic step and its tail tables
+
+# span tables of 8, 27 and 16 bytes, and of 343 entries (tuples), each at
+# an offset that puts the whole span right of the cell, around it or left
+# of it; two shifts, whose two-regime images slide their boundary
+STEPPER_SHAPES = ((2, 1), (3, 1), (2, 2), (7, 1))
+STEPPER_RULES = [
+    table_from_additive(parse_rule_spec("additive:m=7;r=1;c=1,2,3")),  # 343 entries: tuples
+    TableRule(2, 1, TableRule.from_wolfram(30).table, 2),  # span 1 .. 3
+    TableRule(7, 1, tuple(Random(7).randrange(7) for _ in range(343)), -2),  # span -3 .. -1
+    TableRule(3, 0, (0, 1, 2), 1),
+    TableRule(2, 0, (0, 1), -1),
+]
+
+
+@st.composite
+def stepper_cases(draw):
+    """A rule, often one-sided, whose kernel steps bytes or tuples, and an
+    eventually periodic start with tails of 1 to 4 letters: a mid of up to
+    6 letters, or an empty one between two tails, often ending alike."""
+    rule = draw(st.sampled_from(STEPPER_RULES + DEFECT_KILLERS))
+    if draw(st.booleans()):
+        k, radius = draw(st.sampled_from(STEPPER_SHAPES))
+        rng = Random(draw(st.integers(0, 2**32)))
+        table = tuple(rng.randrange(k) for _ in range(k ** (2 * radius + 1)))
+        rule = TableRule(k, radius, table, draw(st.sampled_from((-radius - 1, 0, radius + 1))))
+    k = rule.alphabet_size
+    left, right = draw(words(k, 1, 4)), draw(words(k, 1, 4))
+    mid = draw(words(k, 1, 6)) if draw(st.booleans()) else ()
+    if not mid and draw(st.booleans()):
+        common = draw(words(k, 1, 2))
+        left, right = (left + common)[-4:], (right + common)[-4:]
+    return rule, EpConfig(k, left, mid, right, draw(st.integers(-5, 5))), draw(st.integers(0, 8))
+
+
+@settings(SETTINGS, max_examples=200)
+@given(stepper_cases())
+def test_the_tail_tables_step_like_imaging_every_row_whole(case):
+    # a walk meets its tails again and again; each step must read the same
+    # as padding both tails and rooting the tails' images afresh
+    rule, x, steps = case
+    kernel = _kernel(rule)
+    pack = type(kernel[0])
+
+    def reference_walk(y):
+        walk = [(*map(pack, _state(y)[:3]), _state(y)[3])]
+        for _ in range(steps):
+            walk.append(ep_step(kernel, *walk[-1]))
+        return walk
+
+    want = reference_walk(x)
+    assert list(islice(_orbit(rule, _state(x)), steps + 1)) == want
+    succ = {}
+    for n in (0, 3, 0):  # later walks read entries that earlier ones stored
+        y = shift(x, n)
+        assert list(islice(_orbit(rule, _state(y), succ), steps + 1)) == reference_walk(y)
+    y = x
+    for state in want[1:]:
+        y = step(rule, y)
+        assert _state(y) == (*map(tuple, state[:3]), state[3])
 
 
 # ---------------------------------------------------------------------------

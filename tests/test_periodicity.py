@@ -189,6 +189,22 @@ def test_census_successors_match_a_per_word_reference():
             assert periodicity._successors(rule, n) == expected, (rule, n)
 
 
+def test_census_successors_past_two_byte_indices():
+    # 2**17 and 3**11 words, so that most words and their images have
+    # indices past 2**16: 300 seeded words of each against the per-word
+    # reading
+    rng = random.Random(2025)
+    for k, n in ((2, 17), (3, 11)):
+        rule = TableRule(k, 1, tuple(rng.randrange(k) for _ in range(k**3)), rng.randrange(-1, 2))
+        lo = rule.offset - 1
+        succ = periodicity._successors(rule, n)
+        assert len(succ) == k**n
+        for j in rng.sample(range(k**n), 300):
+            w = [j // k ** (n - 1 - c) % k for c in range(n)]
+            windows = [encode_word([w[(i + lo + d) % n] for d in range(3)], k) for i in range(n)]
+            assert succ[j] == encode_word([rule.table[v] for v in windows], k), (rule, n, j)
+
+
 # ---------------------------------------------------------------------------
 # blocking words
 
