@@ -178,9 +178,14 @@ Config = CyclicConfig | EpConfig
 def _cyclic(alphabet_size: int, word: tuple[int, ...]) -> CyclicConfig:
     """``CyclicConfig(alphabet_size, word)`` without the checks: only for a
     nonempty tuple whose letters are known to lie in the alphabet."""
+    return _cyclic_root(alphabet_size, _canonical_word(word, 0))
+
+
+def _cyclic_root(alphabet_size: int, root: tuple[int, ...]) -> CyclicConfig:
+    """``_cyclic`` of a word known to be primitive, taken as it is."""
     x = object.__new__(CyclicConfig)
     # the frozen dataclass blocks attribute assignment, not its __dict__
-    x.__dict__.update(alphabet_size=alphabet_size, word=_canonical_word(word, 0), phase=0)
+    x.__dict__.update(alphabet_size=alphabet_size, word=root, phase=0)
     return x
 
 

@@ -9,8 +9,8 @@ window width.  Orbit computations therefore never approximate.
 Every step reads a rule's essential span through ``rules._kernel``, never
 its declared radius or offset.  An eventually periodic walk pads each tail
 and roots each tail's image once, in two tables that live as long as the
-walk (see ``_ep_stepper``), so that a step images the mid and absorbs the
-new border, and nothing more.
+walk, or as the search whose walks share them (see ``_ep_stepper``), so
+that a step images the mid and absorbs the new border, and nothing more.
 """
 
 from __future__ import annotations
@@ -52,7 +52,8 @@ def _ep_stepper(kernel):
     cells around the mid that the image reads) and the primitive root of
     the tail's image.  A tail is padded and its image rooted on its first
     use only; a later step images the padded mid and absorbs the new
-    border letters.  The tables live as long as the stepper, one walk."""
+    border letters.  The tables live as long as the stepper: one walk, or
+    one search when the stepper rides in a successor memo (see ``_orbit``)."""
     _, width, lo, image = kernel
     d = width - 1
     lefts, rights = {}, {}
@@ -99,7 +100,8 @@ def _orbit(rule: TableRule, state, succ: dict | None = None):
     ``bytes`` or tuples, which ``configs._cells`` reads alike.  A spatially
     periodic state takes the cyclic kernel; any other takes one stepper
     (see ``_ep_stepper``) for the whole walk, whose tail tables die with
-    the walk.  The caller checks that the alphabets match.
+    the walk, or with the memo ``succ`` when one is given.  The caller
+    checks that the alphabets match.
 
     ``succ`` is a successor memo that one search shares across all its
     walks of one rule: it maps the translation class ``(left, mid, right)``
@@ -107,7 +109,10 @@ def _orbit(rule: TableRule, state, succ: dict | None = None):
     relative to the state's.  The global map commutes with the shift, so
     one entry serves every translate.  Only images that are not spatially
     periodic are stored, because those are anchored at start 0, not
-    translated.  Independent re-checks walk without a memo."""
+    translated.  Under the key ``None`` the memo also carries the search's
+    stepper, made on its first walk, so that the stepper's tail tables
+    serve every walk of the search and die with the memo.  Independent
+    re-checks walk without a memo, on a stepper of their own."""
     kernel = _kernel(rule)
     pack = type(kernel[0])
     left, mid, right, start = state = (*map(pack, state[:3]), state[3])
@@ -116,11 +121,14 @@ def _orbit(rule: TableRule, state, succ: dict | None = None):
         while True:
             yield word, mid, word, 0
             word = _canonical_word(_cyclic_image(kernel, word), 0)
-    advance = _ep_stepper(kernel)
     if succ is None:
+        advance = _ep_stepper(kernel)
         while True:
             yield state
             state = advance(*state)
+    advance = succ.get(None)
+    if advance is None:
+        advance = succ[None] = _ep_stepper(kernel)
     while True:
         yield state
         left, mid, right, start = state

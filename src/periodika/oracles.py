@@ -6,12 +6,12 @@ table cut to the essential span.  Surjectivity is decided on the de Bruijn
 graph by its subset automaton: F is onto iff no word empties the set of
 all states.  The same automaton, read along a configuration's left tail,
 middle and right tail, decides whether an eventually periodic
-configuration has a preimage at all; the empty-STP scan skips the
-candidates that have none.  Equicontinuity is decided by comparing the
-canonical tables of rule powers until two are equal; a power that equals
-an earlier one up to a nonzero translation ends the walk, because from
-there on no two powers can be equal.  All are exact-or-Unknown; none ever
-guesses.
+configuration has a preimage at all; the empty-STP scan asks it of F∘F
+and skips the candidates outside F²(X).  Equicontinuity is decided by
+comparing the canonical tables of rule powers until two are equal; a
+power that equals an earlier one up to a nonzero translation ends the
+walk, because from there on no two powers can be equal.  All are
+exact-or-Unknown; none ever guesses.
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import islice, product
-from math import lcm
+from math import gcd, lcm
 from sys import byteorder
 
 from .additive import (
@@ -38,7 +38,7 @@ from .configs import (
     EpConfig,
     _canonical_ep,
     _cells,
-    _cyclic,
+    _cyclic_root,
     _ep,
     _join,
     _state,
@@ -46,7 +46,13 @@ from .configs import (
     primitive_root,
 )
 from .engine import CycleResult, CycleTimeout, _cycle, _orbit, step
-from .oracles import EquicontinuityCert, _packed_power_walk, _preimage_test, surjectivity_oracle
+from .oracles import (
+    MAX_PREIMAGE_VECTORS,
+    EquicontinuityCert,
+    _packed_power_walk,
+    _preimage_test,
+    surjectivity_oracle,
+)
 from .rules import (
     MAX_TABLE_ENTRIES,
     AdditiveRule,
@@ -54,7 +60,9 @@ from .rules import (
     ResourceCapError,
     TableRule,
     _bijective_ends,
+    _compose,
     _kernel,
+    _span_rule,
     _table_size,
     _window_images,
     product_rule,
@@ -118,14 +126,24 @@ def jointly_periodic_points(rule: TableRule, n: int, t_max: int) -> JpCensus:
                 for u in cycle:
                     period[u] = len(cycle)
     # Only the points are decoded, in index order (the sort below then reads
-    # long sorted runs), each word as the words of its leading and its
-    # trailing half of the digits; distinct words of one length are
-    # distinct configurations, and product() yields letters of the alphabet
-    # in index order.
+    # long sorted runs), each as its primitive root.  A word of n letters
+    # that repeats a root u of d letters, d a proper divisor of n, has the
+    # index idx(u) * (1 + k^d + k^2d + ...), so those words are listed with
+    # their roots for each d, the least d first; every other point is its
+    # own root, read as the words of its leading and its trailing half of
+    # the digits.  Distinct roots are distinct configurations, and
+    # product() yields letters of the alphabet in index order.
+    repeats: dict = {}
+    for d in range(1, n // 2 + 1):
+        if n % d == 0:
+            repunit = (states - 1) // (k**d - 1)
+            for r, root in enumerate(product(range(k), repeat=d)):
+                repeats.setdefault(r * repunit, root)
     tails = list(product(range(k), repeat=n // 2))
     heads = list(product(range(k), repeat=n - n // 2))
     points = [
-        (_cyclic(k, heads[j // len(tails)] + tails[j % len(tails)]), period[j]) for j in sorted(period)
+        (_cyclic_root(k, repeats.get(j) or heads[j // len(tails)] + tails[j % len(tails)]), period[j])
+        for j in sorted(period)
     ]
     ordered = sorted(points, key=lambda it: (it[1], len(it[0].word), it[0].word))
     return JpCensus(k, n, t_max, tuple(ordered))
@@ -280,8 +298,8 @@ def blocking_word_search(
     test never reads the letters, so the first such word is all zeros,
     just long enough for the widest spans around the column.  Without a
     certificate the check is bounded simulation, marked BoundedVerified;
-    all of its context walks share one successor memo (see
-    ``engine._orbit``), which lives only as long as the call, and more
+    all of its context walks share one successor memo and stepper (see
+    ``engine._orbit``), which live only as long as the call, and more
     words than ``rules.MAX_TABLE_ENTRIES`` of length ``k_max``, or
     background tails up to length ``bg_period`` of more letters than that
     cap, are refused before the first is tried.  The background tails are
@@ -434,7 +452,7 @@ class ScanResult:
     truncated: bool
 
 
-def _drift_sides(rule: TableRule) -> tuple[int | None, int | None]:
+def _drift_sides(rule: TableRule | AdditiveRule) -> tuple[int | None, int | None]:
     """Nonzero essential-boundary positions in which the rule is bijective.
 
     If the rightmost essential position ``hi != 0`` is bijective, the first
@@ -442,11 +460,22 @@ def _drift_sides(rule: TableRule) -> tuple[int | None, int | None]:
     moves by exactly ``-hi`` every step; mirrored for the leftmost position.
     Either way the deviation boundary is strictly monotone, so no orbit of
     a non-spatially-periodic configuration can return to it.
-    """
-    # a constant rule trims to the single position 0, so neither side drifts
-    table, width, lo, _ = _kernel(rule)
-    hi = lo + width - 1
-    left, right = _bijective_ends(table, rule.alphabet_size, width)
+
+    An additive rule is read off its coefficients, without its table: mod
+    m the position j is essential iff its coefficient is nonzero (the rule
+    keeps only those), and bijective iff the coefficient is a unit mod m
+    (for a prime power p^e, coprime to p)."""
+    if isinstance(rule, AdditiveRule):
+        coeffs, m = rule.coeffs, rule.modulus
+        if not coeffs:
+            return None, None  # the zero map: a constant rule
+        lo, hi = min(coeffs), max(coeffs)
+        left, right = gcd(coeffs[lo], m) == 1, gcd(coeffs[hi], m) == 1
+    else:
+        # a constant rule trims to the single position 0, so neither side drifts
+        table, width, lo, _ = _kernel(rule)
+        hi = lo + width - 1
+        left, right = _bijective_ends(table, rule.alphabet_size, width)
     return (lo if lo != 0 and left else None, hi if hi != 0 and right else None)
 
 
@@ -457,9 +486,22 @@ def _prune_sides(table: TableRule, additive: AdditiveRule | None):
     if additive is None:
         factors = [(table.alphabet_size, table)]
     else:
-        factors = [(f.modulus, table_from_additive(f.rule)) for f in decompose_crt(additive)]
+        factors = [(f.modulus, f.rule) for f in decompose_crt(additive)]
     sides = [(q, *_drift_sides(t)) for q, t in factors]
     return sides if all(dl is not None or dr is not None for _, dl, dr in sides) else []
+
+
+def _square_rule(rule: TableRule) -> TableRule:
+    """F∘F over its span of ``2w - 1`` positions, composed from F's span
+    table of ``w`` (see ``rules._kernel``), or ``rule`` itself when the
+    preimage test of F∘F would hold more than ``MAX_PREIMAGE_VECTORS``
+    bits: k·V² with V = k^(2w - 2), read before anything is composed."""
+    k = rule.alphabet_size
+    table, width, lo, _ = _kernel(rule)
+    width2 = 2 * width - 1
+    if k**width2 * k ** (width2 - 1) > MAX_PREIMAGE_VECTORS:
+        return rule
+    return _span_rule(k, tuple(_compose(k, table, width, table, width)), width2, 2 * lo)
 
 
 def _defects(y: EpConfig) -> tuple[int, int]:
@@ -490,28 +532,39 @@ def stp_empty_scan(
     of them.  The tails are the jointly periodic words within the bound (a
     periodic orbit forces periodic tails).
 
-    Two prunes shortcut the orbit walks; neither changes the count of
-    examined candidates or the violations.  The drift prune, backed by the
-    monotone-defect argument of ``_drift_sides`` and spot-checked against
-    single engine steps, skips the whole family: when every factor of the
-    rule (a table rule is its own, an additive rule has its prime-power
-    reductions) is bijective in a nonzero boundary variable, no candidate
-    returns, because a return of the full configuration forces a return of
-    every residue and at least one residue is not spatially periodic.
-    Otherwise the Garden-of-Eden prune skips each candidate with no
-    preimage: a return y = F^p(y) puts y in F(X), so a configuration
-    outside F(X) never returns.  Whether it is in F(X) is decided exactly
-    by the de Bruijn subset automaton (``oracles._preimage_test``).  An
-    onto additive rule has no Garden of Eden, so it is not asked, and a
-    rule whose move masks are over the test's bit budget walks every
-    candidate.
+    Three devices shortcut the orbit walks; none changes the count of
+    examined candidates, the violations or their order.
 
-    The walked candidates share one successor memo (see ``engine._orbit``),
-    which lives only as long as the call: candidate orbits fall into the
-    same attractors, and a hit replaces a step by a lookup.  Every
-    violation is still re-derived by a walk without the memo.  Without the
-    drift prune, more mids than ``rules.MAX_TABLE_ENTRIES`` of length
-    ``mid_len_max`` are refused before the first candidate is walked.
+    * Drift.  When every factor of the rule (a table rule is its own, an
+      additive rule has its prime-power reductions) is bijective in a
+      nonzero boundary variable, no candidate returns: the defect boundary
+      of that side moves strictly every step (``_drift_sides``), and a
+      return of the full configuration forces a return of every residue,
+      at least one of which is not spatially periodic.  The whole family
+      is then counted, not walked, after a spot-check of the drift against
+      single engine steps.
+    * Limit set.  Otherwise a candidate is walked only if it lies in
+      F²(X): a return y = F^p(y), p >= 1, gives y = F^(2p)(y), so every
+      point that returns lies in the limit set, the intersection of all
+      F^n(X) (Culik, Pachl & Yu, SIAM J. Comput. 18, 1989), and in
+      particular in F²(X).  Membership is decided exactly by
+      the de Bruijn subset automaton (``oracles._preimage_test``) of F∘F,
+      composed from F's span table over ``2w - 1`` positions
+      (``_square_rule``).  F²(X) lies inside F(X), so the Gardens of Eden
+      of F are skipped too.  Past the test's bit budget for F∘F the test is
+      F's own, and past F's every candidate is walked.  An onto additive
+      rule has F²(X) = X, so it is not asked.
+    * One stepper and memo per search.  The walked candidates share one
+      successor memo (see ``engine._orbit``), which also carries the
+      search's eventually periodic stepper: candidate orbits fall into the
+      same attractors and reuse the same tails, so a memo hit replaces a
+      step by a lookup, and a tail is padded and its image rooted once per
+      search.  Both live only as long as the call, and every violation is
+      still re-derived by a walk without them.
+
+    Without the drift prune, more mids than ``rules.MAX_TABLE_ENTRIES`` of
+    length ``mid_len_max`` are refused before the first candidate is
+    walked.
     """
     if min(tail_period_max, mid_len_max, t_max) < 0:
         raise ValueError("scan bounds must be non-negative")
@@ -567,7 +620,7 @@ def stp_empty_scan(
     _table_size(k, mid_len_max)
     has_preimage = None
     if additive is None or not is_surjective_additive(additive):
-        has_preimage = _preimage_test(table)
+        has_preimage = _preimage_test(_square_rule(table))
     # the mid grows by at most width - 1 per step, so this cap never binds
     max_mid = mid_len_max + (_kernel(table)[1] - 1) * t_max
     examined = 0
@@ -576,7 +629,7 @@ def stp_empty_scan(
     for a, mid, b in candidates():
         examined += 1
         if has_preimage is not None and not has_preimage(a, mid, b):
-            continue  # a Garden of Eden: not in F(X), so not periodic
+            continue  # outside F²(X), or F(X) past the budget: it never returns
         y = _ep(k, *_canonical_ep(a, mid, b, 0))
         res = _return_witness(table, y, t_max, max_mid, succ)
         if isinstance(res, StpWitness):

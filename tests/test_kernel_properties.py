@@ -599,6 +599,21 @@ def test_walks_through_one_successor_memo_match_plain_walks(case):
         assert list(islice(_orbit(rule, state, succ), steps + 1)) == plain
 
 
+def test_a_successor_memo_carries_one_stepper_for_all_its_walks():
+    # the first eventually periodic walk puts its stepper in the memo and
+    # every later walk steps on it; a spatially periodic start takes the
+    # cyclic kernel and no stepper
+    rule = TableRule.from_wolfram(30)
+    succ = {}
+    list(islice(_orbit(rule, _state(CyclicConfig(2, (0, 1))), succ), 4))
+    assert None not in succ
+    list(islice(_orbit(rule, _state(EpConfig(2, (0,), (1,), (0,), 0)), succ), 4))
+    stepper = succ[None]
+    walk = list(islice(_orbit(rule, _state(EpConfig(2, (0, 1), (1,), (1,), 3)), succ), 6))
+    assert succ[None] is stepper
+    assert walk == list(islice(_orbit(rule, _state(EpConfig(2, (0, 1), (1,), (1,), 3))), 6))
+
+
 # ---------------------------------------------------------------------------
 # the eventually periodic step and its tail tables
 

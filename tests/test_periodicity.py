@@ -23,7 +23,7 @@ from test_kernel_properties import power_rules
 from periodika.configs import CyclicConfig, EpConfig, is_spatially_periodic, render_config
 from periodika import periodicity
 from periodika.engine import CycleResult, CycleTimeout, step
-from periodika.additive import is_surjective_additive
+from periodika.additive import decompose_crt, is_surjective_additive
 from periodika.oracles import (
     EquicontinuityCert,
     _packed_power_walk,
@@ -46,12 +46,15 @@ from periodika.periodicity import (
     stp_witness,
     stp_witness_additive,
 )
+from periodika import rules as rules_module
 from periodika.rules import (
     AdditiveRule,
     NotSurjectiveError,
     ResourceCapError,
     TableRule,
     _kernel,
+    canonicalize_table,
+    compose_table,
     product_rule,
     table_from_additive,
 )
@@ -128,6 +131,17 @@ def test_jp_census_periods_are_exact_and_minimal():
                 cur = step(rule, cur)
                 assert not equals(cur, cfg)
             assert equals(step(rule, cur), cfg)
+
+
+def test_jp_census_roots_match_the_public_constructor():
+    # every word is a point of the identity; the census reads each point's
+    # primitive root off its index, the constructor finds it by search
+    for k, n_max in ((2, 12), (3, 6), (4, 4)):
+        for n in range(1, n_max + 1):
+            census = jointly_periodic_points(identity_rule(k), n, 1)
+            words = product(range(k), repeat=n)
+            want = sorted((CyclicConfig(k, w) for w in words), key=lambda c: (len(c.word), c.word))
+            assert [cfg for cfg, _ in census.points] == want, (k, n)
 
 
 def test_jp_census_input_validation():
@@ -587,6 +601,106 @@ def test_return_witness_rechecks_without_the_successor_memo():
     with pytest.raises(AssertionError, match="re-verification at period 1"):
         periodicity._return_witness(RULE90, y, 8, succ=poisoned)
     assert isinstance(periodicity._return_witness(RULE90, y, 8, succ={}), CycleTimeout)
+
+
+def _square_pruned_scans(monkeypatch, cases):
+    """The scans of ``cases`` with the F² prune, after checking that they
+    equal the scans with F's own preimage test, and the candidates that
+    F's test admits and F²'s rejects, as ``(rule, config, t_max)``."""
+    results = [stp_empty_scan(rule, *bounds) for rule, bounds in cases]
+    dropped = []
+    current = []
+
+    def square_rule(rule):
+        current.append(rule)
+        return square(rule)
+
+    def both_tests(rule2):
+        rule = current[-1]
+        by_f, by_square = _preimage_test(rule), _preimage_test(rule2)
+
+        def has_preimage(a, mid, b):
+            got = by_square(a, mid, b)
+            # F²(X) lies inside F(X)
+            assert by_f(a, mid, b) or not got, (rule, a, mid, b)
+            if by_f(a, mid, b) and not got:
+                dropped.append((rule, EpConfig(rule.alphabet_size, a, mid, b, 0)))
+            return got
+
+        return has_preimage
+
+    square = periodicity._square_rule
+    monkeypatch.setattr(periodicity, "_square_rule", square_rule)
+    monkeypatch.setattr(periodicity, "_preimage_test", both_tests)
+    assert results == [stp_empty_scan(rule, *bounds) for rule, bounds in cases]
+    monkeypatch.setattr(periodicity, "_square_rule", lambda rule: rule)
+    monkeypatch.setattr(periodicity, "_preimage_test", _preimage_test)
+    assert results == [stp_empty_scan(rule, *bounds) for rule, bounds in cases]
+    return results, dropped
+
+
+def test_square_prune_keeps_every_elementary_scan(monkeypatch):
+    # the scans with the F² test equal those with F's test alone, and no
+    # candidate that only F² rules out returns in a walk without the memo
+    cases = [(TableRule.from_wolfram(n), (2, 3, 16)) for n in range(256)]
+    results, dropped = _square_pruned_scans(monkeypatch, cases)
+    assert sum(len(r.violations) for r in results) > 0
+    assert len(dropped) > 100
+    for rule, y in dropped:
+        assert not isinstance(periodicity._return_witness(rule, y, 16), StpWitness), (rule, y)
+
+
+def test_square_prune_keeps_k3_scans(monkeypatch):
+    rng = random.Random(26)
+    cases = [(TableRule.from_wolfram(rng.randrange(3**27), 3), (2, 2, 16)) for _ in range(24)]
+    results, dropped = _square_pruned_scans(monkeypatch, cases)
+    assert sum(len(r.violations) for r in results) > 0
+    assert dropped
+    for rule, y in dropped:
+        assert not isinstance(periodicity._return_witness(rule, y, 16), StpWitness), (rule, y)
+
+
+def test_square_rule_is_the_composed_square():
+    rng = random.Random(261)
+    rules = [TableRule.from_wolfram(n) for n in (22, 30, 110, 204)]
+    rules += [TableRule.from_wolfram(rng.randrange(3**27), 3) for _ in range(4)]
+    rules += [table_from_additive(AdditiveRule(4, 1, {-1: 1, 1: 2}))]
+    for rule in rules:
+        assert periodicity._square_rule(rule) is not rule
+        want = canonicalize_table(compose_table(rule, rule))
+        assert canonicalize_table(periodicity._square_rule(rule)) == want, rule
+
+
+def test_scan_over_the_square_tests_budget_composes_nothing(monkeypatch):
+    # k = 5 and a span of 3: F²'s test would hold 5·625² > 10^6 bits, F's
+    # 5·25², so the scan prunes by F(X) alone and composes no table; the
+    # counts are those of the scan before the F² prune
+    rule = TableRule.from_wolfram(561693968798111919940, 5)
+    assert not surjectivity_oracle(rule) and _kernel(rule)[1] == 3
+    assert periodicity._square_rule(rule) is rule
+
+    def refuse(*args):
+        raise AssertionError("composed a table past the budget")
+
+    monkeypatch.setattr(periodicity, "_compose", refuse)
+    monkeypatch.setattr(rules_module, "_compose", refuse)
+    result = stp_empty_scan(rule)
+    assert (result.examined, len(result.violations), result.truncated) == (2506, 22, False)
+
+
+def test_additive_drift_sides_match_the_table():
+    # read off the coefficients, or off the table the rule expands to
+    cases = [
+        AdditiveRule(m, 1, dict(zip((-1, 0, 1), c))) for m in range(2, 9) for c in product(range(m), repeat=3)
+    ]
+    cases += [AdditiveRule(4, 2, dict(zip(range(-2, 3), c))) for c in product(range(4), repeat=5)]
+    for rule in cases:
+        table = table_from_additive(rule)
+        assert periodicity._drift_sides(rule) == periodicity._drift_sides(table), rule
+        factors = [(f.modulus, table_from_additive(f.rule)) for f in decompose_crt(rule)]
+        want = [(q, *periodicity._drift_sides(t)) for q, t in factors]
+        want = want if all(dl is not None or dr is not None for _, dl, dr in want) else []
+        assert periodicity._prune_sides(table, rule) == want, rule
 
 
 # ---------------------------------------------------------------------------
