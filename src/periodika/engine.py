@@ -8,9 +8,10 @@ window width.  Orbit computations therefore never approximate.
 
 Every step reads a rule's essential span through ``rules._kernel``, never
 its declared radius or offset.  An eventually periodic walk pads each tail
-and roots each tail's image once, in two tables that live as long as the
-walk, or as the search whose walks share them (see ``_ep_stepper``), so
-that a step images the mid and absorbs the new border, and nothing more.
+and roots each tail's image once, in two tables owned by its stepper (see
+``_ep_stepper``), so that a step images the mid and absorbs the new
+border, and nothing more.  A search's stepper also owns the search's
+successor memo, and every walk of the search steps on it.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .configs import (
     _absorb,
     _canonical_word,
     _cells,
-    _cyclic,
+    _cyclic_root,
     _ep,
     _repeat,
     _state,
@@ -33,15 +34,7 @@ from .configs import (
 from .rules import TableRule, _kernel
 
 
-def _cyclic_image(kernel, word):
-    """One step of the spatially periodic configuration repeating the
-    packed ``word`` from coordinate 0, read over coordinates ``0 ..
-    len(word) - 1``; ``kernel`` is the rule's (see ``rules._kernel``)."""
-    _, width, lo, image = kernel
-    return image(_repeat(word, lo, len(word) + width - 1))
-
-
-def _ep_stepper(kernel):
+def _ep_stepper(kernel, memo: dict | None = None):
     """The step of eventually periodic states under the rule whose kernel
     is ``kernel`` (see ``rules._kernel``): a function of a packed state
     ``left, mid, right, start`` whose tails are primitive roots, returning
@@ -52,8 +45,14 @@ def _ep_stepper(kernel):
     cells around the mid that the image reads) and the primitive root of
     the tail's image.  A tail is padded and its image rooted on its first
     use only; a later step images the padded mid and absorbs the new
-    border letters.  The tables live as long as the stepper: one walk, or
-    one search when the stepper rides in a successor memo (see ``_orbit``)."""
+    border letters.
+
+    Given a successor ``memo``, the stepper first looks up a state's
+    translation class ``(left, mid, right)``, and stores each image that is
+    not spatially periodic (those are anchored at start 0, not translated)
+    with its start relative to the state's: the global map commutes with
+    the shift, so one entry serves every translate.  Tables and memo live
+    as long as the stepper: one walk, or every walk of one search."""
     _, width, lo, image = kernel
     d = width - 1
     lefts, rights = {}, {}
@@ -74,72 +73,58 @@ def _ep_stepper(kernel):
             img = image(hit_l[0] + mid + hit_r[0])
         return _absorb(hit_l[1], img[ell : len(img) - rho], hit_r[1], start - d - lo)
 
-    return advance
+    if memo is None:
+        return advance
+
+    def remembered(left, mid, right, start):
+        key = left, mid, right
+        hit = memo.get(key)
+        if hit is not None:
+            return (*hit[:3], hit[3] + start)
+        state = advance(left, mid, right, start)
+        if state[1] or state[0] != state[2]:
+            memo[key] = (*state[:3], state[3] - start)
+        return state
+
+    return remembered
 
 
 def step(rule: TableRule, x: Config) -> Config:
     if rule.alphabet_size != x.alphabet_size:
         raise ValueError("alphabet mismatch")
-    kernel = _kernel(rule)
-    pack = type(kernel[0])
-    # image letters come from the validated table, so the trusted
-    # constructors take them once unpacked back into tuples of ints; the
-    # stepper's state is canonical already, and ``_ep`` keeps it as it is
+    # image letters come from the validated table and the state is
+    # canonical, so the trusted constructors take it once unpacked
+    left, mid, right, start = next(islice(_orbit(rule, _state(x)), 1, None))
     if isinstance(x, CyclicConfig):
-        return _cyclic(x.alphabet_size, tuple(_cyclic_image(kernel, pack(x.word))))
-    state = _ep_stepper(kernel)(*map(pack, (x.left, x.mid, x.right)), x.start)
-    return _ep(x.alphabet_size, *map(tuple, state[:3]), state[3])
+        return _cyclic_root(x.alphabet_size, tuple(left))
+    return _ep(x.alphabet_size, tuple(left), tuple(mid), tuple(right), start)
 
 
-def _orbit(rule: TableRule, state, succ: dict | None = None):
+def _orbit(rule: TableRule, state, advance=None):
     """Canonical states ``(left, mid, right, start)`` of ``x, F(x),
     F^2(x), ...`` for ``x`` given by its canonical state (see
     ``configs._state``), stepped without building configurations: image
     letters come from the validated table.  The words of every state are
     packed in the type of the rule's span table (see ``rules._kernel``):
     ``bytes`` or tuples, which ``configs._cells`` reads alike.  A spatially
-    periodic state takes the cyclic kernel; any other takes one stepper
-    (see ``_ep_stepper``) for the whole walk, whose tail tables die with
-    the walk, or with the memo ``succ`` when one is given.  The caller
-    checks that the alphabets match.
-
-    ``succ`` is a successor memo that one search shares across all its
-    walks of one rule: it maps the translation class ``(left, mid, right)``
-    of a packed state to its canonical image and the image's start
-    relative to the state's.  The global map commutes with the shift, so
-    one entry serves every translate.  Only images that are not spatially
-    periodic are stored, because those are anchored at start 0, not
-    translated.  Under the key ``None`` the memo also carries the search's
-    stepper, made on its first walk, so that the stepper's tail tables
-    serve every walk of the search and die with the memo.  Independent
-    re-checks walk without a memo, on a stepper of their own."""
+    periodic state takes the cyclic kernel; any other the stepper
+    ``advance`` (see ``_ep_stepper``): a search's own, or a fresh one.  The
+    caller checks that the alphabets match."""
     kernel = _kernel(rule)
     pack = type(kernel[0])
     left, mid, right, start = state = (*map(pack, state[:3]), state[3])
     if not mid and left == right:
+        # the image of the word repeated from coordinate 0, over its period
+        _, width, lo, image = kernel
         word = left
         while True:
             yield word, mid, word, 0
-            word = _canonical_word(_cyclic_image(kernel, word), 0)
-    if succ is None:
-        advance = _ep_stepper(kernel)
-        while True:
-            yield state
-            state = advance(*state)
-    advance = succ.get(None)
+            word = _canonical_word(image(_repeat(word, lo, len(word) + width - 1)), 0)
     if advance is None:
-        advance = succ[None] = _ep_stepper(kernel)
+        advance = _ep_stepper(kernel)
     while True:
         yield state
-        left, mid, right, start = state
-        key = left, mid, right
-        hit = succ.get(key)
-        if hit is None:
-            state = advance(*state)
-            if state[1] or state[0] != state[2]:
-                succ[key] = (*state[:3], state[3] - start)
-        else:
-            state = (*hit[:3], hit[3] + start)
+        state = advance(*state)
 
 
 @dataclass(frozen=True)
@@ -184,16 +169,16 @@ def temporal_cycle(
     return _cycle(rule, _state(x), max_steps, max_mid)
 
 
-def _cycle(rule: TableRule, state, max_steps: int, max_mid: int, succ: dict | None = None):
+def _cycle(rule: TableRule, state, max_steps: int, max_mid: int, advance=None):
     """``temporal_cycle`` of the canonical state ``state``, whose alphabet
-    the caller has matched, with its orbit stepped through the successor
-    memo ``succ`` (see ``_orbit``)."""
+    the caller has matched, with its orbit stepped by ``advance`` when one
+    is given (see ``_orbit``)."""
     if max_steps < 0:
         raise ValueError("max_steps must be non-negative")
     if max_mid < 0:
         raise ValueError("max_mid must be non-negative")
     seen = {}
-    for n, (left, mid, right, start) in enumerate(islice(_orbit(rule, state, succ), max_steps + 1)):
+    for n, (left, mid, right, start) in enumerate(islice(_orbit(rule, state, advance), max_steps + 1)):
         if n and len(mid) > max_mid:
             return CycleTimeout(n, "mid width cap exceeded")
         key = left, mid, right

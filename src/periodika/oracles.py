@@ -22,7 +22,7 @@ from .rules import ResourceCapError, TableRule, _compose, _kernel, _trim
 
 # Caps on the oracles' exact work; hitting one raises ``ResourceCapError``
 # or yields ``OracleUnknown``, never a wrong verdict.
-MAX_PREIMAGE_VECTORS = 1_000_000  # state sets of the subset automaton
+MAX_PREIMAGE_VECTORS = 1_000_000  # subset-automaton state sets, or preimage-test mask bits
 MAX_POWERS = 64
 MAX_POWER_CELLS = 30_000
 
@@ -95,6 +95,12 @@ def _move_masks(table, k: int, states: int) -> list[int]:
     return moves
 
 
+def _preimage_test_fits(k: int, width: int) -> bool:
+    """Whether the k^width move fields of k^(width - 1) bits that
+    ``_preimage_test`` builds fit in ``MAX_PREIMAGE_VECTORS`` bits."""
+    return k**width * k ** (width - 1) <= MAX_PREIMAGE_VECTORS
+
+
 def _preimage_test(rule: TableRule):
     """``has_preimage(a, mid, b)``: whether the eventually periodic
     configuration ``^inf(a) . mid . (b)^inf`` lies in F(X), exactly, or
@@ -124,9 +130,9 @@ def _preimage_test(rule: TableRule):
     if width == 1:
         image = set(table)
         return lambda a, mid, b: image.issuperset((*a, *mid, *b))
-    states = k ** (width - 1)
-    if len(table) * states > MAX_PREIMAGE_VECTORS:
+    if not _preimage_test_fits(k, width):
         return None
+    states = k ** (width - 1)
     full = (1 << states) - 1
     moves = _move_masks(table, k, states)
     images_of: dict = {}

@@ -45,12 +45,12 @@ from .configs import (
     is_spatially_periodic,
     primitive_root,
 )
-from .engine import CycleResult, CycleTimeout, _cycle, _orbit, step
+from .engine import CycleResult, CycleTimeout, _cycle, _ep_stepper, _orbit, step
 from .oracles import (
-    MAX_PREIMAGE_VECTORS,
     EquicontinuityCert,
     _packed_power_walk,
     _preimage_test,
+    _preimage_test_fits,
     surjectivity_oracle,
 )
 from .rules import (
@@ -258,19 +258,19 @@ class BlockingMiss:
 
 
 def _constant_column_offset(
-    rule: TableRule, u, s: int, tails: list, steps: int, succ: dict
+    rule: TableRule, u, s: int, tails: list, steps: int, advance
 ) -> int | None:
     """Least offset ``j`` whose column ``[j, j + s)`` reads the same for
     ``steps`` steps in every eventually periodic context ``^inf(a) . u .
     (b)^inf`` with ``a`` and ``b`` in ``tails``, or ``None``.  Each
     context's orbit is walked once, for all offsets at the same time, and
     only while some offset still agrees with the first context's; the walks
-    step through the successor memo ``succ`` (see ``engine._orbit``)."""
+    step on the search's stepper ``advance`` (see ``engine._orbit``)."""
     n = len(u)
     offsets = range(n - s + 1)
     ref = None
     for a, b in product(tails, repeat=2):
-        orbit = islice(_orbit(rule, _canonical_ep(a, u, b, 0), succ), steps + 1)
+        orbit = islice(_orbit(rule, _canonical_ep(a, u, b, 0), advance), steps + 1)
         rows = (_cells(*state, 0, n) for state in orbit)
         if ref is None:
             ref = list(rows)
@@ -298,9 +298,9 @@ def blocking_word_search(
     test never reads the letters, so the first such word is all zeros,
     just long enough for the widest spans around the column.  Without a
     certificate the check is bounded simulation, marked BoundedVerified;
-    all of its context walks share one successor memo and stepper (see
-    ``engine._orbit``), which live only as long as the call, and more
-    words than ``rules.MAX_TABLE_ENTRIES`` of length ``k_max``, or
+    all of its context walks step on one stepper with a successor memo
+    (see ``engine._ep_stepper``), which lives only as long as the call,
+    and more words than ``rules.MAX_TABLE_ENTRIES`` of length ``k_max``, or
     background tails up to length ``bg_period`` of more letters than that
     cap, are refused before the first is tried.  The background tails are
     built once for every word.
@@ -326,10 +326,10 @@ def blocking_word_search(
     # primitive tails are walked
     words = (t for p in range(1, bg_period + 1) for t in product(range(k), repeat=p))
     tails = [t for t in words if primitive_root(t) == t]
-    succ: dict = {}
+    advance = _ep_stepper(_kernel(rule), {})
     for word_len in range(s, k_max + 1):
         for u in product(range(k), repeat=word_len):
-            j = _constant_column_offset(rule, u, s, tails, steps, succ)
+            j = _constant_column_offset(rule, u, s, tails, steps, advance)
             if j is not None:
                 return BlockingCert(u, j, s, bg_period, steps, BlockingStatus.BOUNDED_VERIFIED)
     return BlockingMiss(k_max, bg_period, steps)
@@ -391,18 +391,18 @@ def _seeded_witness(rule: TableRule, background, u, t_max: int):
 
 
 def _return_witness(
-    rule: TableRule, y: Config, max_steps: int, max_mid: int = 10_000, succ: dict | None = None
+    rule: TableRule, y: Config, max_steps: int, max_mid: int = 10_000, advance=None
 ) -> StpWitness | CycleResult | CycleTimeout:
     """``StpWitness(y, t)`` when the orbit of ``y``, which is not spatially
     periodic, returns to ``y`` itself after ``t`` steps within the budgets
     of ``temporal_cycle``; otherwise the cycle result that rules a return
-    out (a timeout, or a nonzero preperiod).  The cycle detection steps
-    through the successor memo ``succ`` when one is given.
+    out (a timeout, or a nonzero preperiod).  The cycle detection steps on
+    the search's stepper ``advance`` when one is given.
 
-    A return is re-checked with the engine, independently of the cycle
-    detection and of the memo: the ``t``-th state of a fresh orbit walk
-    must equal the 0-th."""
-    res = _cycle(rule, _state(y), max_steps, max_mid, succ)
+    A return is re-checked independently of the cycle detection: the
+    ``t``-th state of a walk on a fresh stepper, with no memo, must equal
+    the 0-th."""
+    res = _cycle(rule, _state(y), max_steps, max_mid, advance)
     if isinstance(res, CycleTimeout) or res.preperiod:
         return res
     y0, yt = islice(_orbit(rule, _state(y)), 0, res.period + 1, res.period)
@@ -494,12 +494,12 @@ def _prune_sides(table: TableRule, additive: AdditiveRule | None):
 def _square_rule(rule: TableRule) -> TableRule:
     """F∘F over its span of ``2w - 1`` positions, composed from F's span
     table of ``w`` (see ``rules._kernel``), or ``rule`` itself when the
-    preimage test of F∘F would hold more than ``MAX_PREIMAGE_VECTORS``
-    bits: k·V² with V = k^(2w - 2), read before anything is composed."""
+    preimage test of F∘F would be over its bit budget (see
+    ``oracles._preimage_test_fits``), read before anything is composed."""
     k = rule.alphabet_size
     table, width, lo, _ = _kernel(rule)
     width2 = 2 * width - 1
-    if k**width2 * k ** (width2 - 1) > MAX_PREIMAGE_VECTORS:
+    if not _preimage_test_fits(k, width2):
         return rule
     return _span_rule(k, tuple(_compose(k, table, width, table, width)), width2, 2 * lo)
 
@@ -554,17 +554,15 @@ def stp_empty_scan(
       of F are skipped too.  Past the test's bit budget for F∘F the test is
       F's own, and past F's every candidate is walked.  An onto additive
       rule has F²(X) = X, so it is not asked.
-    * One stepper and memo per search.  The walked candidates share one
-      successor memo (see ``engine._orbit``), which also carries the
-      search's eventually periodic stepper: candidate orbits fall into the
-      same attractors and reuse the same tails, so a memo hit replaces a
-      step by a lookup, and a tail is padded and its image rooted once per
-      search.  Both live only as long as the call, and every violation is
-      still re-derived by a walk without them.
+    * One stepper per search, owning a successor memo (see
+      ``engine._ep_stepper``).  Candidate orbits fall into the same
+      attractors and reuse the same tails, so a memo hit replaces a step
+      by a lookup, and a tail is padded and its image rooted once per
+      search.  Every violation is re-derived on a fresh stepper.
 
     Without the drift prune, more mids than ``rules.MAX_TABLE_ENTRIES`` of
-    length ``mid_len_max`` are refused before the first candidate is
-    walked.
+    length ``mid_len_max`` are refused before the census of tails is
+    taken.
     """
     if min(tail_period_max, mid_len_max, t_max) < 0:
         raise ValueError("scan bounds must be non-negative")
@@ -574,6 +572,9 @@ def stp_empty_scan(
     table = table_from_additive(additive) if additive is not None else rule
     k = table.alphabet_size
     bounds = ScanBounds(tail_period_max, mid_len_max, t_max)
+    sides = _prune_sides(table, additive)
+    if not sides:
+        _table_size(k, mid_len_max)
     census = _primitive_points(table, tail_period_max, t_max)
     tails = sorted(((cfg.word, t) for cfg, t in census), key=lambda wt: (len(wt[0]), wt))
 
@@ -595,7 +596,6 @@ def stp_empty_scan(
                         continue  # not canonical: would absorb into a tail
                     yield a, mid, b
 
-    sides = _prune_sides(table, additive)
     if sides:
         # No candidate can return: some defect boundary moves strictly every
         # step.  Spot-check the first few against one engine step each and
@@ -617,7 +617,6 @@ def stp_empty_scan(
         )
         return ScanResult(bounds, examined, (), False)
 
-    _table_size(k, mid_len_max)
     has_preimage = None
     if additive is None or not is_surjective_additive(additive):
         has_preimage = _preimage_test(_square_rule(table))
@@ -625,13 +624,13 @@ def stp_empty_scan(
     max_mid = mid_len_max + (_kernel(table)[1] - 1) * t_max
     examined = 0
     violations: list[StpWitness] = []
-    succ: dict = {}
+    advance = _ep_stepper(_kernel(table), {})
     for a, mid, b in candidates():
         examined += 1
         if has_preimage is not None and not has_preimage(a, mid, b):
             continue  # outside F²(X), or F(X) past the budget: it never returns
         y = _ep(k, *_canonical_ep(a, mid, b, 0))
-        res = _return_witness(table, y, t_max, max_mid, succ)
+        res = _return_witness(table, y, t_max, max_mid, advance)
         if isinstance(res, StpWitness):
             violations.append(res)
             if len(violations) == max_violations:

@@ -1,19 +1,31 @@
 """Command lines whose exit status and output bytes are pinned: each row is
-``(argv, exit status, sha256 of stdout)``.  The rows repeat probes of the
-CI workflow, so tier-1 catches a change in their bytes as well."""
+``(argv, exit status, sha256 of stdout)``, run through ``cli.main`` in
+process.  Each digest was recorded from an earlier build of the same path
+(the census built level by level, eventually periodic rows stepped whole),
+so a rewrite of that path must print the same bytes; a refusal exits 3
+with nothing on stdout."""
 
 from __future__ import annotations
 
 import hashlib
+import random
 
 import pytest
 
 from periodika.cli import EXIT_OK, EXIT_RESOURCE, main
 
 EMPTY = hashlib.sha256(b"").hexdigest()
+JSON = ["--format", "json"]
+
+# simulate re-canonicalises a 5 040-letter cyclic word at every step: one
+# seeded random word and 0...01
+_rng = random.Random(5040)
+RANDOM_WORD = "".join(_rng.choice("01") for _ in range(5040))
+ONE_WORD = "0" * 5039 + "1"
 
 PROBES = [
-    # rule 22 is not onto and has no drift prune: the walked scan
+    # rule 22 is not onto and has no drift prune: the walked scan; its
+    # default format is JSON, so this row also pins `--format json`
     (
         ["scan", "--rule", "wolfram:22", "--mid-len-max", "12"],
         EXIT_OK,
@@ -26,7 +38,7 @@ PROBES = [
         EXIT_OK,
         "0fe99028fde8fee779e2757af3615e0bc2fbfdcd0c2ef748c8d48fec64d26ecb",
     ),
-    # 2^24 mids, or 300^3, over the table cap: refused before the first walk
+    # 2^24 mids, or 300^3, over the table cap: refused before the tail census
     (["scan", "--rule", "wolfram:22", "--mid-len-max", "24"], EXIT_RESOURCE, EMPTY),
     (["scan", "--rule", "additive:m=300;r=0;c=7"], EXIT_RESOURCE, EMPTY),
     # 8.1e9 tail pairs, streamed up to the violation cap
@@ -35,10 +47,124 @@ PROBES = [
         EXIT_OK,
         "45b4019d280a47adf03492249be4852abad57f15f38579873ed1b1628765d73a",
     ),
+    # the jp census of two byte-table rules (built column by column in byte
+    # lanes) and of one 343-entry tuple-table rule (built level by level)
+    (
+        ["jp", "--rule", "wolfram:110", "--length", "16", *JSON],
+        EXIT_OK,
+        "7227821c20a5397b7148e7c5ea51bb73a13659c07db1d42a2843a6697826a9af",
+    ),
+    (
+        ["jp", "--rule", "wolfram:7391763292911;k=3;r=1", "--length", "10", *JSON],
+        EXIT_OK,
+        "711189c40b3fca6e9cb767c0885c9e75c11358abb24421e939832824dde2bc76",
+    ),
+    (
+        ["jp", "--rule", "additive:m=7;r=1;c=1,2,3", "--length", "6", *JSON],
+        EXIT_OK,
+        "6f1a565c7dd06df5cc0f69bab42ed21a43c2eb427ae2b380900dfdcf9ba396ec",
+    ),
+    # eventually periodic walks: one with two-letter tails, one of a
+    # 343-entry tuple-table rule, and a bounded blocking search whose
+    # context walks share one stepper (its default format is JSON too)
+    (
+        [
+            "simulate", "--rule", "wolfram:30", "--config", "ep:0|1|0",
+            "--steps", "3000", "--window", "-40:40", *JSON,
+        ],
+        EXIT_OK,
+        "64e71395f4225fbf4534973ecf76cd63bcce8a03ff9ea34493b110452b51d5f6",
+    ),
+    (
+        [
+            "simulate", "--rule", "wolfram:45", "--config", "ep:01|1101|1",
+            "--steps", "1000", "--window", "-40:40", *JSON,
+        ],
+        EXIT_OK,
+        "4c8ef2f54e40f5b89a5841c341348551bfe7aa47d91c90180dcf112fab774a82",
+    ),
+    (
+        [
+            "simulate", "--rule", "additive:m=7;r=1;c=1,2,3", "--config", "ep:12|345|61",
+            "--steps", "400", "--window", "-30:30", *JSON,
+        ],
+        EXIT_OK,
+        "c897b9985a17e5e0267bec6f8094896b51f95aa0f99ba77945375291231f5971",
+    ),
+    (
+        ["blocking", "--rule", "wolfram:90", "--bg-period", "16", *JSON],
+        EXIT_OK,
+        "1eb40bcc457a7862ab2e7f44b35f568a5ee20219025c90b2f454360e206e76d8",
+    ),
+    # each once hung: the search families exceed the table cap, and the
+    # background tails of rule 90 up to length 17 hold over 2e6 letters
+    (["blocking", "--rule", "wolfram:90", "--k-max", "30"], EXIT_RESOURCE, EMPTY),
+    (["blocking", "--rule", "wolfram:90", "--bg-period", "24"], EXIT_RESOURCE, EMPTY),
+    (["blocking", "--rule", "wolfram:90", "--bg-period", "17"], EXIT_RESOURCE, EMPTY),
+    (["witness", "--rule", "wolfram:90", "--u", "1", "--k-max", "30"], EXIT_RESOURCE, EMPTY),
+    (["witness", "--rule", "wolfram:90", "--u", "1", "--bg-period", "24"], EXIT_RESOURCE, EMPTY),
+    (
+        ["blocking", "--rule", "additive:m=4;r=1;c=2,1,2", "--bg-period", "30"],
+        EXIT_OK,
+        "79061397df085b74ccc2467f13b6ccdd76dbe2073e743aa3d9eb72996f2521ed",
+    ),
+    (
+        [
+            "simulate", "--rule", "wolfram:30", "--config", f"cyclic:{RANDOM_WORD}",
+            "--steps", "2000", "--window", "0:3", *JSON,
+        ],
+        EXIT_OK,
+        "643971f4a5f6c5b3eb386c6fcc25c42588e5d9254c24ae068317328575046bea",
+    ),
+    (
+        [
+            "simulate", "--rule", "wolfram:30", "--config", f"cyclic:{ONE_WORD}",
+            "--steps", "2000", "--window", "0:3", *JSON,
+        ],
+        EXIT_OK,
+        "4f90607182c5792d25d6eacd35d39e27aeae6d0dff20ab156c027a71b476c356",
+    ),
+    # a padded rule gets its canonical form's answer: the one-letter word
+    # "0", "status": "Exact", "width": 1
+    (
+        ["blocking", "--rule", "additive:m=8;r=2;c=0,0,1,0,0", *JSON],
+        EXIT_OK,
+        "6c631ee5a46426fca8ba500fc3183c1367c842bb8eecd2a9e15e0cd62d5b372e",
+    ),
+    # power exponents are computed, not walked; a modulus with two primes
+    # near 10^9 is split by Pollard rho; from 3.3e24 up only primes below
+    # 2^20 are divided out, so 2^100 factors, while a prime (2^89 - 1) or a
+    # product of two primes near 1.8e12 left at that size is refused
+    (
+        ["classify", "--rule", "additive:m=1000000007;r=1;c=0,2,0"],
+        EXIT_OK,
+        "9db90aa254f1064c0b487d116ce2fb1e74e9981f5db0b3e734c43246ba69106e",
+    ),
+    (
+        ["classify", "--rule", "additive:m=1073741824;r=1;c=2,1,0"],
+        EXIT_OK,
+        "9231094c89ac993e6fd9d9582501752166d83e93fb0d0260e4102d1626f5f40e",
+    ),
+    (
+        ["classify", "--rule", "additive:m=998244359987710471;r=1;c=0,1,0"],
+        EXIT_OK,
+        "5335c49a018ab28420f08e0172dd8c13cf3aa23326ca1dbcdb04ee3613d6e2fb",
+    ),
+    (
+        ["classify", "--rule", "additive:m=1267650600228229401496703205376;r=1;c=0,1,0"],
+        EXIT_OK,
+        "60377ba2ba005a5c8dffc2224b9d19da3aca57438cfa12d59a45968b4ddfd4e5",
+    ),
+    (["classify", "--rule", "additive:m=3317602040901673469388079;r=1;c=0,1,0"], EXIT_RESOURCE, EMPTY),
+    (["classify", "--rule", "additive:m=618970019642690137449562111;r=1;c=0,1,0"], EXIT_RESOURCE, EMPTY),
 ]
 
 
-@pytest.mark.parametrize("argv, code, digest", PROBES, ids=[" ".join(argv) for argv, _, _ in PROBES])
+def _probe_id(argv):
+    return " ".join(a if len(a) <= 100 else f"{a[:16]}...({len(a)} chars)" for a in argv)
+
+
+@pytest.mark.parametrize("argv, code, digest", PROBES, ids=[_probe_id(argv) for argv, _, _ in PROBES])
 def test_probe_exits_and_prints_the_pinned_bytes(capsys, argv, code, digest):
     assert main(argv) == code
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

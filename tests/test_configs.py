@@ -20,13 +20,14 @@ from periodika.configs import (
     _cyclic,
     _ep,
     _join,
+    _repeat,
     is_spatially_periodic,
     parse_config,
     primitive_root,
     render_config,
     shift,
 )
-from periodika.engine import _cyclic_image, step
+from periodika.engine import step
 from periodika.rules import TableRule, _kernel
 
 
@@ -427,8 +428,10 @@ def test_trusted_constructors_agree_with_the_public_ones(case, seed):
     radius = 1 if k <= 7 else 0
     rng = random.Random(seed)
     rule = TableRule(k, radius, tuple(rng.randrange(k) for _ in range(k ** (2 * radius + 1))))
-    kernel = _kernel(rule)
-    pack = type(kernel[0])
-    assert step(rule, x) == CyclicConfig(k, _cyclic_image(kernel, pack(x.word)))
+    table, width, lo, image = kernel = _kernel(rule)
+    pack = type(table)
+    # the cyclic image: the word repeated from coordinate 0, imaged over
+    # coordinates 0 .. len(word) - 1
+    assert step(rule, x) == CyclicConfig(k, image(_repeat(pack(x.word), lo, len(x.word) + width - 1)))
     image = ep_step(kernel, *map(pack, (y.left, y.mid, y.right)), y.start)
     assert step(rule, y) == EpConfig(k, *image)

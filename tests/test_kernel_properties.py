@@ -35,6 +35,7 @@ from periodika.configs import (
 from periodika.engine import (
     CycleResult,
     CycleTimeout,
+    _ep_stepper,
     _orbit,
     space_time,
     step,
@@ -592,25 +593,32 @@ def memo_cases(draw):
 def test_walks_through_one_successor_memo_match_plain_walks(case):
     # later walks hit entries stored by earlier ones, at other translations
     rule, walks = case
-    succ = {}
+    advance = _ep_stepper(_kernel(rule), {})
     for x, n, steps in walks:
         state = _state(shift(x, n))
         plain = list(islice(_orbit(rule, state), steps + 1))
-        assert list(islice(_orbit(rule, state, succ), steps + 1)) == plain
+        assert list(islice(_orbit(rule, state, advance), steps + 1)) == plain
 
 
 def test_a_successor_memo_carries_one_stepper_for_all_its_walks():
-    # the first eventually periodic walk puts its stepper in the memo and
-    # every later walk steps on it; a spatially periodic start takes the
-    # cyclic kernel and no stepper
+    # every eventually periodic walk handed the stepper steps on it, and so
+    # fills its one memo; a spatially periodic start takes the cyclic
+    # kernel and leaves the stepper and its memo alone
     rule = TableRule.from_wolfram(30)
-    succ = {}
-    list(islice(_orbit(rule, _state(CyclicConfig(2, (0, 1))), succ), 4))
-    assert None not in succ
-    list(islice(_orbit(rule, _state(EpConfig(2, (0,), (1,), (0,), 0)), succ), 4))
-    stepper = succ[None]
-    walk = list(islice(_orbit(rule, _state(EpConfig(2, (0, 1), (1,), (1,), 3)), succ), 6))
-    assert succ[None] is stepper
+    memo = {}
+    stepper = _ep_stepper(_kernel(rule), memo)
+    stepped = []
+
+    def advance(*state):
+        stepped.append(state)
+        return stepper(*state)
+
+    list(islice(_orbit(rule, _state(CyclicConfig(2, (0, 1))), advance), 4))
+    assert not stepped and not memo
+    list(islice(_orbit(rule, _state(EpConfig(2, (0,), (1,), (0,), 0)), advance), 4))
+    assert len(stepped) == 3 and len(memo) == 3
+    walk = list(islice(_orbit(rule, _state(EpConfig(2, (0, 1), (1,), (1,), 3)), advance), 6))
+    assert len(stepped) == 8 and 3 < len(memo) <= 8
     assert walk == list(islice(_orbit(rule, _state(EpConfig(2, (0, 1), (1,), (1,), 3))), 6))
 
 
@@ -667,10 +675,10 @@ def test_the_tail_tables_step_like_imaging_every_row_whole(case):
 
     want = reference_walk(x)
     assert list(islice(_orbit(rule, _state(x)), steps + 1)) == want
-    succ = {}
+    advance = _ep_stepper(kernel, {})
     for n in (0, 3, 0):  # later walks read entries that earlier ones stored
         y = shift(x, n)
-        assert list(islice(_orbit(rule, _state(y), succ), steps + 1)) == reference_walk(y)
+        assert list(islice(_orbit(rule, _state(y), advance), steps + 1)) == reference_walk(y)
     y = x
     for state in want[1:]:
         y = step(rule, y)

@@ -22,7 +22,7 @@ from reference_helpers import (
 from test_kernel_properties import power_rules
 from periodika.configs import CyclicConfig, EpConfig, is_spatially_periodic, render_config
 from periodika import periodicity
-from periodika.engine import CycleResult, CycleTimeout, step
+from periodika.engine import CycleResult, CycleTimeout, _ep_stepper, step
 from periodika.additive import decompose_crt, is_surjective_additive
 from periodika.oracles import (
     EquicontinuityCert,
@@ -332,7 +332,7 @@ def test_bounded_blocking_search_matches_a_stepping_reference(monkeypatch):
     rules += [TableRule(3, 1, tuple(rng.randrange(3) for _ in range(27))) for _ in range(12)]
     found = [blocking_word_search(rule, 3, 1, 6) for rule in rules]
 
-    def first_constant_offset(rule, u, s, tails, steps, succ):
+    def first_constant_offset(rule, u, s, tails, steps, advance):
         # the search hands over its primitive tails; the reference steps
         # every tail up to the longest of them
         contexts = _rows_by_stepping(rule, u, max(map(len, tails)), steps)
@@ -522,6 +522,36 @@ def test_scan_streams_its_tail_pairs():
         stp_empty_scan(rule, 2, 3, 32, 5)
 
 
+def test_scan_reads_the_mids_cap_before_the_tail_census(monkeypatch):
+    # no drift prune and 300^3 mids: the mids cap alone refuses the scan,
+    # so the census of the 90 000 tail words is never taken
+    def no_census(rule, n_max, t_max):
+        raise AssertionError("the tail census was taken")
+
+    monkeypatch.setattr(periodicity, "_primitive_points", no_census)
+    with pytest.raises(ResourceCapError, match="300\\^3"):
+        stp_empty_scan(AdditiveRule(300, 0, {0: 7}))
+
+
+def test_a_scan_and_a_bounded_blocking_search_each_build_one_stepper(monkeypatch):
+    # every walk of one call steps on the call's stepper and fills its
+    # memo; the re-checks build theirs in the engine, not here
+    made = []
+
+    def counted(kernel, memo=None):
+        made.append(memo)
+        return _ep_stepper(kernel, memo)
+
+    monkeypatch.setattr(periodicity, "_ep_stepper", counted)
+    result = stp_empty_scan(M4_TABLE, 1, 1, 4)
+    assert len(made) == 1 and made[0]
+    assert result.violations
+    made.clear()
+    cert = blocking_word_search(AND_RULE)
+    assert cert.status is BlockingStatus.BOUNDED_VERIFIED
+    assert len(made) == 1 and made[0]
+
+
 def test_scan_walks_past_the_preimage_tests_bit_budget_without_its_masks():
     # not onto (its mod-2 factor is zero) and with no drift prune; its
     # 10^4 move masks of 10^5 bits each are over the budget, so no test is
@@ -579,7 +609,7 @@ def test_scan_agrees_with_a_plain_return_walk_on_every_elementary_rule(monkeypat
     results = [stp_empty_scan(rule, *bounds) for rule, bounds in cases]
     walked = []
 
-    def plain_cycle(rule, state, max_steps, max_mid, succ=None):
+    def plain_cycle(rule, state, max_steps, max_mid, advance=None):
         walked.append(state)
         return _first_return(rule, EpConfig(rule.alphabet_size, *state), max_steps, max_mid)
 
@@ -593,14 +623,17 @@ def test_scan_agrees_with_a_plain_return_walk_on_every_elementary_rule(monkeypat
 
 def test_return_witness_rechecks_without_the_successor_memo():
     # a memo that maps y to itself makes the cycle detection see a return
-    # after one step; the re-check walks the orbit afresh and refuses it
+    # after one step; the re-check walks the orbit on a fresh stepper with
+    # no memo and refuses it
     y = EpConfig(2, (0,), (1,), (0,), 0)
-    pack = type(_kernel(RULE90)[0])  # memo keys are packed states
+    kernel = _kernel(RULE90)
+    pack = type(kernel[0])  # memo keys are packed states
     key = tuple(map(pack, (y.left, y.mid, y.right)))
-    poisoned = {key: (*key, 0)}
+    poisoned = _ep_stepper(kernel, {key: (*key, 0)})
     with pytest.raises(AssertionError, match="re-verification at period 1"):
-        periodicity._return_witness(RULE90, y, 8, succ=poisoned)
-    assert isinstance(periodicity._return_witness(RULE90, y, 8, succ={}), CycleTimeout)
+        periodicity._return_witness(RULE90, y, 8, advance=poisoned)
+    fresh = _ep_stepper(kernel, {})
+    assert isinstance(periodicity._return_witness(RULE90, y, 8, advance=fresh), CycleTimeout)
 
 
 def _square_pruned_scans(monkeypatch, cases):
