@@ -1,19 +1,29 @@
 """Command lines whose exit status and output bytes are pinned: each row is
-``(argv, exit status, sha256 of stdout)``, run through ``cli.main`` in
-process.  Each digest was recorded from an earlier build of the same path
-(the census built level by level, eventually periodic rows stepped whole),
-so a rewrite of that path must print the same bytes; a refusal exits 3
-with nothing on stdout."""
+``(argv, exit status, sha256 of stdout)``.  Each digest was recorded from
+an earlier build of the same path (the census built level by level,
+eventually periodic rows stepped whole), so a rewrite of that path must
+print the same bytes; a refusal exits 3 with nothing on stdout.
+
+A row runs through ``cli.main`` in process, except a row that guards
+against a hang or a quadratic blow-up: every refusal, and each walk of a
+config over 5 000 letters.  Those run as ``python -m periodika`` in a
+subprocess under a 60-s bound, so that a refusal turned into a walk, or a
+walk many times slower, fails its row instead of hanging the suite."""
 
 from __future__ import annotations
 
 import hashlib
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from periodika.cli import EXIT_OK, EXIT_RESOURCE, main
 
+SRC = Path(__file__).parent.parent / "src"
 EMPTY = hashlib.sha256(b"").hexdigest()
 JSON = ["--format", "json"]
 
@@ -164,7 +174,21 @@ def _probe_id(argv):
     return " ".join(a if len(a) <= 100 else f"{a[:16]}...({len(a)} chars)" for a in argv)
 
 
+def _bounded(argv, code):
+    return code == EXIT_RESOURCE or any(len(a) > 5000 for a in argv)
+
+
 @pytest.mark.parametrize("argv, code, digest", PROBES, ids=[_probe_id(argv) for argv, _, _ in PROBES])
-def test_probe_exits_and_prints_the_pinned_bytes(capsys, argv, code, digest):
-    assert main(argv) == code
-    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+def test_probe_exits_and_prints_the_pinned_bytes(capsys, tmp_path, argv, code, digest):
+    if _bounded(argv, code):
+        env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONIOENCODING": "utf-8"}
+        proc = subprocess.run(
+            [sys.executable, "-m", "periodika", *argv],
+            capture_output=True, cwd=tmp_path, env=env, timeout=60,
+        )
+        assert proc.returncode == code
+        out = proc.stdout
+    else:
+        assert main(argv) == code
+        out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == digest

@@ -10,7 +10,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reference_helpers import canonical_ep, divisor_scan_root, ep_step, equals, value_at
+from reference_helpers import (
+    canonical_ep,
+    divisor_scan_root,
+    encode_word,
+    ep_step,
+    equals,
+    value_at,
+    window,
+)
 from periodika.configs import (
     ConfigSpecError,
     CyclicConfig,
@@ -20,7 +28,6 @@ from periodika.configs import (
     _cyclic,
     _ep,
     _join,
-    _repeat,
     is_spatially_periodic,
     parse_config,
     primitive_root,
@@ -428,10 +435,11 @@ def test_trusted_constructors_agree_with_the_public_ones(case, seed):
     radius = 1 if k <= 7 else 0
     rng = random.Random(seed)
     rule = TableRule(k, radius, tuple(rng.randrange(k) for _ in range(k ** (2 * radius + 1))))
-    table, width, lo, image = kernel = _kernel(rule)
-    pack = type(table)
-    # the cyclic image: the word repeated from coordinate 0, imaged over
-    # coordinates 0 .. len(word) - 1
-    assert step(rule, x) == CyclicConfig(k, image(_repeat(pack(x.word), lo, len(x.word) + width - 1)))
+    # the cyclic image letter by letter, each window read off value_at
+    lo, hi = window(rule)
+    windows = ([value_at(x, c) for c in range(i + lo, i + hi + 1)] for i in range(len(x.word)))
+    assert step(rule, x) == CyclicConfig(k, tuple(rule.table[encode_word(w, k)] for w in windows))
+    kernel = _kernel(rule)
+    pack = type(kernel[0])
     image = ep_step(kernel, *map(pack, (y.left, y.mid, y.right)), y.start)
     assert step(rule, y) == EpConfig(k, *image)

@@ -289,19 +289,28 @@ def test_temporal_cycle_matches_a_full_state_walk(case):
 @given(table_rules().flatmap(lambda rule: st.tuples(st.just(rule), words(rule.alphabet_size, 1, 6))),
        st.integers(-6, 6), st.integers(0, 8))
 def test_spatially_periodic_ep_config_walks_like_its_cyclic_word(case, phase, steps):
-    # the orbit walk takes the cyclic kernel for both; the public step and
-    # the full walk step the EpConfig through the eventually periodic one
+    # the orbit walk and the public step take the cyclic kernel for both;
+    # the full walk and the rows step the EpConfig on the eventually
+    # periodic stepper itself
     rule, word = case
     k = rule.alphabet_size
+    kernel = _kernel(rule)
+    pack = type(kernel[0])
+
+    def stepper_step(_, y):
+        image = _ep_stepper(kernel)(*map(pack, (y.left, y.mid, y.right)), y.start)
+        return EpConfig(k, *map(tuple, image[:3]), image[3])
+
     cyclic, ep = CyclicConfig(k, word, phase), EpConfig(k, word, (), word, -phase)
     assert equals(cyclic, ep)
-    assert temporal_cycle(rule, ep, 24) == temporal_cycle(rule, cyclic, 24) == _full_walk(rule, ep, 24, 0)
+    full = _full_walk(rule, ep, 24, 0, stepper_step)
+    assert temporal_cycle(rule, ep, 24) == temporal_cycle(rule, cyclic, 24) == full
     trace = space_time(rule, ep, steps, -8, 8)
     assert trace == space_time(rule, cyclic, steps, -8, 8)
     rows, cur = [], ep
     for _ in range(steps + 1):
         rows.append(tuple(value_at(cur, i) for i in range(-8, 9)))
-        cur = step(rule, cur)
+        cur = stepper_step(rule, cur)
     assert trace.rows == tuple(rows)
 
 
