@@ -175,14 +175,10 @@ class EpConfig:
 Config = CyclicConfig | EpConfig
 
 
-def _cyclic(alphabet_size: int, word: tuple[int, ...]) -> CyclicConfig:
-    """``CyclicConfig(alphabet_size, word)`` without the checks: only for a
-    nonempty tuple whose letters are known to lie in the alphabet."""
-    return _cyclic_root(alphabet_size, _canonical_word(word, 0))
-
-
 def _cyclic_root(alphabet_size: int, root: tuple[int, ...]) -> CyclicConfig:
-    """``_cyclic`` of a word known to be primitive, taken as it is."""
+    """``CyclicConfig(alphabet_size, root)`` without the checks, taken as it
+    is: only for a primitive tuple whose letters are known to lie in the
+    alphabet."""
     x = object.__new__(CyclicConfig)
     # the frozen dataclass blocks attribute assignment, not its __dict__
     x.__dict__.update(alphabet_size=alphabet_size, word=root, phase=0)

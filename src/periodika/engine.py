@@ -106,25 +106,27 @@ def _orbit(rule: TableRule, state, advance=None):
     ``configs._state``), stepped without building configurations: image
     letters come from the validated table.  The words of every state are
     packed in the type of the rule's span table (see ``rules._kernel``):
-    ``bytes`` or tuples, which ``configs._cells`` reads alike.  A spatially
-    periodic state takes the cyclic kernel; any other the stepper
-    ``advance`` (see ``_ep_stepper``): a search's own, or a fresh one.  The
-    caller checks that the alphabets match."""
+    ``bytes`` or tuples, which ``configs._cells`` reads alike.  A state
+    with a defect takes the stepper ``advance`` (see ``_ep_stepper``): a
+    search's own, or a fresh one; from the first spatially periodic state
+    on, the walk takes the cyclic kernel.  The caller checks that the
+    alphabets match."""
     kernel = _kernel(rule)
     pack = type(kernel[0])
     left, mid, right, start = state = (*map(pack, state[:3]), state[3])
-    if not mid and left == right:
-        # the image of the word repeated from coordinate 0, over its period
-        _, width, lo, image = kernel
-        word = left
-        while True:
-            yield word, mid, word, 0
-            word = _canonical_word(image(_repeat(word, lo, len(word) + width - 1)), 0)
-    if advance is None:
-        advance = _ep_stepper(kernel)
+    if mid or left != right:
+        # a walk that starts spatially periodic builds no stepper
+        if advance is None:
+            advance = _ep_stepper(kernel)
+        while mid or left != right:
+            yield state
+            left, mid, right, start = state = advance(*state)
+    # the image of the word repeated from coordinate 0, over its period
+    _, width, lo, image = kernel
+    word = left
     while True:
-        yield state
-        state = advance(*state)
+        yield word, mid, word, 0
+        word = _canonical_word(image(_repeat(word, lo, len(word) + width - 1)), 0)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,8 @@ graph by its subset automaton: F is onto iff no word empties the set of
 all states.  The same automaton, read along a configuration's left tail,
 middle and right tail, decides whether an eventually periodic
 configuration has a preimage at all; the empty-STP scan asks it of F∘F
-and skips the candidates outside F²(X).  Equicontinuity is decided by
+(``_square_rule``, within the automaton's bit budget) and skips the
+candidates outside F²(X).  Equicontinuity is decided by
 comparing the canonical tables of rule powers until two are equal; a
 power that equals an earlier one up to a nonzero translation ends the
 walk, because from there on no two powers can be equal.  All are
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .rules import ResourceCapError, TableRule, _compose, _kernel, _trim
+from .rules import ResourceCapError, TableRule, _compose, _kernel, _span_rule, _trim
 
 # Caps on the oracles' exact work; hitting one raises ``ResourceCapError``
 # or yields ``OracleUnknown``, never a wrong verdict.
@@ -186,6 +187,19 @@ def _preimage_test(rule: TableRule):
         return bool(cur & ends)
 
     return has_preimage
+
+
+def _square_rule(rule: TableRule) -> TableRule:
+    """F∘F over its span of ``2w - 1`` positions, composed from F's span
+    table of ``w`` (see ``rules._kernel``), or ``rule`` itself when the
+    preimage test of F∘F would be over its bit budget (see
+    ``_preimage_test_fits``), read before anything is composed."""
+    k = rule.alphabet_size
+    table, width, lo, _ = _kernel(rule)
+    width2 = 2 * width - 1
+    if not _preimage_test_fits(k, width2):
+        return rule
+    return _span_rule(k, tuple(_compose(k, table, width, table, width)), width2, 2 * lo)
 
 
 @dataclass(frozen=True)

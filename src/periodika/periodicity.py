@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import islice, product
 from math import gcd, lcm
-from sys import byteorder
 
 from .additive import (
     FactorClass,
@@ -50,7 +49,7 @@ from .oracles import (
     EquicontinuityCert,
     _packed_power_walk,
     _preimage_test,
-    _preimage_test_fits,
+    _square_rule,
     surjectivity_oracle,
 )
 from .rules import (
@@ -60,11 +59,9 @@ from .rules import (
     ResourceCapError,
     TableRule,
     _bijective_ends,
-    _compose,
+    _cyclic_images,
     _kernel,
-    _span_rule,
     _table_size,
-    _window_images,
     product_rule,
     table_from_additive,
 )
@@ -95,7 +92,8 @@ def jointly_periodic_points(rule: TableRule, n: int, t_max: int) -> JpCensus:
 
     The rule induces a map on a finite set, so every word is eventually
     periodic; exactly the words sitting on cycles are temporally periodic.
-    Functional-graph traversal finds every cycle and its length.  More
+    Functional-graph traversal of the successor table
+    (``rules._cyclic_images``) finds every cycle and its length.  More
     words than ``rules.MAX_TABLE_ENTRIES`` are refused before anything is
     allocated.
     """
@@ -105,7 +103,7 @@ def jointly_periodic_points(rule: TableRule, n: int, t_max: int) -> JpCensus:
         raise ValueError("t_max must be non-negative")
     k = rule.alphabet_size
     states = _table_size(k, n)
-    succ = _successors(rule, n)
+    succ = _cyclic_images(rule, n)
     # Walk from every word, stamping each new word with the walk's number,
     # until a stamped word: one stamped by this walk closes a new cycle,
     # whose words are points when the cycle is no longer than t_max.
@@ -147,72 +145,6 @@ def jointly_periodic_points(rule: TableRule, n: int, t_max: int) -> JpCensus:
     ]
     ordered = sorted(points, key=lambda it: (it[1], len(it[0].word), it[0].word))
     return JpCensus(k, n, t_max, tuple(ordered))
-
-
-def _successors(rule: TableRule, n: int) -> list[int]:
-    """Entry ``j`` is the index of the image of the cyclic word ``j`` of
-    length ``n``, built for all ``k**n`` words at once: column by column
-    in byte lanes when the span table is ``bytes``, else level by level."""
-    k = rule.alphabet_size
-    table, w, lo, _ = _kernel(rule)
-    states = k**n
-    if isinstance(table, bytes):
-        # One big int per column of all words, one byte per word; every int
-        # here reads its bytes in the host's byte order, so byte j is word
-        # j's.  Image cell c reads the digit columns (c + lo + i) % n, i < w,
-        # which folds in the wrap-around and the rotation by lo; their Horner
-        # sum is the window index column (bytes below k**w <= 256), and
-        # translate gives the cell's image letters.  g image cells share a
-        # byte lane (k**g <= 256); the groups are widened to 4-byte lanes and
-        # summed there, each lane a whole index (k**n <= MAX_TABLE_ENTRIES <
-        # 2**32), so the lanes are the host's 4-byte unsigned ints.
-        def column(c: int) -> int:
-            # digit c of every word: each letter k**(n - 1 - c) times, the
-            # run repeated k**c times
-            c %= n
-            run = b"".join(bytes((a,)) * k ** (n - 1 - c) for a in range(k))
-            return int.from_bytes(run * k**c, byteorder)
-
-        lut = table.ljust(256, b"\0")
-        g = 1
-        while k ** (g + 1) <= 256:
-            g += 1
-        window = [column(lo + i) for i in range(w - 1)]
-        wide = bytearray(4 * states)
-        low = 0 if byteorder == "little" else 3  # the low byte of a lane
-        lanes = packed = 0
-        for c in range(n):
-            window.append(column(c + lo + w - 1))
-            idx = 0
-            for col in window:
-                idx = idx * k + col
-            del window[0]
-            lanes = lanes * k + int.from_bytes(idx.to_bytes(states, byteorder).translate(lut), byteorder)
-            if c % g == g - 1 or c == n - 1:
-                wide[low::4] = lanes.to_bytes(states, byteorder)
-                packed = packed * k ** (c % g + 1) + int.from_bytes(wide, byteorder)
-                lanes = 0
-        return memoryview(packed.to_bytes(4 * states, byteorder)).cast("I").tolist()
-    # G, the image with each window starting at its own cell.  Cells
-    # 0 .. n - w read the word linearly; each later cell wraps around and
-    # reads its window out of X, the word repeated reps times, which is
-    # at least n + w - 1 cells long (also when n < w).
-    succ = _window_images(table, k, w, n) if n >= w else [0] * states
-    reps = -(-(n + w - 1) // n)
-    cells = reps * n
-    repunit = (k**cells - 1) // (k**n - 1)  # X = word index * repunit
-    top = k**w
-    xs = range(0, states * repunit, repunit)
-    for i in range(max(0, n - w + 1), n):
-        d = k ** (cells - w - i)
-        succ = [g * k + table[x // d % top] for g, x in zip(succ, xs)]
-    # the map commutes with rotation: cell c of the image is cell c + lo
-    # of G, so rotate every index left by that much
-    s = lo % n
-    if s:
-        low, high = k ** (n - s), k**s
-        succ = [g % low * high + g // low for g in succ]
-    return succ
 
 
 def _primitive_points(rule: TableRule, n_max: int, t_max: int) -> list[tuple[CyclicConfig, int]]:
@@ -491,19 +423,6 @@ def _prune_sides(table: TableRule, additive: AdditiveRule | None):
     return sides if all(dl is not None or dr is not None for _, dl, dr in sides) else []
 
 
-def _square_rule(rule: TableRule) -> TableRule:
-    """F∘F over its span of ``2w - 1`` positions, composed from F's span
-    table of ``w`` (see ``rules._kernel``), or ``rule`` itself when the
-    preimage test of F∘F would be over its bit budget (see
-    ``oracles._preimage_test_fits``), read before anything is composed."""
-    k = rule.alphabet_size
-    table, width, lo, _ = _kernel(rule)
-    width2 = 2 * width - 1
-    if not _preimage_test_fits(k, width2):
-        return rule
-    return _span_rule(k, tuple(_compose(k, table, width, table, width)), width2, 2 * lo)
-
-
 def _defects(y: EpConfig) -> tuple[int, int]:
     """First coordinate where ``y`` deviates from its left tail pattern and
     last one where it deviates from its right tail pattern, for ``y`` not
@@ -547,12 +466,12 @@ def stp_empty_scan(
       F²(X): a return y = F^p(y), p >= 1, gives y = F^(2p)(y), so every
       point that returns lies in the limit set, the intersection of all
       F^n(X) (Culik, Pachl & Yu, SIAM J. Comput. 18, 1989), and in
-      particular in F²(X).  Membership is decided exactly by
-      the de Bruijn subset automaton (``oracles._preimage_test``) of F∘F,
+      particular in F²(X).  Membership is decided exactly by the de
+      Bruijn subset automaton (``oracles._preimage_test``) of F∘F,
       composed from F's span table over ``2w - 1`` positions
-      (``_square_rule``).  F²(X) lies inside F(X), so the Gardens of Eden
-      of F are skipped too.  Past the test's bit budget for F∘F the test is
-      F's own, and past F's every candidate is walked.  An onto additive
+      (``oracles._square_rule``).  F²(X) lies inside F(X), so the Gardens
+      of Eden of F are skipped too.  Past the test's bit budget for F∘F
+      the test is F's own, and past F's every candidate is walked.  An onto additive
       rule has F²(X) = X, so it is not asked.
     * One stepper per search, owning a successor memo (see
       ``engine._ep_stepper``).  Candidate orbits fall into the same

@@ -28,6 +28,7 @@ import re
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import cycle
+from sys import byteorder
 
 
 class RuleSpecError(ValueError):
@@ -358,6 +359,72 @@ def _window_images(table, k: int, width: int, length: int) -> list[int]:
     for _ in range(length - width):
         idx = [i + a for i, block in zip((i * k for i in idx), cycle(blocks)) for a in block]
     return idx
+
+
+def _cyclic_images(rule: TableRule, n: int) -> list[int]:
+    """Entry ``j`` is the index of the image of the cyclic word ``j`` of
+    length ``n``, built for all ``k**n`` words at once: column by column
+    in byte lanes when the span table is ``bytes``, else level by level."""
+    k = rule.alphabet_size
+    table, w, lo, _ = _kernel(rule)
+    states = k**n
+    if isinstance(table, bytes):
+        # One big int per column of all words, one byte per word; every int
+        # here reads its bytes in the host's byte order, so byte j is word
+        # j's.  Image cell c reads the digit columns (c + lo + i) % n, i < w,
+        # which folds in the wrap-around and the rotation by lo; their Horner
+        # sum is the window index column (bytes below k**w <= 256), and
+        # translate gives the cell's image letters.  g image cells share a
+        # byte lane (k**g <= 256); the groups are widened to 4-byte lanes and
+        # summed there, each lane a whole index (k**n <= MAX_TABLE_ENTRIES <
+        # 2**32), so the lanes are the host's 4-byte unsigned ints.
+        def column(c: int) -> int:
+            # digit c of every word: each letter k**(n - 1 - c) times, the
+            # run repeated k**c times
+            c %= n
+            run = b"".join(bytes((a,)) * k ** (n - 1 - c) for a in range(k))
+            return int.from_bytes(run * k**c, byteorder)
+
+        lut = table.ljust(256, b"\0")
+        g = 1
+        while k ** (g + 1) <= 256:
+            g += 1
+        window = [column(lo + i) for i in range(w - 1)]
+        wide = bytearray(4 * states)
+        low = 0 if byteorder == "little" else 3  # the low byte of a lane
+        lanes = packed = 0
+        for c in range(n):
+            window.append(column(c + lo + w - 1))
+            idx = 0
+            for col in window:
+                idx = idx * k + col
+            del window[0]
+            lanes = lanes * k + int.from_bytes(idx.to_bytes(states, byteorder).translate(lut), byteorder)
+            if c % g == g - 1 or c == n - 1:
+                wide[low::4] = lanes.to_bytes(states, byteorder)
+                packed = packed * k ** (c % g + 1) + int.from_bytes(wide, byteorder)
+                lanes = 0
+        return memoryview(packed.to_bytes(4 * states, byteorder)).cast("I").tolist()
+    # G, the image with each window starting at its own cell.  Cells
+    # 0 .. n - w read the word linearly; each later cell wraps around and
+    # reads its window out of X, the word repeated reps times, which is
+    # at least n + w - 1 cells long (also when n < w).
+    succ = _window_images(table, k, w, n) if n >= w else [0] * states
+    reps = -(-(n + w - 1) // n)
+    cells = reps * n
+    repunit = (k**cells - 1) // (k**n - 1)  # X = word index * repunit
+    top = k**w
+    xs = range(0, states * repunit, repunit)
+    for i in range(max(0, n - w + 1), n):
+        d = k ** (cells - w - i)
+        succ = [g * k + table[x // d % top] for g, x in zip(succ, xs)]
+    # the map commutes with rotation: cell c of the image is cell c + lo
+    # of G, so rotate every index left by that much
+    s = lo % n
+    if s:
+        low, high = k ** (n - s), k**s
+        succ = [g % low * high + g // low for g in succ]
+    return succ
 
 
 def _compose(k: int, f, f_w: int, g, g_w: int):

@@ -387,6 +387,19 @@ def test_sweep_m2_oracle_checks_are_clean(capsys):
     }
 
 
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7, 10, 8, 9, 12, 16])
+def test_sweep_oracle_checks_read_zero(capsys, m):
+    # for m = 8, 9, 12 and 16 the equicontinuity oracle runs out of powers
+    # on some equicontinuous rules, so only the surjectivity and
+    # sensitivity counters must read 0 (m = 16 runs the surjectivity oracle
+    # on 4 096-entry tuple tables)
+    checks = run_json(capsys, ["sweep", "--m", str(m), "--check-oracles"])["oracle_checks"]
+    names = ["surjectivity_disagreements", "sensitive_with_cert"]
+    if m not in (8, 9, 12, 16):
+        names.append("equicontinuous_without_cert")
+    assert len(checks) == 3 and {name: checks[name] for name in names} == dict.fromkeys(names, 0)
+
+
 def test_sweep_parallel_output_matches_serial(capsys):
     serial = run(capsys, ["sweep", "--m", "3"])
     parallel = run(capsys, ["sweep", "--m", "3", "--workers", "2"])

@@ -3,8 +3,12 @@ products, and literals."""
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from math import lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -25,7 +29,7 @@ from periodika.configs import (
     EpConfig,
     _canonical_ep,
     _canonical_word,
-    _cyclic,
+    _cyclic_root,
     _ep,
     _join,
     is_spatially_periodic,
@@ -150,6 +154,19 @@ def test_canonical_ep_matches_the_letter_at_a_time_reference(case):
     assert _canonical_ep(left, mid, right, start) == expected
     x = EpConfig(k, left, mid, right, start)
     assert (x.left, x.mid, x.right, x.start) == expected
+
+
+def test_long_canonical_forms_finish_within_ten_seconds(tmp_path):
+    # the two long presentations above, built by EpConfig in a fresh
+    # interpreter under a 10-s bound, so that a canonicaliser gone
+    # quadratic fails here instead of stalling the suite
+    code = (
+        "from periodika.configs import EpConfig\n"
+        "EpConfig(2, (0,), (0,) * 20000 + (1,), (1,))\n"
+        "EpConfig(2, (1,) + (0,) * 10000, (), (1,) + (0,) * 10001)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")}
+    subprocess.run([sys.executable, "-c", code], check=True, cwd=tmp_path, env=env, timeout=10)
 
 
 def test_cyclic_reduces_to_primitive_root():
@@ -426,7 +443,7 @@ def _raw_words_any_alphabet(draw):
 def test_trusted_constructors_agree_with_the_public_ones(case, seed):
     k, word, left, mid, right, start = case
     x, y = CyclicConfig(k, word), EpConfig(k, left, mid, right, start)
-    assert _cyclic(k, word) == x
+    assert _cyclic_root(k, _canonical_word(word, 0)) == x
     assert _ep(k, *_canonical_ep(left, mid, right, start)) == y
     # step builds its images with the trusted constructors; a radius-1
     # table over up to 7 letters and a radius-0 one over more, so that the

@@ -3,17 +3,18 @@
 from __future__ import annotations
 
 import random
-from itertools import product
+from itertools import islice, product
 
 import pytest
 
 from reference_helpers import equals, identity_rule
-from periodika.configs import CyclicConfig, EpConfig, shift
+from periodika.configs import CyclicConfig, EpConfig, _state, shift
 from periodika.engine import (
     CycleResult,
     CycleTimeout,
     SpaceTimeTrace,
     _ep_stepper,
+    _orbit,
     ascii_render,
     pgm_render,
     space_time,
@@ -108,6 +109,35 @@ def test_step_cyclic_agrees_with_step_ep_on_periodic_inputs():
                 y = EpConfig(k, word, (), word, 0)
                 image = _ep_stepper(kernel)(*map(pack, (y.left, y.mid, y.right)), y.start)
                 assert equals(as_cyclic, EpConfig(k, *map(tuple, image[:3]), image[3]))
+
+
+def test_a_walk_leaves_the_stepper_once_its_state_is_spatially_periodic():
+    # each orbit reaches a spatially periodic state: the zero rule at once,
+    # AND (wolfram:128) after two steps, and a 343-entry tuple-table rule
+    # (the product of the three cells mod 7) after two; the walk hands the
+    # stepper only the states before it, and its states are those of a
+    # walk that steps every state on the stepper
+    product7 = TableRule(7, 1, tuple(a * b * c % 7 for a, b, c in product(range(7), repeat=3)))
+    cases = [
+        (TableRule.from_wolfram(0), EpConfig(2, (0,), (1,), (0,))),
+        (TableRule.from_wolfram(128), EpConfig(2, (0,), (1, 1, 1), (0,))),
+        (product7, EpConfig(7, (0,), (1, 2, 3), (0,))),
+    ]
+    for rule, y in cases:
+        stepper, handed = _ep_stepper(_kernel(rule), {}), []
+
+        def recording(*state):
+            handed.append(state)
+            return stepper(*state)
+
+        walk = list(islice(_orbit(rule, _state(y), recording), 6))
+        assert handed and not [s for s in handed if not s[1] and s[0] == s[2]], rule
+        assert not walk[-1][1] and walk[-1][0] == walk[-1][2]
+        plain = _ep_stepper(_kernel(rule))
+        state = walk[0]
+        for want in walk[1:]:
+            state = plain(*state)
+            assert state == want, rule
 
 
 def test_step_commutes_with_shift():

@@ -21,7 +21,7 @@ from reference_helpers import (
 )
 from test_kernel_properties import power_rules
 from periodika.configs import CyclicConfig, EpConfig, is_spatially_periodic, render_config
-from periodika import periodicity
+from periodika import oracles, periodicity
 from periodika.engine import CycleResult, CycleTimeout, _ep_stepper, step
 from periodika.additive import decompose_crt, is_surjective_additive
 from periodika.oracles import (
@@ -200,7 +200,7 @@ def test_census_successors_match_a_per_word_reference():
                 windows[geometry] = _window_indices(*geometry)
             table = rule.table
             expected = [encode_word([table[v] for v in cells], k) for cells in windows[geometry]]
-            assert periodicity._successors(rule, n) == expected, (rule, n)
+            assert rules_module._cyclic_images(rule, n) == expected, (rule, n)
 
 
 def test_census_successors_past_two_byte_indices():
@@ -211,7 +211,7 @@ def test_census_successors_past_two_byte_indices():
     for k, n in ((2, 17), (3, 11)):
         rule = TableRule(k, 1, tuple(rng.randrange(k) for _ in range(k**3)), rng.randrange(-1, 2))
         lo = rule.offset - 1
-        succ = periodicity._successors(rule, n)
+        succ = rules_module._cyclic_images(rule, n)
         assert len(succ) == k**n
         for j in rng.sample(range(k**n), 300):
             w = [j // k ** (n - 1 - c) % k for c in range(n)]
@@ -662,7 +662,7 @@ def _square_pruned_scans(monkeypatch, cases):
 
         return has_preimage
 
-    square = periodicity._square_rule
+    square = oracles._square_rule
     monkeypatch.setattr(periodicity, "_square_rule", square_rule)
     monkeypatch.setattr(periodicity, "_preimage_test", both_tests)
     assert results == [stp_empty_scan(rule, *bounds) for rule, bounds in cases]
@@ -699,9 +699,9 @@ def test_square_rule_is_the_composed_square():
     rules += [TableRule.from_wolfram(rng.randrange(3**27), 3) for _ in range(4)]
     rules += [table_from_additive(AdditiveRule(4, 1, {-1: 1, 1: 2}))]
     for rule in rules:
-        assert periodicity._square_rule(rule) is not rule
+        assert oracles._square_rule(rule) is not rule
         want = canonicalize_table(compose_table(rule, rule))
-        assert canonicalize_table(periodicity._square_rule(rule)) == want, rule
+        assert canonicalize_table(oracles._square_rule(rule)) == want, rule
 
 
 def test_scan_over_the_square_tests_budget_composes_nothing(monkeypatch):
@@ -710,12 +710,12 @@ def test_scan_over_the_square_tests_budget_composes_nothing(monkeypatch):
     # counts are those of the scan before the F² prune
     rule = TableRule.from_wolfram(561693968798111919940, 5)
     assert not surjectivity_oracle(rule) and _kernel(rule)[1] == 3
-    assert periodicity._square_rule(rule) is rule
+    assert oracles._square_rule(rule) is rule
 
     def refuse(*args):
         raise AssertionError("composed a table past the budget")
 
-    monkeypatch.setattr(periodicity, "_compose", refuse)
+    monkeypatch.setattr(oracles, "_compose", refuse)
     monkeypatch.setattr(rules_module, "_compose", refuse)
     result = stp_empty_scan(rule)
     assert (result.examined, len(result.violations), result.truncated) == (2506, 22, False)
