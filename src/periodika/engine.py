@@ -165,6 +165,13 @@ def temporal_cycle(
     translation of the states in between, none of them spatially periodic
     (those are anchored at start 0), and no state ever recurs exactly nor
     grows a wider mid.
+
+    A walk whose defect edge moves at the rule's full speed forever ends
+    early too, with the same bound: once the pair of the edge's tail root
+    and border letter recurs along a run of full-speed moves, no state can
+    recur (see ``_cycle``).  This exit is taken only where the mid cannot
+    outgrow ``max_mid`` within the budget, growing by at most the window
+    width less one per step, so it returns what the full walk would.
     """
     if rule.alphabet_size != x.alphabet_size:
         raise ValueError("alphabet mismatch")
@@ -174,13 +181,37 @@ def temporal_cycle(
 def _cycle(rule: TableRule, state, max_steps: int, max_mid: int, advance=None):
     """``temporal_cycle`` of the canonical state ``state``, whose alphabet
     the caller has matched, with its orbit stepped by ``advance`` when one
-    is given (see ``_orbit``)."""
+    is given (see ``_orbit``).
+
+    Runaway edges end a walk early.  Let the kernel read cells ``c + lo ..
+    c + hi`` for image cell ``c``.  The left edge of a state with a
+    nonempty canonical mid is its start; in one step it moves left by at
+    most ``hi`` cells, and by exactly ``hi`` iff the image cell at ``start -
+    hi`` differs from the left tail's image there.  That cell, the new left
+    root and so the next pair ``(left, mid[0])`` depend only on the pair
+    ``(left, mid[0])``.  So when a pair recurs along an unbroken run of
+    full-speed moves, with ``hi > 0``, the edge moves ``hi`` cells every step
+    forever, and no state recurs exactly; mirrored for the right edge
+    ``start + len(mid)``, the pair ``(right, mid[-1])`` and ``lo < 0``
+    (Shereshevsky's maximal defect speeds, J. Nonlinear Sci. 2, 1992).  The
+    full walk would then end on the budget or on a translated repeat, both
+    ``CycleTimeout(max_steps)``, unless the mid cap fired first.  The mid
+    grows by at most ``width - 1`` cells a step, so the walk returns that
+    timeout at once only when ``len(mid) + (max_steps - n) * (width - 1) <=
+    max_mid``, and otherwise walks on.  The pairs of each side are kept
+    from the last move slower than full speed, or the last empty mid, on.
+    """
     if max_steps < 0:
         raise ValueError("max_steps must be non-negative")
     if max_mid < 0:
         raise ValueError("max_mid must be non-negative")
+    _, width, lo, _ = _kernel(rule)
+    d, hi = width - 1, lo + width - 1
     seen = {}
-    for n, (left, mid, right, start) in enumerate(islice(_orbit(rule, state, advance), max_steps + 1)):
+    lefts, rights = set(), set()  # the pairs of each side's current full-speed run
+    prev = None  # the previous state, if its mid is nonempty
+    for n, cur in enumerate(islice(_orbit(rule, state, advance), max_steps + 1)):
+        left, mid, right, start = cur
         if n and len(mid) > max_mid:
             return CycleTimeout(n, "mid width cap exceeded")
         key = left, mid, right
@@ -188,6 +219,29 @@ def _cycle(rule: TableRule, state, max_steps: int, max_mid: int, advance=None):
             q, s = seen[key]
             return CycleResult(q, n - q) if s == start else CycleTimeout(max_steps)
         seen[key] = n, start
+        if not mid:
+            lefts.clear()
+            rights.clear()
+            prev = None
+            continue
+        if prev is not None:
+            p_left, p_mid, p_right, p_start = prev
+            runaway = False
+            if hi > 0:
+                if start == p_start - hi:
+                    lefts.add((p_left, p_mid[0]))
+                    runaway = (left, mid[0]) in lefts
+                elif lefts:
+                    lefts.clear()
+            if lo < 0:
+                if start + len(mid) == p_start + len(p_mid) - lo:
+                    rights.add((p_right, p_mid[-1]))
+                    runaway = runaway or (right, mid[-1]) in rights
+                elif rights:
+                    rights.clear()
+            if runaway and len(mid) + (max_steps - n) * d <= max_mid:
+                return CycleTimeout(max_steps)
+        prev = cur
     return CycleTimeout(max_steps)
 
 

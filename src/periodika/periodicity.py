@@ -451,7 +451,7 @@ def stp_empty_scan(
     of them.  The tails are the jointly periodic words within the bound (a
     periodic orbit forces periodic tails).
 
-    Three devices shortcut the orbit walks; none changes the count of
+    Four devices shortcut the orbit walks; none changes the count of
     examined candidates, the violations or their order.
 
     * Drift.  When every factor of the rule (a table rule is its own, an
@@ -478,6 +478,11 @@ def stp_empty_scan(
       attractors and reuse the same tails, so a memo hit replaces a step
       by a lookup, and a tail is padded and its image rooted once per
       search.  Every violation is re-derived on a fresh stepper.
+    * Runaway edges.  A walk ends as soon as a defect edge is seen to move
+      at the rule's full speed forever (see ``engine._cycle``): such an
+      orbit never returns.  The walk's mid cap, ``mid_len_max`` plus
+      ``width - 1`` cells per step, can never bind, so the exit is always
+      open to the scan.
 
     Without the drift prune, more mids than ``rules.MAX_TABLE_ENTRIES`` of
     length ``mid_len_max`` are refused before the census of tails is

@@ -48,6 +48,19 @@ PROBES = [
         EXIT_OK,
         "0fe99028fde8fee779e2757af3615e0bc2fbfdcd0c2ef748c8d48fec64d26ecb",
     ),
+    # walks whose defect edges run away, ended early by the orbit detector:
+    # the first stops at 100 violations after 9 538 candidates, the second
+    # walks all 32 772 and finds none
+    (
+        ["scan", "--rule", "additive:m=12;r=1;c=2,1,2"],
+        EXIT_OK,
+        "daa5752585baee6716b33c0d858dee47624818a05283b00e5753352f098cf23d",
+    ),
+    (
+        ["scan", "--rule", "wolfram:41", "--mid-len-max", "12"],
+        EXIT_OK,
+        "502ad940ee7706b52bd098908bf1d748c4f2773a2a2e2e816776ee02f2f819dc",
+    ),
     # 2^24 mids, or 300^3, over the table cap: refused before the tail census
     (["scan", "--rule", "wolfram:22", "--mid-len-max", "24"], EXIT_RESOURCE, EMPTY),
     (["scan", "--rule", "additive:m=300;r=0;c=7"], EXIT_RESOURCE, EMPTY),

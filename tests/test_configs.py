@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import timeit
 from math import lcm
 from pathlib import Path
 
@@ -167,6 +168,18 @@ def test_long_canonical_forms_finish_within_ten_seconds(tmp_path):
     )
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")}
     subprocess.run([sys.executable, "-c", code], check=True, cwd=tmp_path, env=env, timeout=10)
+
+
+def test_long_canonical_forms_finish_within_half_a_second():
+    # the same two presentations in process: the linear canonicaliser
+    # takes milliseconds on them, the letter-at-a-time one 0.8 and 1.6 s
+    # on tuples, so a quadratic regression fails here with a margin both ways
+    for args in (
+        ((0,), (0,) * 20000 + (1,), (1,)),
+        ((1,) + (0,) * 10000, (), (1,) + (0,) * 10001),
+    ):
+        best = min(timeit.repeat(lambda: EpConfig(2, *args), number=1, repeat=3))
+        assert best < 0.5, (len(args[1]), best)
 
 
 def test_cyclic_reduces_to_primitive_root():

@@ -8,6 +8,7 @@ from itertools import islice, product
 import pytest
 
 from reference_helpers import equals, identity_rule
+from periodika import engine
 from periodika.configs import CyclicConfig, EpConfig, _state, shift
 from periodika.engine import (
     CycleResult,
@@ -250,9 +251,98 @@ def test_temporal_cycle_refuses_a_negative_mid_cap():
 
 
 def test_temporal_cycle_mid_growth_timeout():
+    # both edges of the defect run away, but the budget would let the mid
+    # outgrow its cap, so the walk goes on until the cap fires
     res = temporal_cycle(RULE90, EpConfig(2, (0,), (1,), (0,), 0), max_mid=4)
     assert isinstance(res, CycleTimeout)
     assert res.reason == "mid width cap exceeded"
+    assert res.steps_examined == 2  # the mid is 5 cells wide at step 2
+
+
+def _counting_stepper(monkeypatch, limit):
+    """The list that gets one entry per eventually periodic step of every
+    walk that builds its own stepper from now on; a step past ``limit``
+    fails the test, so that a walk that no longer ends early fails fast
+    instead of growing its mids for a million steps."""
+    steps = []
+    stepper = engine._ep_stepper
+
+    def counting(kernel, memo=None):
+        advance = stepper(kernel, memo)
+
+        def counted(*state):
+            steps.append(state)
+            assert len(steps) <= limit, f"walked past {limit} steps"
+            return advance(*state)
+
+        return counted
+
+    monkeypatch.setattr(engine, "_ep_stepper", counting)
+    return steps
+
+
+RULE22 = TableRule.from_wolfram(22)
+
+
+def test_a_runaway_edge_ends_the_walk_within_a_handful_of_steps(monkeypatch):
+    # rule 22 from a single 1: both edges move one cell a step forever, so
+    # the mid at step n is 2n + 1 cells wide and no state recurs
+    steps = _counting_stepper(monkeypatch, 8)
+    x = EpConfig(2, (0,), (1,), (0,), 0)
+    assert temporal_cycle(RULE22, x, 10**6, 2 * 10**6 + 1) == CycleTimeout(10**6)
+    assert steps
+
+
+# orbits that return although a pair of an edge recurs: the edge stands
+# still (its full speed is 0: the span ends at 0 on that side), or the pair
+# recurs only across a slower move of its edge (left, right) or across an
+# empty mid
+EDGES_THAT_DO_NOT_RUN_AWAY = [
+    (
+        TableRule(2, 2, tuple(map(int, "11111111111000110000100000010001")), -2),
+        EpConfig(2, (1,), (0, 0, 1, 0, 0, 0), (1,), 0),
+        CycleResult(4, 1),
+    ),
+    (
+        TableRule(3, 1, tuple(map(int, "020202220122122110122012010")), 1),
+        EpConfig(3, (1,), (2, 1, 2, 0, 1), (2,), 0),
+        CycleResult(12, 2),
+    ),
+    (
+        TableRule(3, 1, tuple(map(int, "102102012000200010002021010")), 0),
+        EpConfig(3, (0,), (1, 1, 2), (1, 0), 0),
+        CycleResult(2, 4),
+    ),
+    (
+        TableRule(
+            4, 1, tuple(map(int, "02031311001303310211111101301020" "11312103010212133112123010312122")), 0
+        ),
+        EpConfig(4, (1,), (2, 2), (1,), 0),
+        CycleResult(6, 1),
+    ),
+    (
+        TableRule(3, 1, tuple(map(int, "100210200211101012022000202")), 0),
+        EpConfig(3, (2,), (1, 0, 0, 0, 2), (0,), 1),
+        CycleResult(13, 4),
+    ),
+]
+
+
+@pytest.mark.parametrize("rule, x, expected", EDGES_THAT_DO_NOT_RUN_AWAY)
+def test_the_runaway_exit_needs_an_unbroken_run_of_a_moving_edge(rule, x, expected):
+    assert temporal_cycle(rule, x, 64) == expected
+
+
+def test_the_runaway_exit_waits_for_a_mid_that_might_outgrow_its_cap(monkeypatch):
+    # 200 steps take the mid of rule 22 to 401 cells: under a cap of 401
+    # the walk ends at once on the budget, under 400 it walks until the
+    # cap fires at step 200, as the full walk does
+    steps = _counting_stepper(monkeypatch, 400)
+    x = EpConfig(2, (0,), (1,), (0,), 0)
+    assert temporal_cycle(RULE22, x, 200, 401) == CycleTimeout(200)
+    assert len(steps) < 8
+    assert temporal_cycle(RULE22, x, 200, 400) == CycleTimeout(200, "mid width cap exceeded")
+    assert len(steps) > 200
 
 
 # ---------------------------------------------------------------------------

@@ -285,6 +285,31 @@ def test_temporal_cycle_matches_a_full_state_walk(case):
     assert temporal_cycle(rule, x, max_steps, max_mid) == _full_walk(rule, x, max_steps, max_mid)
 
 
+@st.composite
+def tuple_kernel_rules(draw):
+    """Random rules over 7 letters of radius 1: 343 entries, stepped as
+    tuples."""
+    rng = Random(draw(st.integers(0, 2**32)))
+    return TableRule(7, 1, tuple(rng.randrange(7) for _ in range(343)), draw(st.integers(-2, 2)))
+
+
+@st.composite
+def runaway_cases(draw):
+    """Orbit cases in which the runaway-edge exit can fire: budgets up to
+    64 steps, and mid caps on both sides of the exit's guard, up to 10 000."""
+    rule = draw(st.one_of(table_rules(), st.sampled_from(SHIFT_RULES), tuple_kernel_rules()))
+    x = draw(ep_configs(rule.alphabet_size))
+    max_mid = draw(st.one_of(st.integers(0, 8), st.integers(0, 300), st.integers(0, 10_000)))
+    return rule, x, draw(st.integers(1, 64)), max_mid
+
+
+@settings(SETTINGS, max_examples=300)
+@given(runaway_cases())
+def test_temporal_cycle_with_runaway_edges_matches_a_full_state_walk(case):
+    rule, x, max_steps, max_mid = case
+    assert temporal_cycle(rule, x, max_steps, max_mid) == _full_walk(rule, x, max_steps, max_mid)
+
+
 @SETTINGS
 @given(table_rules().flatmap(lambda rule: st.tuples(st.just(rule), words(rule.alphabet_size, 1, 6))),
        st.integers(-6, 6), st.integers(0, 8))

@@ -4,6 +4,7 @@ witnesses."""
 
 from __future__ import annotations
 
+import hashlib
 import random
 import tracemalloc
 from itertools import permutations, product
@@ -619,6 +620,27 @@ def test_scan_agrees_with_a_plain_return_walk_on_every_elementary_rule(monkeypat
     assert results == [stp_empty_scan(rule, *bounds) for rule, bounds in cases]
     assert sum(len(r.violations) for r in results) > 0
     assert len(walked) == sum(r.examined for r in results)
+
+
+# sha256 of the rendered scans below, recorded from a build whose orbit
+# detector walked every candidate to its return, its step budget or a
+# translated repeat
+ELEMENTARY_AND_K3_SCANS_DIGEST = "952c83b8bc5b02d5b808bd7215ff722d563a5c3277bcb5a2d90715f8f2a27ddd"
+
+
+def test_scans_of_every_elementary_and_seeded_k3_rule_keep_their_bytes():
+    # the runaway-edge exit ends most walks of these scans early; their
+    # counts, violations, periods and order must not move
+    rng = random.Random(29)
+    cases = [(TableRule.from_wolfram(n), (2, 3, 32)) for n in range(256)]
+    cases += [(TableRule.from_wolfram(rng.randrange(3**27), 3), (2, 2, 32)) for _ in range(20)]
+    digest = hashlib.sha256()
+    for rule, bounds in cases:
+        res = stp_empty_scan(rule, *bounds)
+        lines = [f"{res.bounds} examined={res.examined} truncated={res.truncated}"]
+        lines += [f"{render_config(w.config)} period={w.period}" for w in res.violations]
+        digest.update(("\n".join(lines) + "\n").encode())
+    assert digest.hexdigest() == ELEMENTARY_AND_K3_SCANS_DIGEST
 
 
 def test_return_witness_rechecks_without_the_successor_memo():
