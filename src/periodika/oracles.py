@@ -6,18 +6,20 @@ table cut to the essential span.  Surjectivity is decided on the de Bruijn
 graph by its subset automaton: F is onto iff no word empties the set of
 all states.  The same automaton, read along a configuration's left tail,
 middle and right tail, decides whether an eventually periodic
-configuration has a preimage at all; the empty-STP scan asks it of F∘F
-(``_square_rule``, within the automaton's bit budget) and skips the
-candidates outside F²(X).  Equicontinuity is decided by
-comparing the canonical tables of rule powers until two are equal; a
-power that equals an earlier one up to a nonzero translation ends the
-walk, because from there on no two powers can be equal.  All are
-exact-or-Unknown; none ever guesses.
+configuration has a preimage at all; both read a state set's moves
+through one reader, ``_images``, and the test's caches live as long as
+the test.  The empty-STP scan asks it of F∘F (``_square_rule``, within
+the automaton's bit budget) and skips the candidates outside F²(X).
+Equicontinuity is decided by comparing the canonical tables of rule
+powers until two are equal; a power that equals an earlier one up to a
+nonzero translation ends the walk, because from there on no two powers
+can be equal.  All are exact-or-Unknown; none ever guesses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, partial
 
 from .rules import ResourceCapError, TableRule, _compose, _kernel, _span_rule, _trim
 
@@ -55,12 +57,7 @@ def surjectivity_oracle(rule: TableRule) -> bool:
     seen = {full}
     frontier = [full]
     while frontier:
-        cur = frontier.pop()
-        images = 0
-        while cur:
-            low = cur & -cur
-            images |= moves[low.bit_length() - 1]
-            cur ^= low
+        images = _images(moves, frontier.pop())
         for a in range(k):
             nxt = images >> a * states & full
             if not nxt:
@@ -96,6 +93,16 @@ def _move_masks(table, k: int, states: int) -> list[int]:
     return moves
 
 
+def _images(moves: list[int], cur: int) -> int:
+    """The OR of the moves (see ``_move_masks``) of the states in ``cur``."""
+    images = 0
+    while cur:
+        low = cur & -cur
+        images |= moves[low.bit_length() - 1]
+        cur ^= low
+    return images
+
+
 def _preimage_test_fits(k: int, width: int) -> bool:
     """Whether the k^width move fields of k^(width - 1) bits that
     ``_preimage_test`` builds fit in ``MAX_PREIMAGE_VECTORS`` bits."""
@@ -120,12 +127,12 @@ def _preimage_test(rule: TableRule):
     lemma a state in every set of a chain ends, or starts, an infinite
     path.  The configuration has a preimage iff the states reached from
     S*(a) along ``mid`` meet R*(b) (Hedlund 1969; Amoroso and Patt 1972).
-    S* and R* are kept per tail and the image of each state set met, so a
-    later candidate costs its mid's lookups and one AND.  Over a span of
-    one position a configuration has a preimage iff each of its letters is
-    in the table's image.  The V move masks are k·V bits each; past the
-    budget of k·V² bits no test is built, so a scan of such a rule walks
-    every candidate."""
+    S* and R* per tail and the image of each state set met are cached as
+    long as the test lives, so a later candidate costs its mid's lookups
+    and one AND.  Over a span of one position a configuration has a
+    preimage iff each of its letters is in the table's image.  The V move
+    masks are k·V bits each; past the budget of k·V² bits no test is
+    built, so a scan of such a rule walks every candidate."""
     k = rule.alphabet_size
     table, width, _, _ = _kernel(rule)
     if width == 1:
@@ -136,55 +143,32 @@ def _preimage_test(rule: TableRule):
     states = k ** (width - 1)
     full = (1 << states) - 1
     moves = _move_masks(table, k, states)
-    images_of: dict = {}
+    images = cache(partial(_images, moves))
 
-    def read(cur: int, c: int) -> int:
-        # the states reached from the set cur along an edge labelled c; the
-        # k-field image of each set is built once and kept
-        images = images_of.get(cur)
-        if images is None:
-            images, todo = 0, cur
-            while todo:
-                low = todo & -todo
-                images |= moves[low.bit_length() - 1]
-                todo ^= low
-            images_of[cur] = images
-        return images >> c * states & full
+    def run(cur: int, word) -> int:
+        # the states reached from the set cur along a path labelled word
+        for c in word:
+            cur = images(cur) >> c * states & full
+        return cur
 
+    @cache
     def left(a) -> int:
         cur, prev = full, None
         while cur != prev:
-            prev = cur
-            for c in a:
-                cur = read(cur, c)
+            prev, cur = cur, run(cur, a)
         return cur
 
+    @cache
     def right(b) -> int:
-        ends = []  # the states each state reaches along one period of b
-        for u in range(states):
-            cur = 1 << u
-            for c in b:
-                cur = read(cur, c)
-            ends.append(cur)
+        ends = [run(1 << u, b) for u in range(states)]  # the ends of one period of b from each state
         cur, prev = full, None
         while cur != prev:
             prev = cur
             cur = sum(1 << u for u, end in enumerate(ends) if end & prev)
         return cur
 
-    lefts: dict = {}
-    rights: dict = {}
-
     def has_preimage(a, mid, b) -> bool:
-        cur = lefts.get(a)
-        if cur is None:
-            cur = lefts[a] = left(a)
-        for c in mid:
-            cur = read(cur, c)
-        ends = rights.get(b)
-        if ends is None:
-            ends = rights[b] = right(b)
-        return bool(cur & ends)
+        return bool(run(left(a), mid) & right(b))
 
     return has_preimage
 

@@ -666,10 +666,17 @@ STEPPER_SHAPES = ((2, 1), (3, 1), (2, 2), (7, 1))
 STEPPER_RULES = [
     table_from_additive(parse_rule_spec("additive:m=7;r=1;c=1,2,3")),  # 343 entries: tuples
     TableRule(2, 1, TableRule.from_wolfram(30).table, 2),  # span 1 .. 3
-    TableRule(7, 1, tuple(Random(7).randrange(7) for _ in range(343)), -2),  # span -3 .. -1
+    TableRule(7, 1, tuple(map(Random(7).randrange, [7] * 343)), -2),  # span -3 .. -1
     TableRule(3, 0, (0, 1, 2), 1),
     TableRule(2, 0, (0, 1), -1),
 ]
+
+
+def test_the_fixed_stepper_rules_keep_their_kernels():
+    # (type, width, lo) of each kernel: a table that trims to fewer
+    # positions would leave a shape above untested without failing
+    kernels = [(type(table), width, lo) for table, width, lo, _ in map(_kernel, STEPPER_RULES)]
+    assert kernels == [(tuple, 3, -1), (bytes, 3, 1), (tuple, 3, -3), (bytes, 1, 1), (bytes, 1, -1)]
 
 
 @st.composite

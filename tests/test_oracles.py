@@ -165,15 +165,25 @@ def _primitive_words(k: int, n_max: int):
 
 def test_preimage_test_agrees_with_a_cell_by_cell_reference():
     # every state ^inf(a) . mid . (b)^inf with tails of primitive period <= 2
-    # and mids of length <= 2, over the elementary rules and the radius-1
-    # additive tables mod 3 and 4; an onto rule has no Garden of Eden
-    cases = [TableRule.from_wolfram(n) for n in range(256)]
-    cases += [table_from_additive(rule) for m in (3, 4) for rule in _all_additive(m)]
+    # and mids of length <= 2, over the elementary rules, their squares F∘F
+    # (the rule the empty-STP scan asks), the squares of seeded k=3 rules
+    # and the radius-1 additive tables mod 3 and 4; with one-letter tails
+    # and mids over tables whose kernels are 343-entry tuples; an onto rule
+    # has no Garden of Eden
+    rng = random.Random(30)
+    elementary = [TableRule.from_wolfram(n) for n in range(256)]
+    narrow = elementary + [oracles._square_rule(rule) for rule in elementary]
+    narrow += [oracles._square_rule(TableRule(3, 1, tuple(rng.randrange(3) for _ in range(27)))) for _ in range(4)]
+    narrow += [table_from_additive(rule) for m in (3, 4) for rule in _all_additive(m)]
+    wide = [table_from_additive(rules.parse_rule_spec("additive:m=7;r=1;c=2,0,1"))]
+    wide.append(TableRule(7, 1, tuple(rng.randrange(7) for _ in range(343))))
+    assert all(isinstance(rules._kernel(rule)[0], tuple) for rule in wide)
+    cases = [(rule, 2) for rule in narrow] + [(rule, 1) for rule in wide]
     rejected = 0
-    for rule in cases:
+    for rule, n_max in cases:
         k = rule.alphabet_size
-        tails = _primitive_words(k, 2)
-        mids = [w for n in range(3) for w in product(range(k), repeat=n)]
+        tails = _primitive_words(k, n_max)
+        mids = [w for n in range(n_max + 1) for w in product(range(k), repeat=n)]
         prune, ref = oracles._preimage_test(rule), preimage_test(rule)
         onto = surjectivity_oracle(rule)
         for a, mid, b in product(tails, mids, tails):
