@@ -22,14 +22,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import islice, product
-from math import gcd, lcm
+from math import lcm
 
 from .additive import (
     FactorClass,
+    boundary_indices,
     classify_prime_power,
     crt_join_letter,
     decompose_crt,
     is_surjective_additive,
+    permutative_power,
 )
 from .configs import (
     Config,
@@ -384,43 +386,37 @@ class ScanResult:
     truncated: bool
 
 
-def _drift_sides(rule: TableRule | AdditiveRule) -> tuple[int | None, int | None]:
+def _drift_sides(rule: TableRule) -> tuple[int | None, int | None]:
     """Nonzero essential-boundary positions in which the rule is bijective.
 
     If the rightmost essential position ``hi != 0`` is bijective, the first
     coordinate where a configuration deviates from its left tail pattern
     moves by exactly ``-hi`` every step; mirrored for the leftmost position.
     Either way the deviation boundary is strictly monotone, so no orbit of
-    a non-spatially-periodic configuration can return to it.
-
-    An additive rule is read off its coefficients, without its table: mod
-    m the position j is essential iff its coefficient is nonzero (the rule
-    keeps only those), and bijective iff the coefficient is a unit mod m
-    (for a prime power p^e, coprime to p)."""
-    if isinstance(rule, AdditiveRule):
-        coeffs, m = rule.coeffs, rule.modulus
-        if not coeffs:
-            return None, None  # the zero map: a constant rule
-        lo, hi = min(coeffs), max(coeffs)
-        left, right = gcd(coeffs[lo], m) == 1, gcd(coeffs[hi], m) == 1
-    else:
-        # a constant rule trims to the single position 0, so neither side drifts
-        table, width, lo, _ = _kernel(rule)
-        hi = lo + width - 1
-        left, right = _bijective_ends(table, rule.alphabet_size, width)
+    a non-spatially-periodic configuration can return to it."""
+    # a constant rule trims to the single position 0, so neither side drifts
+    table, width, lo, _ = _kernel(rule)
+    hi = lo + width - 1
+    left, right = _bijective_ends(table, rule.alphabet_size, width)
     return (lo if lo != 0 and left else None, hi if hi != 0 and right else None)
 
 
 def _prune_sides(table: TableRule, additive: AdditiveRule | None):
-    """Drift sides ``(modulus, left, right)`` of every factor, or empty when
-    some factor has none: a table rule is its own single factor, an
-    additive rule splits into its prime-power factors."""
+    """Drift sides ``(modulus, h, left, right)`` of each factor's power
+    ``f^h``, or empty when some factor has none: a table rule is its own
+    factor with ``h = 1``; an onto additive rule has its prime-power factors
+    at their permutative powers, each supported exactly on ``[hL, hR]`` with
+    unit extremes; a rule that is not onto has no sides."""
     if additive is None:
-        factors = [(table.alphabet_size, table)]
+        sides = [(table.alphabet_size, 1, *_drift_sides(table))]
+    elif is_surjective_additive(additive):
+        sides = []
+        for f in decompose_crt(additive):
+            h = permutative_power(f).h
+            sides.append((f.modulus, h, *(h * j or None for j in boundary_indices(f))))
     else:
-        factors = [(f.modulus, f.rule) for f in decompose_crt(additive)]
-    sides = [(q, *_drift_sides(t)) for q, t in factors]
-    return sides if all(dl is not None or dr is not None for _, dl, dr in sides) else []
+        return []
+    return sides if all(dl is not None or dr is not None for _, _, dl, dr in sides) else []
 
 
 def _defects(y: EpConfig) -> tuple[int, int]:
@@ -454,14 +450,17 @@ def stp_empty_scan(
     Four devices shortcut the orbit walks; none changes the count of
     examined candidates, the violations or their order.
 
-    * Drift.  When every factor of the rule (a table rule is its own, an
-      additive rule has its prime-power reductions) is bijective in a
-      nonzero boundary variable, no candidate returns: the defect boundary
-      of that side moves strictly every step (``_drift_sides``), and a
+    * Drift.  When every factor of the rule has a power F^h bijective in
+      a nonzero boundary variable (``_prune_sides``: a table rule is its
+      own factor with h = 1, an onto additive rule has its prime-power
+      reductions at their permutative powers), no candidate returns: the
+      defect boundary of that side moves strictly every h steps, and a
       return of the full configuration forces a return of every residue,
       at least one of which is not spatially periodic.  The whole family
-      is then counted, not walked, after a spot-check of the drift against
-      single engine steps.
+      is then counted, not walked, after a spot-check of each factor's
+      drift against its h engine steps.  Still walked: table rules with no
+      drift side, additive rules with an equicontinuous factor (the Dense
+      and Residual verdicts), and rules that are not onto.
     * Limit set.  Otherwise a candidate is walked only if it lies in
       F²(X): a return y = F^p(y), p >= 1, gives y = F^(2p)(y), so every
       point that returns lies in the limit set, the intersection of all
@@ -522,18 +521,19 @@ def stp_empty_scan(
 
     if sides:
         # No candidate can return: some defect boundary moves strictly every
-        # step.  Spot-check the first few against one engine step each and
+        # h steps.  Spot-check the first few against h engine steps each and
         # count the family without building it.
         for a, mid, b in islice(candidates(), 32):
-            y = _ep(k, *_canonical_ep(a, mid, b, 0))
-            img = step(table, y)
-            for q, dl, dr in sides:
-                ry, rimg = (_join((z,), lambda a, q=q: a % q, q) for z in (y, img))
+            orbit = [_ep(k, *_canonical_ep(a, mid, b, 0))]
+            for _ in range(max(h for _, h, _, _ in sides)):
+                orbit.append(step(table, orbit[-1]))
+            for q, h, dl, dr in sides:
+                ry, rimg = (_join((z,), lambda a, q=q: a % q, q) for z in (orbit[0], orbit[h]))
                 if is_spatially_periodic(ry):
                     continue
                 (y_lo, y_hi), (img_lo, img_hi) = _defects(ry), _defects(rimg)
                 if not (img_lo == y_lo - dr if dr is not None else img_hi == y_hi - dl):
-                    raise AssertionError("defect drift disagrees with one engine step")
+                    raise AssertionError("defect drift disagrees with the engine's steps")
         # a canonical mid starts unlike a[0] and ends unlike b[-1]
         longer = sum((k - 1) ** 2 * k ** (n - 2) for n in range(2, mid_len_max + 1))
         examined = sum(

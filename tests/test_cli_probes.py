@@ -5,8 +5,9 @@ eventually periodic rows stepped whole), so a rewrite of that path must
 print the same bytes; a refusal exits 3 with nothing on stdout.
 
 A row runs through ``cli.main`` in process, except a row that guards
-against a hang or a quadratic blow-up: every refusal, and each walk of a
-config over 5 000 letters.  Those run as ``python -m periodika`` in a
+against a hang or a quadratic blow-up: every refusal, each walk of a
+config over 5 000 letters, and each scan whose family the drift prune
+counts instead of walking.  Those run as ``python -m periodika`` in a
 subprocess under a 60-s bound, so that a refusal turned into a walk, or a
 walk many times slower, fails its row instead of hanging the suite."""
 
@@ -26,6 +27,11 @@ from periodika.cli import EXIT_OK, EXIT_RESOURCE, main
 SRC = Path(__file__).parent.parent / "src"
 EMPTY = hashlib.sha256(b"").hexdigest()
 JSON = ["--format", "json"]
+
+# Empty additive rules whose one factor drifts only at its permutative
+# power, F^4 mod 8 and F^8 mod 16: walked, the m = 8 scan runs for minutes,
+# and the m = 16 one far longer
+COUNTED_SCANS = ("additive:m=8;r=2;c=2,1,0,0,2", "additive:m=16;r=2;c=2,1,0,0,2")
 
 # simulate re-canonicalises a 5 040-letter cyclic word at every step: one
 # seeded random word and 0...01
@@ -60,6 +66,24 @@ PROBES = [
         ["scan", "--rule", "wolfram:41", "--mid-len-max", "12"],
         EXIT_OK,
         "502ad940ee7706b52bd098908bf1d748c4f2773a2a2e2e816776ee02f2f819dc",
+    ),
+    # counted, not walked: the same bytes as a walk of all 1 835 456
+    # candidates, then 251 662 080 candidates, then 8^8 mids, which the
+    # table cap refuses only when the family is walked
+    (
+        ["scan", "--rule", COUNTED_SCANS[0]],
+        EXIT_OK,
+        "20a37f57be97976645be3cd9a1f62687fc980ac3ca86c344fcfa20a0d9b9692d",
+    ),
+    (
+        ["scan", "--rule", COUNTED_SCANS[1]],
+        EXIT_OK,
+        "c0f63447c44cfc55affa10ef516a6b7dfdeea855d718305ad7b5b535a9c2d1e9",
+    ),
+    (
+        ["scan", "--rule", COUNTED_SCANS[0], "--mid-len-max", "8"],
+        EXIT_OK,
+        "6c8072242588aef3e807d8ed59ff13df134622bb3d5a9dcff2f24aa6613fd7f2",
     ),
     # 2^24 mids, or 300^3, over the table cap: refused before the tail census
     (["scan", "--rule", "wolfram:22", "--mid-len-max", "24"], EXIT_RESOURCE, EMPTY),
@@ -188,7 +212,7 @@ def _probe_id(argv):
 
 
 def _bounded(argv, code):
-    return code == EXIT_RESOURCE or any(len(a) > 5000 for a in argv)
+    return code == EXIT_RESOURCE or any(len(a) > 5000 or a in COUNTED_SCANS for a in argv)
 
 
 @pytest.mark.parametrize("argv, code, digest", PROBES, ids=[_probe_id(argv) for argv, _, _ in PROBES])

@@ -24,7 +24,13 @@ from test_kernel_properties import power_rules
 from periodika.configs import CyclicConfig, EpConfig, is_spatially_periodic, render_config
 from periodika import oracles, periodicity
 from periodika.engine import CycleResult, CycleTimeout, _ep_stepper, step
-from periodika.additive import decompose_crt, is_surjective_additive
+from periodika.additive import (
+    StpVerdict,
+    classify_additive,
+    decompose_crt,
+    is_surjective_additive,
+    permutative_power,
+)
 from periodika.oracles import (
     EquicontinuityCert,
     _packed_power_walk,
@@ -68,6 +74,7 @@ RADIUS1_ADDS = [
     for m in range(2, 7)
     for c in product(range(m), repeat=3)
 ]
+RADIUS2_M4_ADDS = [AdditiveRule(4, 2, dict(zip(range(-2, 3), c))) for c in product(range(4), repeat=5)]
 SHIFT2_ADD = AdditiveRule(2, 1, {1: 1})
 
 RULE90 = table_from_additive(RULE90_ADD)
@@ -607,6 +614,16 @@ def test_scan_agrees_with_a_plain_return_walk_on_every_elementary_rule(monkeypat
     # count other than the family it skips
     cases = [(TableRule.from_wolfram(n), (2, 2, 16)) for n in range(256)]
     cases += [(rule, (1, 1, 2)) for rule in RADIUS1_ADDS if is_surjective_additive(rule)]
+    # the Empty rules that drift only at a power, counted by the prune; 4 is
+    # a prime power, so F is their one factor
+    misses = [
+        rule
+        for rule in RADIUS2_M4_ADDS
+        if classify_additive(rule).stp is StpVerdict.EMPTY
+        and periodicity._drift_sides(table_from_additive(rule)) == (None, None)
+    ]
+    assert len(misses) == 76
+    cases += [(rule, (1, 2, 4)) for rule in misses]
     results = [stp_empty_scan(rule, *bounds) for rule, bounds in cases]
     walked = []
 
@@ -615,7 +632,7 @@ def test_scan_agrees_with_a_plain_return_walk_on_every_elementary_rule(monkeypat
         return _first_return(rule, EpConfig(rule.alphabet_size, *state), max_steps, max_mid)
 
     monkeypatch.setattr(periodicity, "_cycle", plain_cycle)
-    monkeypatch.setattr(periodicity, "_drift_sides", lambda rule: (None, None))
+    monkeypatch.setattr(periodicity, "_prune_sides", lambda table, additive: [])
     monkeypatch.setattr(periodicity, "_preimage_test", lambda rule: None)
     assert results == [stp_empty_scan(rule, *bounds) for rule, bounds in cases]
     assert sum(len(r.violations) for r in results) > 0
@@ -743,19 +760,53 @@ def test_scan_over_the_square_tests_budget_composes_nothing(monkeypatch):
     assert (result.examined, len(result.violations), result.truncated) == (2506, 22, False)
 
 
-def test_additive_drift_sides_match_the_table():
-    # read off the coefficients, or off the table the rule expands to
-    cases = [
-        AdditiveRule(m, 1, dict(zip((-1, 0, 1), c))) for m in range(2, 9) for c in product(range(m), repeat=3)
+def test_prune_sides_read_each_factors_permutative_power(monkeypatch):
+    # the prune has sides exactly for the additive theorem's Empty verdict;
+    # each factor's sides are those of its power f^h, read off the power's
+    # own table where that is small enough
+    rng = random.Random(31)
+    samples = [
+        AdditiveRule(m, 2, dict(zip(range(-2, 3), (rng.randrange(m) for _ in range(5)))))
+        for m in (8, 9)
+        for _ in range(60)
     ]
-    cases += [AdditiveRule(4, 2, dict(zip(range(-2, 3), c))) for c in product(range(4), repeat=5)]
-    for rule in cases:
+    cases = [AdditiveRule(m, 1, dict(zip((-1, 0, 1), c))) for m in range(2, 9) for c in product(range(m), repeat=3)]
+    sampled, misses = set(samples), []
+    for rule in cases + RADIUS2_M4_ADDS + samples:
         table = table_from_additive(rule)
-        assert periodicity._drift_sides(rule) == periodicity._drift_sides(table), rule
-        factors = [(f.modulus, table_from_additive(f.rule)) for f in decompose_crt(rule)]
-        want = [(q, *periodicity._drift_sides(t)) for q, t in factors]
-        want = want if all(dl is not None or dr is not None for _, dl, dr in want) else []
-        assert periodicity._prune_sides(table, rule) == want, rule
+        sides = periodicity._prune_sides(table, rule)
+        empty = is_surjective_additive(rule) and classify_additive(rule).stp is StpVerdict.EMPTY
+        assert bool(sides) == empty, rule
+        factors = decompose_crt(rule) if sides else ()
+        assert len(sides) == len(factors), rule
+        for (q, h, dl, dr), f in zip(sides, factors):
+            power = permutative_power(f)
+            assert (q, h) == (f.modulus, power.h), rule
+            radius = max(map(abs, power.rule.coeffs))
+            if q ** (2 * radius + 1) <= 40_000:
+                trimmed = table_from_additive(AdditiveRule(q, radius, power.rule.coeffs))
+                assert (dl, dr) == periodicity._drift_sides(trimmed), rule
+        # 8 and 9 are prime powers, so F is a sample's one factor
+        if rule in sampled and sides and periodicity._drift_sides(table) == (None, None):
+            misses.append((rule, max(h for _, h, _, _ in sides)))
+    # the Empty samples that drift only at a power: the spot check steps F
+    # up to the largest h, and the counted scan is the walked one
+    assert {(8, 4), (9, 3)} <= {(rule.modulus, h) for rule, h in misses}
+    steps = []
+
+    def counted_step(rule, x):
+        steps.append(x)
+        return step(rule, x)
+
+    monkeypatch.setattr(periodicity, "step", counted_step)
+    for rule, h in misses:
+        steps.clear()
+        result = stp_empty_scan(rule, 1, 1, 2)
+        assert len(steps) == min(32, result.examined) * h > 0, rule
+        with monkeypatch.context() as walk:
+            walk.setattr(periodicity, "_prune_sides", lambda table, additive: [])
+            assert stp_empty_scan(rule, 1, 1, 2) == result, rule
+        assert not result.violations, rule
 
 
 # ---------------------------------------------------------------------------
