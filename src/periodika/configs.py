@@ -213,6 +213,8 @@ def _cells(left, mid, right, start: int, lo: int, hi: int) -> list[int]:
     """Letters at coordinates ``lo .. hi - 1`` of the state ``(left, mid,
     right, start)``; empty when ``hi <= lo``.  A list of ints, also for
     ``bytes`` words, so that a long mid is copied once."""
+    if not mid and left == right:
+        return list(_repeat(left, lo - start, hi - lo))
     end = start + len(mid)
     if start <= lo and hi <= end:
         return list(mid[lo - start : hi - start])

@@ -11,7 +11,8 @@ its declared radius or offset.  An eventually periodic walk pads each tail
 and roots each tail's image once, in two tables owned by its stepper (see
 ``_ep_stepper``), so that a step images the mid and absorbs the new
 border, and nothing more.  A search's stepper also owns the search's
-successor memo, and every walk of the search steps on it.
+successor memo, and every walk of the search steps on it.  A spatially
+periodic walk steps one ring of fixed length, never re-rooted (see ``_orbit``).
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .configs import (
     Config,
     CyclicConfig,
     _absorb,
-    _canonical_word,
     _cells,
     _cyclic_root,
     _ep,
@@ -95,22 +95,25 @@ def step(rule: TableRule, x: Config) -> Config:
     # image letters come from the validated table and the state is
     # canonical, so the trusted constructors take it once unpacked
     left, mid, right, start = next(islice(_orbit(rule, _state(x)), 1, None))
+    if not mid and left == right:  # a ring keeps its length along a walk
+        left = right = primitive_root(left)
     if isinstance(x, CyclicConfig):
         return _cyclic_root(x.alphabet_size, tuple(left))
     return _ep(x.alphabet_size, tuple(left), tuple(mid), tuple(right), start)
 
 
 def _orbit(rule: TableRule, state, advance=None):
-    """Canonical states ``(left, mid, right, start)`` of ``x, F(x),
-    F^2(x), ...`` for ``x`` given by its canonical state (see
-    ``configs._state``), stepped without building configurations: image
-    letters come from the validated table.  The words of every state are
-    packed in the type of the rule's span table (see ``rules._kernel``):
-    ``bytes`` or tuples, which ``configs._cells`` reads alike.  A state
-    with a defect takes the stepper ``advance`` (see ``_ep_stepper``): a
-    search's own, or a fresh one; from the first spatially periodic state
-    on, the walk takes the cyclic kernel.  The caller checks that the
-    alphabets match."""
+    """States ``(left, mid, right, start)`` of ``x, F(x), F^2(x), ...`` for
+    ``x`` given by its canonical state (see ``configs._state``), stepped
+    without building configurations: image letters come from the validated
+    table.  The words of every state are packed in the type of the rule's
+    span table (see ``rules._kernel``): ``bytes`` or tuples, which
+    ``configs._cells`` reads alike.  A state with a defect takes the
+    stepper ``advance`` (see ``_ep_stepper``): a search's own, or a fresh
+    one.  States are canonical through the first spatially periodic one,
+    ``(w, (), w, 0)``; after it the walk steps the ring of ``len(w)`` cells
+    unrooted, so its states are exact within the walk only.  The caller
+    checks that the alphabets match."""
     kernel = _kernel(rule)
     pack = type(kernel[0])
     left, mid, right, start = state = (*map(pack, state[:3]), state[3])
@@ -121,12 +124,16 @@ def _orbit(rule: TableRule, state, advance=None):
         while mid or left != right:
             yield state
             left, mid, right, start = state = advance(*state)
-    # the image of the word repeated from coordinate 0, over its period
+    # a rule maps rings of n cells to rings of n cells (Martin, Odlyzko &
+    # Wolfram, 1984); image cell c reads the ring from cell (c + lo) mod n
     _, width, lo, image = kernel
-    word = left
+    word, n = left, len(left)
+    a = lo % n
+    b = a + n + width - 1
+    reps = -(-b // n)
     while True:
         yield word, mid, word, 0
-        word = _canonical_word(image(_repeat(word, lo, len(word) + width - 1)), 0)
+        word = image((word * reps)[a:b])
 
 
 @dataclass(frozen=True)
@@ -153,11 +160,11 @@ def temporal_cycle(
 ) -> CycleResult | CycleTimeout:
     """Exact preperiod and period of the orbit of ``x``, by memoisation.
 
-    Canonical forms make state comparison exact, so the first repeat gives
-    the true minimal preperiod and period.  Returns ``CycleTimeout`` when
-    the step budget runs out or an eventually periodic mid outgrows
-    ``max_mid``; its ``steps_examined`` is the bound within which the orbit
-    has no repeat.
+    States compare exactly within one walk (see ``_orbit``), so the first
+    repeat gives the true minimal preperiod and period.  Returns
+    ``CycleTimeout`` when the step budget runs out or an eventually
+    periodic mid outgrows ``max_mid``; its ``steps_examined`` is the bound
+    within which the orbit has no repeat.
 
     States are memoised up to translation.  A state that recurs shifted
     ends the walk at once with the full budget as bound: the global map
@@ -220,9 +227,10 @@ def _cycle(rule: TableRule, state, max_steps: int, max_mid: int, advance=None):
             return CycleResult(q, n - q) if s == start else CycleTimeout(max_steps)
         seen[key] = n, start
         if not mid:
-            lefts.clear()
-            rights.clear()
-            prev = None
+            if prev is not None:  # both sets are empty while prev is None
+                lefts.clear()
+                rights.clear()
+                prev = None
             continue
         if prev is not None:
             p_left, p_mid, p_right, p_start = prev

@@ -33,8 +33,8 @@ JSON = ["--format", "json"]
 # and the m = 16 one far longer
 COUNTED_SCANS = ("additive:m=8;r=2;c=2,1,0,0,2", "additive:m=16;r=2;c=2,1,0,0,2")
 
-# simulate re-canonicalises a 5 040-letter cyclic word at every step: one
-# seeded random word and 0...01
+# simulate steps a 5 040-letter ring at its full length at every step,
+# also after its root shrinks: one seeded random word and 0...01
 _rng = random.Random(5040)
 RANDOM_WORD = "".join(_rng.choice("01") for _ in range(5040))
 ONE_WORD = "0" * 5039 + "1"
@@ -170,6 +170,16 @@ PROBES = [
         ],
         EXIT_OK,
         "4f90607182c5792d25d6eacd35d39e27aeae6d0dff20ab156c027a71b476c356",
+    ),
+    # under AND the random ring collapses to the root 0 in six steps
+    # and goes on stepping at 5 040 letters
+    (
+        [
+            "simulate", "--rule", "wolfram:128", "--config", f"cyclic:{RANDOM_WORD}",
+            "--steps", "2000", "--window", "0:3", *JSON,
+        ],
+        EXIT_OK,
+        "f1e22f3c4b66236ce4be1ca9249b78227d7c948f29c22eada4492c64413a799e",
     ),
     # a padded rule gets its canonical form's answer: the one-letter word
     # "0", "status": "Exact", "width": 1

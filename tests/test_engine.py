@@ -46,6 +46,17 @@ def test_step_cyclic_examples():
     assert step(identity_rule(4), x) == x
 
 
+def test_step_roots_a_ring_whose_image_has_a_shorter_root():
+    # an orbit walk steps a ring at its entry length; step returns the
+    # image canonical, in both classes (equal fields, not only letters)
+    zero = TableRule(2, 0, (0, 0))
+    assert step(zero, EpConfig(2, (1, 0), (), (1, 0), 0)) == EpConfig(2, (0,), (), (0,), 0)
+    rule128 = TableRule.from_wolfram(128)
+    y = step(rule128, CyclicConfig(2, (0, 1, 1, 1)))
+    assert y == CyclicConfig(2, (0, 0, 1, 0))
+    assert step(rule128, y) == step(rule128, CyclicConfig(2, (0, 1, 1))) == CyclicConfig(2, (0,))
+
+
 def test_step_cyclic_checks_alphabet():
     with pytest.raises(ValueError):
         step(RULE90, CyclicConfig(3, (0, 1)))

@@ -2,17 +2,18 @@
 it: stepping, composition, padding, canonicalisation and the per-variable
 scans are each checked against a direct reading of the table through the
 definitions in ``reference_helpers``, orbit detection against a walk that
-memoises every state exactly, orbit walks through a shared successor memo
-against walks without one, the eventually periodic step's per-walk tail
-tables against padding and imaging each row whole, the canonical form of
-eventually periodic configurations against other presentations of the
-same configuration, the window reader ``_cells`` with everything built on
-it (traces, letterwise joins) against the reference ``value_at`` one
-coordinate at a time, orbit walks on both sides of the packed kernel's
-selection (bytes or tuples, by the size of the essential span) against a
-step read cell by cell, the oracle's power walk over trimmed span tables
-against a walk over padded public tables, and the packed (``bytes``)
-composition and trim of span tables against the tuple route."""
+memoises every state exactly, also on rings whose root shrinks mid-walk,
+orbit walks through a shared successor memo against walks without one, the
+eventually periodic step's per-walk tail tables against padding and imaging
+each row whole, the canonical form of eventually periodic configurations
+against other presentations of the same configuration, the window reader
+``_cells`` with everything built on it (traces, letterwise joins) against
+the reference ``value_at`` one coordinate at a time, orbit walks on both
+sides of the packed kernel's selection (bytes or tuples, by the size of the
+essential span) against a step read cell by cell, the oracle's power walk
+over trimmed span tables against a walk over padded public tables, and the
+packed (``bytes``) composition and trim of span tables against the tuple
+route."""
 
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ from itertools import islice, product
 from math import lcm
 from random import Random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,6 +32,7 @@ from periodika.configs import (
     _cells,
     _join,
     _state,
+    primitive_root,
     shift,
 )
 from periodika.engine import (
@@ -337,6 +340,48 @@ def test_spatially_periodic_ep_config_walks_like_its_cyclic_word(case, phase, st
         rows.append(tuple(value_at(cur, i) for i in range(-8, 9)))
         cur = stepper_step(rule, cur)
     assert trace.rows == tuple(rows)
+
+
+def _seeded_ring(k, seed, shortest, longest):
+    rng = Random(seed)
+    return CyclicConfig(k, tuple(rng.randrange(k) for _ in range(rng.randrange(shortest, longest))))
+
+
+RULE128, RULE184 = TableRule.from_wolfram(128), TableRule.from_wolfram(184)
+# k = 3 over a width of 7: 2 187 entries, stepped as tuples
+WIDE_RULE = TableRule(3, 3, tuple(map(Random(3).choice, [(0, 0, 1, 2)] * 3**7)))
+
+# walks that enter a ring and whose root then shrinks: under AND from 20
+# and 12 letters to 1, under the traffic rule 184 from 12 and 22 letters to
+# 2, and under WIDE_RULE from 8 letters to 4, 2 and 1; and a defect that AND
+# erases, so that the walk turns periodic
+SHRINKING_WALKS = [
+    (RULE128, _seeded_ring(2, 0, 8, 25)),
+    (RULE128, _seeded_ring(2, 1, 8, 25)),
+    (RULE184, _seeded_ring(2, 39, 6, 25)),
+    (RULE184, _seeded_ring(2, 17, 6, 25)),
+    (WIDE_RULE, _seeded_ring(3, 31, 8, 30)),
+    (RULE128, EpConfig(2, (0,), (1, 1, 1), (0,))),
+]
+
+
+@pytest.mark.parametrize("rule, x", SHRINKING_WALKS)
+def test_walks_whose_ring_root_shrinks_match_stepping_configurations(rule, x):
+    # the walk keeps stepping the ring at its entry length; the public step
+    # roots every image, and both must denote the same orbit
+    assert type(_kernel(rule)[0]) is (tuple if rule is WIDE_RULE else bytes)
+    steps = 40
+    ys = [x]
+    for _ in range(steps):
+        ys.append(step(rule, ys[-1]))
+    last = ys[-1]
+    if isinstance(x, CyclicConfig):  # the case holds a shrinking root
+        assert len(last.word) < len(x.word)
+    else:  # the case turns periodic
+        assert not last.mid and last.left == last.right
+    assert temporal_cycle(rule, x, steps, 64) == _full_walk(rule, x, steps, 64)
+    rows = tuple(tuple(value_at(y, i) for i in range(-10, 31)) for y in ys)
+    assert space_time(rule, x, steps, -10, 30).rows == rows
 
 
 # ---------------------------------------------------------------------------
@@ -699,6 +744,20 @@ def stepper_cases(draw):
     return rule, EpConfig(k, left, mid, right, draw(st.integers(-5, 5))), draw(st.integers(0, 8))
 
 
+def _rooted(walk):
+    """The states of an orbit walk, each spatially periodic one with its
+    ring rooted, after checking that its rings keep one length: a walk
+    steps the ring it entered with, unrooted (see ``engine._orbit``), and
+    its eventually periodic states stay canonical, compared exactly."""
+    walk = list(walk)
+    rings = [not mid and left == right for left, mid, right, _ in walk]
+    assert len({len(state[0]) for state, ring in zip(walk, rings) if ring}) <= 1
+    return [
+        (primitive_root(state[0]), state[1], primitive_root(state[2]), state[3]) if ring else state
+        for state, ring in zip(walk, rings)
+    ]
+
+
 @settings(SETTINGS, max_examples=200)
 @given(stepper_cases())
 def test_the_tail_tables_step_like_imaging_every_row_whole(case):
@@ -715,11 +774,11 @@ def test_the_tail_tables_step_like_imaging_every_row_whole(case):
         return walk
 
     want = reference_walk(x)
-    assert list(islice(_orbit(rule, _state(x)), steps + 1)) == want
+    assert _rooted(islice(_orbit(rule, _state(x)), steps + 1)) == want
     advance = _ep_stepper(kernel, {})
     for n in (0, 3, 0):  # later walks read entries that earlier ones stored
         y = shift(x, n)
-        assert list(islice(_orbit(rule, _state(y), advance), steps + 1)) == reference_walk(y)
+        assert _rooted(islice(_orbit(rule, _state(y), advance), steps + 1)) == reference_walk(y)
     y = x
     for state in want[1:]:
         y = step(rule, y)
@@ -751,6 +810,16 @@ def windows(draw):
 def test_window_reader_matches_value_at(case):
     x, lo, hi = case
     assert _cells(*_state(x), lo, hi) == [value_at(x, i) for i in range(lo, hi)]
+
+
+@settings(SETTINGS, max_examples=200)
+@given(st.integers(2, 3).flatmap(lambda k: words(k, 1, 6)), st.integers(-6, 6).filter(bool),
+       st.integers(-12, 12), st.integers(-2, 16))
+def test_window_reader_reads_a_ring_anchored_off_zero(word, start, lo, width):
+    # a spatially periodic state read at any start, as tuples and as bytes
+    want = [_raw_value(word, (), word, start, i) for i in range(lo, lo + width)]
+    assert _cells(word, (), word, start, lo, lo + width) == want
+    assert _cells(bytes(word), b"", bytes(word), start, lo, lo + width) == want
 
 
 @SETTINGS
