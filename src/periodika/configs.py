@@ -51,14 +51,6 @@ def primitive_root(word: tuple[int, ...]) -> tuple[int, ...]:
     return word[: (text + text).find(text, 1)]
 
 
-def _canonical_word(word: tuple[int, ...], phase: int) -> tuple[int, ...]:
-    """Canonical word of the cyclic configuration ``x_i = word[(phase + i)
-    mod n]``: its primitive root read off from coordinate 0."""
-    root = primitive_root(word)
-    phase %= len(root)
-    return root[phase:] + root[:phase] if phase else root
-
-
 def _canonical_ep(left, mid, right, start: int):
     """Canonical ``(left, mid, right, start)`` of the eventually periodic
     configuration ``^inf(left) . mid . (right)^inf`` with the mid at
@@ -129,7 +121,8 @@ class CyclicConfig:
         if not word:
             raise ValueError("cyclic word must be nonempty")
         _validate_letters(word, self.alphabet_size, "word")
-        object.__setattr__(self, "word", _canonical_word(word, self.phase))
+        root = primitive_root(word)
+        object.__setattr__(self, "word", _absorb(root, (), root, -self.phase)[0])
         object.__setattr__(self, "phase", 0)
 
     @property

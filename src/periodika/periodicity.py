@@ -26,12 +26,11 @@ from math import lcm
 
 from .additive import (
     FactorClass,
-    boundary_indices,
+    classify_additive,
     classify_prime_power,
     crt_join_letter,
     decompose_crt,
     is_surjective_additive,
-    permutative_power,
 )
 from .configs import (
     Config,
@@ -46,7 +45,7 @@ from .configs import (
     is_spatially_periodic,
     primitive_root,
 )
-from .engine import CycleResult, CycleTimeout, _cycle, _ep_stepper, _orbit, step
+from .engine import CycleResult, CycleTimeout, _cycle, _ep_stepper, _orbit
 from .oracles import (
     EquicontinuityCert,
     _packed_power_walk,
@@ -386,49 +385,37 @@ class ScanResult:
     truncated: bool
 
 
-def _drift_sides(rule: TableRule) -> tuple[int | None, int | None]:
-    """Nonzero essential-boundary positions in which the rule is bijective.
-
-    If the rightmost essential position ``hi != 0`` is bijective, the first
-    coordinate where a configuration deviates from its left tail pattern
-    moves by exactly ``-hi`` every step; mirrored for the leftmost position.
-    Either way the deviation boundary is strictly monotone, so no orbit of
-    a non-spatially-periodic configuration can return to it."""
-    # a constant rule trims to the single position 0, so neither side drifts
-    table, width, lo, _ = _kernel(rule)
-    hi = lo + width - 1
-    left, right = _bijective_ends(table, rule.alphabet_size, width)
-    return (lo if lo != 0 and left else None, hi if hi != 0 and right else None)
-
-
-def _prune_sides(table: TableRule, additive: AdditiveRule | None):
+def _prune_sides(rule: TableRule | AdditiveRule):
     """Drift sides ``(modulus, h, left, right)`` of each factor's power
-    ``f^h``, or empty when some factor has none: a table rule is its own
-    factor with ``h = 1``; an onto additive rule has its prime-power factors
-    at their permutative powers, each supported exactly on ``[hL, hR]`` with
-    unit extremes; a rule that is not onto has no sides."""
-    if additive is None:
-        sides = [(table.alphabet_size, 1, *_drift_sides(table))]
-    elif is_surjective_additive(additive):
-        sides = []
-        for f in decompose_crt(additive):
-            h = permutative_power(f).h
-            sides.append((f.modulus, h, *(h * j or None for j in boundary_indices(f))))
+    ``f^h``: its nonzero essential-boundary positions in which ``f^h`` is
+    bijective, or ``None``; empty when some factor has neither.  A table
+    rule is its own factor with ``h = 1``, read off its kernel (a constant
+    rule trims to position 0, so neither side drifts).  An additive rule
+    reads its factor reports, each power supported exactly on ``[hL, hR]``
+    with unit extremes, but never their STP verdict, which the scan
+    falsifies; a rule that is not onto has no reports, so no sides."""
+    if isinstance(rule, AdditiveRule):
+        sides = [
+            (f.prime**f.exponent, f.h, f.h * f.L or None, f.h * f.R or None)
+            for f in classify_additive(rule).factors
+        ]
     else:
-        return []
+        table, width, lo, _ = _kernel(rule)
+        hi = lo + width - 1
+        left, right = _bijective_ends(table, rule.alphabet_size, width)
+        sides = [(rule.alphabet_size, 1, lo if lo and left else None, hi if hi and right else None)]
     return sides if all(dl is not None or dr is not None for _, _, dl, dr in sides) else []
 
 
-def _defects(y: EpConfig) -> tuple[int, int]:
-    """First coordinate where ``y`` deviates from its left tail pattern and
-    last one where it deviates from its right tail pattern, for ``y`` not
-    spatially periodic.  A canonical mid ends on a letter unlike the right
-    tail's, and so does the left tail where the mid is empty."""
-    if y.mid:
-        return y.start, y.end - 1
-    l, r = y.left, y.right
-    first = next(i for i in range(lcm(len(l), len(r))) if l[i % len(l)] != r[i % len(r)])
-    return y.start + first, y.end - 1
+def _defects(left, mid, right, start: int) -> tuple[int, int]:
+    """First coordinate where the canonical state ``(left, mid, right,
+    start)``, not spatially periodic, deviates from its left tail pattern
+    and last one where it deviates from its right tail pattern.  A
+    canonical mid ends on a letter unlike the right tail's, and so does
+    the left tail where the mid is empty."""
+    n, r = len(left), len(right)
+    first = 0 if mid else next(i for i in range(lcm(n, r)) if left[i % n] != right[i % r])
+    return start + first, start + len(mid) - 1
 
 
 def stp_empty_scan(
@@ -452,15 +439,18 @@ def stp_empty_scan(
 
     * Drift.  When every factor of the rule has a power F^h bijective in
       a nonzero boundary variable (``_prune_sides``: a table rule is its
-      own factor with h = 1, an onto additive rule has its prime-power
-      reductions at their permutative powers), no candidate returns: the
-      defect boundary of that side moves strictly every h steps, and a
-      return of the full configuration forces a return of every residue,
-      at least one of which is not spatially periodic.  The whole family
-      is then counted, not walked, after a spot-check of each factor's
-      drift against its h engine steps.  Still walked: table rules with no
-      drift side, additive rules with an equicontinuous factor (the Dense
-      and Residual verdicts), and rules that are not onto.
+      own factor with h = 1, read off its kernel; an onto additive rule's
+      factor reports give its prime-power reductions at their permutative
+      powers), no candidate returns: the defect boundary of that side
+      moves strictly every h steps, and a return of the full
+      configuration forces a return of every residue, at least one of
+      which is not spatially periodic.  The whole family is then counted,
+      not walked, after a spot-check: the first candidates are each
+      walked once on a fresh stepper, and each factor's residue defect
+      edges are read off the walk's states 0 and h.  Still walked: table
+      rules with no drift side, additive rules with an equicontinuous
+      factor (the Dense and Residual verdicts), and rules that are not
+      onto.
     * Limit set.  Otherwise a candidate is walked only if it lies in
       F²(X): a return y = F^p(y), p >= 1, gives y = F^(2p)(y), so every
       point that returns lies in the limit set, the intersection of all
@@ -495,7 +485,7 @@ def stp_empty_scan(
     table = table_from_additive(additive) if additive is not None else rule
     k = table.alphabet_size
     bounds = ScanBounds(tail_period_max, mid_len_max, t_max)
-    sides = _prune_sides(table, additive)
+    sides = _prune_sides(rule)
     if not sides:
         _table_size(k, mid_len_max)
     census = _primitive_points(table, tail_period_max, t_max)
@@ -521,17 +511,19 @@ def stp_empty_scan(
 
     if sides:
         # No candidate can return: some defect boundary moves strictly every
-        # h steps.  Spot-check the first few against h engine steps each and
-        # count the family without building it.
+        # h steps.  Spot-check the first few against their orbits up to the
+        # largest h and count the family without building it.
+        h_max = max(h for _, h, _, _ in sides)
         for a, mid, b in islice(candidates(), 32):
-            orbit = [_ep(k, *_canonical_ep(a, mid, b, 0))]
-            for _ in range(max(h for _, h, _, _ in sides)):
-                orbit.append(step(table, orbit[-1]))
+            orbit = list(islice(_orbit(table, _canonical_ep(a, mid, b, 0)), h_max + 1))
             for q, h, dl, dr in sides:
-                ry, rimg = (_join((z,), lambda a, q=q: a % q, q) for z in (orbit[0], orbit[h]))
-                if is_spatially_periodic(ry):
-                    continue
-                (y_lo, y_hi), (img_lo, img_hi) = _defects(ry), _defects(rimg)
+                ry, rimg = (
+                    _canonical_ep(*(tuple(c % q for c in w) for w in z[:3]), z[3])
+                    for z in (orbit[0], orbit[h])
+                )
+                if not ry[1] and ry[0] == ry[2]:
+                    continue  # a spatially periodic residue has no defect
+                (y_lo, y_hi), (img_lo, img_hi) = _defects(*ry), _defects(*rimg)
                 if not (img_lo == y_lo - dr if dr is not None else img_hi == y_hi - dl):
                     raise AssertionError("defect drift disagrees with the engine's steps")
         # a canonical mid starts unlike a[0] and ends unlike b[-1]

@@ -649,3 +649,21 @@ def test_python_dash_m_matches_main(capsys, tmp_path, argv, expect):
     )
     assert proc.returncode == expect
     assert proc.stdout == run(capsys, argv, expect)
+
+
+def test_cli_import_loads_only_periodika_and_the_standard_library(tmp_path):
+    # pyproject declares no runtime dependency, so importing the command
+    # line in a fresh interpreter adds no other top-level module
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import periodika.cli\n"
+        "added = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
+        "print(sorted(added - set(sys.stdlib_module_names) - {'periodika'}))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, check=True, cwd=tmp_path, env=env, text=True, timeout=60,
+    )
+    assert proc.stdout == "[]\n"

@@ -28,8 +28,8 @@ from periodika.configs import (
     ConfigSpecError,
     CyclicConfig,
     EpConfig,
+    _absorb,
     _canonical_ep,
-    _canonical_word,
     _cyclic_root,
     _ep,
     _join,
@@ -111,8 +111,9 @@ def _packable_words(draw):
 @given(_packable_words())
 def test_canonical_forms_agree_on_bytes_and_tuples(case):
     word, phase, left, mid, right, start = case
-    packed = _canonical_word(bytes(word), phase)
-    assert type(packed) is bytes and tuple(packed) == _canonical_word(word, phase)
+    packed_root, root = primitive_root(bytes(word)), primitive_root(word)
+    packed = _absorb(packed_root, b"", packed_root, -phase)[0]
+    assert type(packed) is bytes and tuple(packed) == _absorb(root, (), root, -phase)[0]
     *packed, packed_start = _canonical_ep(bytes(left), bytes(mid), bytes(right), start)
     assert all(type(w) is bytes for w in packed)
     assert (*map(tuple, packed), packed_start) == _canonical_ep(left, mid, right, start)
@@ -456,7 +457,8 @@ def _raw_words_any_alphabet(draw):
 def test_trusted_constructors_agree_with_the_public_ones(case, seed):
     k, word, left, mid, right, start = case
     x, y = CyclicConfig(k, word), EpConfig(k, left, mid, right, start)
-    assert _cyclic_root(k, _canonical_word(word, 0)) == x
+    root = primitive_root(word)
+    assert _cyclic_root(k, _absorb(root, (), root, 0)[0]) == x
     assert _ep(k, *_canonical_ep(left, mid, right, start)) == y
     # step builds its images with the trusted constructors; a radius-1
     # table over up to 7 letters and a radius-0 one over more, so that the

@@ -23,7 +23,7 @@ from reference_helpers import (
 from test_kernel_properties import power_rules
 from periodika.configs import CyclicConfig, EpConfig, is_spatially_periodic, render_config
 from periodika import oracles, periodicity
-from periodika.engine import CycleResult, CycleTimeout, _ep_stepper, step
+from periodika.engine import CycleResult, CycleTimeout, _ep_stepper, _orbit, step
 from periodika.additive import (
     StpVerdict,
     classify_additive,
@@ -62,6 +62,7 @@ from periodika.rules import (
     _kernel,
     canonicalize_table,
     compose_table,
+    parse_rule_spec,
     product_rule,
     table_from_additive,
 )
@@ -620,7 +621,7 @@ def test_scan_agrees_with_a_plain_return_walk_on_every_elementary_rule(monkeypat
         rule
         for rule in RADIUS2_M4_ADDS
         if classify_additive(rule).stp is StpVerdict.EMPTY
-        and periodicity._drift_sides(table_from_additive(rule)) == (None, None)
+        and not periodicity._prune_sides(table_from_additive(rule))
     ]
     assert len(misses) == 76
     cases += [(rule, (1, 2, 4)) for rule in misses]
@@ -632,7 +633,7 @@ def test_scan_agrees_with_a_plain_return_walk_on_every_elementary_rule(monkeypat
         return _first_return(rule, EpConfig(rule.alphabet_size, *state), max_steps, max_mid)
 
     monkeypatch.setattr(periodicity, "_cycle", plain_cycle)
-    monkeypatch.setattr(periodicity, "_prune_sides", lambda table, additive: [])
+    monkeypatch.setattr(periodicity, "_prune_sides", lambda rule: [])
     monkeypatch.setattr(periodicity, "_preimage_test", lambda rule: None)
     assert results == [stp_empty_scan(rule, *bounds) for rule, bounds in cases]
     assert sum(len(r.violations) for r in results) > 0
@@ -773,8 +774,7 @@ def test_prune_sides_read_each_factors_permutative_power(monkeypatch):
     cases = [AdditiveRule(m, 1, dict(zip((-1, 0, 1), c))) for m in range(2, 9) for c in product(range(m), repeat=3)]
     sampled, misses = set(samples), []
     for rule in cases + RADIUS2_M4_ADDS + samples:
-        table = table_from_additive(rule)
-        sides = periodicity._prune_sides(table, rule)
+        sides = periodicity._prune_sides(rule)
         empty = is_surjective_additive(rule) and classify_additive(rule).stp is StpVerdict.EMPTY
         assert bool(sides) == empty, rule
         factors = decompose_crt(rule) if sides else ()
@@ -785,28 +785,49 @@ def test_prune_sides_read_each_factors_permutative_power(monkeypatch):
             radius = max(map(abs, power.rule.coeffs))
             if q ** (2 * radius + 1) <= 40_000:
                 trimmed = table_from_additive(AdditiveRule(q, radius, power.rule.coeffs))
-                assert (dl, dr) == periodicity._drift_sides(trimmed), rule
+                assert periodicity._prune_sides(trimmed) == [(q, 1, dl, dr)], rule
         # 8 and 9 are prime powers, so F is a sample's one factor
-        if rule in sampled and sides and periodicity._drift_sides(table) == (None, None):
+        if rule in sampled and sides and not periodicity._prune_sides(table_from_additive(rule)):
             misses.append((rule, max(h for _, h, _, _ in sides)))
-    # the Empty samples that drift only at a power: the spot check steps F
-    # up to the largest h, and the counted scan is the walked one
+    # the Empty samples that drift only at a power: the spot check walks
+    # each candidate it checks once, up to the largest h, and the counted
+    # scan is the walked one
     assert {(8, 4), (9, 3)} <= {(rule.modulus, h) for rule, h in misses}
-    steps = []
+    walks = []
 
-    def counted_step(rule, x):
-        steps.append(x)
-        return step(rule, x)
+    def counted_orbit(rule, state, advance=None):
+        walks.append(0)
+        for s in _orbit(rule, state, advance):
+            walks[-1] += 1
+            yield s
 
-    monkeypatch.setattr(periodicity, "step", counted_step)
+    monkeypatch.setattr(periodicity, "_orbit", counted_orbit)
     for rule, h in misses:
-        steps.clear()
+        walks.clear()
         result = stp_empty_scan(rule, 1, 1, 2)
-        assert len(steps) == min(32, result.examined) * h > 0, rule
+        assert walks == [h + 1] * min(32, result.examined) and walks, rule
         with monkeypatch.context() as walk:
-            walk.setattr(periodicity, "_prune_sides", lambda table, additive: [])
+            walk.setattr(periodicity, "_prune_sides", lambda rule: [])
             assert stp_empty_scan(rule, 1, 1, 2) == result, rule
         assert not result.violations, rule
+
+
+@pytest.mark.parametrize(
+    "spec, sides, wrong",
+    [
+        # rule 30 is bijective in its left cell: move that offset by one
+        ("wolfram:30", [(2, 1, -1, None)], [(2, 1, -2, None)]),
+        # F^4 drifts by -4 on both sides, read on the right; F^3 does not
+        ("additive:m=8;r=2;c=2,1,0,0,2", [(8, 4, -4, -4)], [(8, 3, -4, -4)]),
+    ],
+)
+def test_spot_check_refuses_a_wrong_drift_side(monkeypatch, spec, sides, wrong):
+    rule = parse_rule_spec(spec)
+    assert periodicity._prune_sides(rule) == sides
+    assert stp_empty_scan(rule, 2, 2, 8).examined > 0
+    monkeypatch.setattr(periodicity, "_prune_sides", lambda rule: wrong)
+    with pytest.raises(AssertionError, match="defect drift disagrees"):
+        stp_empty_scan(rule, 2, 2, 8)
 
 
 # ---------------------------------------------------------------------------
