@@ -142,13 +142,6 @@ def off_center_gcd(rule: AdditiveRule) -> int:
     return gcd(*(c for j, c in rule.coeffs.items() if j != 0))
 
 
-def _sensitivity_witness(rule: AdditiveRule, factors) -> int | None:
-    """Least prime of the modulus that misses the off-center gcd, if any,
-    given the rule's ``decompose_crt`` factors."""
-    g = off_center_gcd(rule)
-    return next((f.prime for f in factors if g % f.prime != 0), None)
-
-
 @dataclass(frozen=True)
 class PrimePowerFactor:
     """The reduction of an additive rule mod one prime power of its modulus."""
@@ -274,31 +267,17 @@ class ClassificationReport:
     certificates: dict
 
 
-def identity_power(rule: AdditiveRule) -> int | None:
-    """Least ``t`` with ``rule**t`` the identity rule, or None if there is none.
+def _unit_order(c: int, p: int, e: int) -> int:
+    """Multiplicative order of the unit ``c`` mod ``p**e``, which divides
+    p**(e-1) * (p-1): each prime of that is divided out while c**t stays 1.
 
-    No power of a sensitive rule is the identity.  Otherwise, on each factor
-    f = c0 (mod p) for the centre coefficient c0, f**(p**(e-1)) is the
-    constant c0**(p**(e-1)) (see ``permutative_power``), and when c0 is a
-    unit its ``phi(p**e)``-th power is 1.  So the least t, if there is one,
-    divides the lcm over factors of p**(e-1) * phi(p**e); it is found by
-    dividing out each prime of that lcm while the power stays the identity.
+    It gives an equicontinuous factor's identity power: with L = R = 0, f**t
+    is a constant exactly when h divides t (see ``permutative_power``), and
+    f**h is the unit c, so f**t = 1 exactly when h * ord(c) divides t.
     """
-    return _identity_power(rule, decompose_crt(rule))
-
-
-def _identity_power(rule: AdditiveRule, factors) -> int | None:
-    """``identity_power`` given the rule's ``decompose_crt`` factors."""
-    if _sensitivity_witness(rule, factors) is not None:
-        return None
-    t = lcm(*(f.prime ** (2 * f.exponent - 2) * (f.prime - 1) for f in factors))
-    if power_additive(rule, t).coeffs != {0: 1}:
-        return None
-    # the primes of t, from parts smaller than the modulus
-    primes = {f.prime for f in factors if f.exponent > 1}
-    primes.update(q for f in factors for q, _ in prime_power_factorization(f.prime - 1))
-    for q in sorted(primes):
-        while t % q == 0 and power_additive(rule, t // q).coeffs == {0: 1}:
+    t = p ** (e - 1) * (p - 1)
+    for q in (p, *(q for q, _ in prime_power_factorization(p - 1))):
+        while t % q == 0 and pow(c, t // q, p**e) == 1:
             t //= q
     return t
 
@@ -312,15 +291,16 @@ def classify_additive(rule: AdditiveRule) -> ClassificationReport:
     temporal periodicity verdict is left unknown.
     """
     g = _coefficient_gcd(rule)
+    g_off = off_center_gcd(rule)
     # factored once, for the witness, the factor classes and the identity power
     factors = decompose_crt(rule)
-    witness = _sensitivity_witness(rule, factors)
+    witness = next((f.prime for f in factors if g_off % f.prime != 0), None)
     sensitive = witness is not None
     certificates: dict = {
         "surjectivity": {"criterion": "gcd of modulus and coefficients", "gcd": g},
         "sensitivity": {
             "criterion": "some prime of the modulus misses the off-center gcd",
-            "off_center_gcd": off_center_gcd(rule),
+            "off_center_gcd": g_off,
             "witness_prime": witness,
         },
     }
@@ -333,12 +313,10 @@ def classify_additive(rule: AdditiveRule) -> ClassificationReport:
             "temporal periodicity verdict is left unknown"
         )
     else:
+        powers = [(f, permutative_power(f)) for f in factors]
         reports = tuple(
-            FactorReport(
-                f.prime, f.exponent, classify_prime_power(f), *boundary_indices(f),
-                permutative_power(f).h,
-            )
-            for f in factors
+            FactorReport(f.prime, f.exponent, classify_prime_power(f), *boundary_indices(f), cert.h)
+            for f, cert in powers
         )
         eq = [r.factor_class is FactorClass.EQUICONTINUOUS for r in reports]
         if all(eq) == sensitive:  # pragma: no cover - criteria provably agree
@@ -362,7 +340,10 @@ def classify_additive(rule: AdditiveRule) -> ClassificationReport:
         if not sensitive:
             certificates["equicontinuity"] = {
                 "criterion": "some power of the rule is the identity",
-                "identity_power": _identity_power(rule, factors),
+                "identity_power": lcm(*(
+                    cert.h * _unit_order(cert.rule.coeffs[0], f.prime, f.exponent)
+                    for f, cert in powers
+                )),
             }
     return ClassificationReport(
         rule=rule,

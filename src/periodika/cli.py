@@ -149,6 +149,8 @@ def _cmd_witness(args):
     else:
         table = _as_table(rule)
         u = _text_to_word(args.u, table.alphabet_size, "seed word")
+        if args.t_max < 0:
+            raise ValueError("t_max must be non-negative")
         cert = blocking_word_search(table, args.k_max, args.bg_period, args.steps)
         if isinstance(cert, BlockingCert):
             res = stp_witness(table, cert, u, args.t_max)

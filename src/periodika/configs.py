@@ -125,10 +125,6 @@ class CyclicConfig:
         object.__setattr__(self, "word", _absorb(root, (), root, -self.phase)[0])
         object.__setattr__(self, "phase", 0)
 
-    @property
-    def period(self) -> int:
-        return len(self.word)
-
 
 @dataclass(frozen=True)
 class EpConfig:

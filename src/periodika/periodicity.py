@@ -299,6 +299,8 @@ def stp_witness(
     The witness is re-verified by stepping the engine ``t`` more times and
     comparing canonical forms, independently of the cycle detection.
     """
+    if t_max < 0:
+        raise ValueError("t_max must be non-negative")
     u = tuple(u)
     if not u:
         raise ValueError("seed word must be nonempty")
@@ -353,6 +355,8 @@ def stp_witness_additive(rule: AdditiveRule, t_max: int = 64) -> StpWitness | Wi
     vanish while the equicontinuous residues return exactly, so the seed
     needs no searched blocking word.
     """
+    if t_max < 0:
+        raise ValueError("t_max must be non-negative")
     if not is_surjective_additive(rule):
         raise NotSurjectiveError("witness construction requires a surjective rule")
     factors = decompose_crt(rule)
@@ -402,7 +406,7 @@ def _prune_sides(rule: TableRule | AdditiveRule):
     else:
         table, width, lo, _ = _kernel(rule)
         hi = lo + width - 1
-        left, right = _bijective_ends(table, rule.alphabet_size, width)
+        left, right = _bijective_ends(table, rule.alphabet_size)
         sides = [(rule.alphabet_size, 1, lo if lo and left else None, hi if hi and right else None)]
     return sides if all(dl is not None or dr is not None for _, _, dl, dr in sides) else []
 

@@ -248,10 +248,10 @@ def _is_essential(table, k: int, width: int, j: int) -> bool:
     )
 
 
-def _bijective_ends(table, k: int, width: int) -> tuple[bool, bool]:
-    """Whether a table (a tuple, or ``bytes``) over ``width`` positions is
-    bijective in its first and in its last position, for every assignment
-    of the others."""
+def _bijective_ends(table, k: int) -> tuple[bool, bool]:
+    """Whether a table (a tuple, or ``bytes``) over k letters is bijective
+    in its first and in its last position, for every assignment of the
+    others."""
     n = len(table)
     # position 0 picks one of k leading blocks, and each column across them
     # must hold k letters; the last position runs through each k-entry run

@@ -8,7 +8,7 @@ import json
 import random
 import time
 from collections import Counter
-from math import isqrt, lcm, prod
+from math import gcd, isqrt, lcm, prod
 
 import pytest
 
@@ -25,7 +25,6 @@ from periodika.additive import (
     crt_join_letter,
     decompose_crt,
     enumerate_additive_rules,
-    identity_power,
     is_surjective_additive,
     off_center_gcd,
     permutative_power,
@@ -41,6 +40,7 @@ from periodika.rules import (
     NotSurjectiveError,
     ResourceCapError,
     compose_additive,
+    power_additive,
     render_rule_spec,
 )
 
@@ -48,6 +48,11 @@ RULE90 = AdditiveRule(2, 1, {-1: 1, 1: 1})
 M4_RULE = AdditiveRule(4, 1, {-1: 2, 0: 1, 1: 2})
 M6_RULE = AdditiveRule(6, 1, {-1: 4, 0: 1, 1: 4})
 SHIFT2 = AdditiveRule(2, 1, {1: 1})
+
+
+def certified_identity_power(rule):
+    """The identity power that the rule's report certifies, or None."""
+    return classify_additive(rule).certificates.get("equicontinuity", {}).get("identity_power")
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +153,8 @@ def test_classify_of_a_modulus_with_two_large_primes_is_fast():
     assert report.stp is StpVerdict.RESIDUAL
     assert report.certificates["equicontinuity"]["identity_power"] == 1
     # multiplying by 2 returns after the order of 2 modulo p * q
-    assert identity_power(AdditiveRule(p * q, 1, {0: 2})) == lcm(_order(2, p), _order(2, q))
+    doubling = AdditiveRule(p * q, 1, {0: 2})
+    assert certified_identity_power(doubling) == lcm(_order(2, p), _order(2, q))
     assert time.perf_counter() - start < 5
 
 
@@ -301,12 +307,12 @@ def test_permutative_power_cert_invariants():
 
 
 def test_identity_power():
-    assert identity_power(M4_RULE) == 2
-    assert identity_power(AdditiveRule(4, 0, {0: 1})) == 1
+    assert certified_identity_power(M4_RULE) == 2
+    assert certified_identity_power(AdditiveRule(4, 0, {0: 1})) == 1
     # (2 + 3x)**t = 2**t + 3t * 2**(t-1) x (mod 9): 6 | t and 3 | t
-    assert identity_power(AdditiveRule(9, 1, {-1: 3, 0: 2})) == 6
-    assert identity_power(RULE90) is None
-    assert identity_power(AdditiveRule(4, 1, {0: 2})) is None
+    assert certified_identity_power(AdditiveRule(9, 1, {-1: 3, 0: 2})) == 6
+    assert certified_identity_power(RULE90) is None
+    assert certified_identity_power(AdditiveRule(4, 1, {0: 2})) is None
 
 
 def test_classify_factors_the_modulus_once(monkeypatch):
@@ -345,10 +351,10 @@ def test_power_walks_stop_within_their_proven_bounds():
                 assert permutative_power(f).h <= f.prime ** (f.exponent - 1)
             report = classify_additive(rule)
             if not report.equicontinuous:
-                assert identity_power(rule) is None
+                assert certified_identity_power(rule) is None
                 continue
             t = report.certificates["equicontinuity"]["identity_power"]
-            assert t == identity_power(rule)
+            assert power_additive(rule, t).coeffs == {0: 1}
             bound = lcm(*(f.prime ** (f.exponent - 1) * _phi(f.prime, f.exponent) for f in factors))
             assert bound % t == 0 and bound < m**2
 
@@ -368,7 +374,7 @@ def _walked_permutative_power(factor):
 
 
 def _walked_identity_power(rule):
-    """``identity_power`` by trying every ``t`` up to ``m**2``."""
+    """The least ``t`` with ``rule**t`` the identity, by trying every ``t`` up to ``m**2``."""
     cur = rule
     for t in range(1, rule.modulus**2 + 1):
         if cur.coeffs == {0: 1}:
@@ -383,17 +389,33 @@ def test_power_exponents_match_walks_over_every_exponent():
         for rule in enumerate_additive_rules(m):
             if any(off_center_gcd(rule) % p for p in primes):
                 # sensitive: the walk would try all m**2 powers in vain
-                assert identity_power(rule) is None
+                assert certified_identity_power(rule) is None
             else:
-                assert identity_power(rule) == _walked_identity_power(rule), rule
+                assert certified_identity_power(rule) == _walked_identity_power(rule), rule
             if is_surjective_additive(rule):
                 for factor in decompose_crt(rule):
                     assert permutative_power(factor) == _walked_permutative_power(factor), rule
 
 
+def test_identity_powers_at_large_moduli_are_least():
+    rng = random.Random(34)
+    for m in (2**30, 3**19, 10**12):
+        rad = prod(p for p, _ in prime_power_factorization(m))
+        for c0 in (1, *(rng.randrange(m) for _ in range(8))):
+            if gcd(c0, m) != 1:
+                continue
+            # deeper multiples of rad(m) leave smaller h, so ord(c) shows
+            offs = {j: rng.choice((rad, rad**5, rad**12)) * rng.randrange(m) for j in (-1, 1)}
+            rule = AdditiveRule(m, 1, {**offs, 0: c0})
+            t = certified_identity_power(rule)
+            assert power_additive(rule, t).coeffs == {0: 1}, rule
+            for q, _ in prime_power_factorization(t):
+                assert power_additive(rule, t // q).coeffs != {0: 1}, (rule, q)
+
+
 def test_power_exponents_of_large_moduli_are_computed_not_walked():
     # the walks would compose 5 * 10^8 and 2^29 powers
-    assert identity_power(AdditiveRule(1_000_000_007, 1, {0: 2})) == 500_000_003
+    assert certified_identity_power(AdditiveRule(1_000_000_007, 1, {0: 2})) == 500_000_003
     cert = permutative_power(decompose_crt(AdditiveRule(2**30, 1, {-1: 2, 0: 1}))[0])
     assert cert.h == 2**29 and cert.rule.coeffs == {0: 1}
     # a wide factor that fits at once builds no power at all

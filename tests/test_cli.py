@@ -521,9 +521,12 @@ def test_exit_parse_on_bad_config(capsys):
     [
         ["simulate", "--rule", "wolfram:90", "--config", "ep:0|1|0", "--steps", "-1"],
         ["jp", "--rule", "wolfram:90", "--length", "3", "--t-max", "-1"],
-        # the scan and the witness search hand their budget to temporal_cycle
+        # the scan hands its budget to temporal_cycle
         ["scan", "--rule", "wolfram:90", "--t-max", "-1"],
+        # the witness searches check t_max before a miss can end them
         ["witness", "--rule", "additive:m=4;r=1;c=2,1,2", "--t-max", "-1"],
+        ["witness", "--rule", "additive:m=2;r=1;c=1,0,1", "--t-max", "-1"],
+        ["witness", "--rule", "wolfram:90", "--u", "1", "--t-max", "-1"],
         # the scan and the blocking search check their own bounds up front
         ["scan", "--rule", "wolfram:90", "--tail-period-max", "-1"],
         ["scan", "--rule", "wolfram:90", "--mid-len-max", "-1"],

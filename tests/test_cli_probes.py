@@ -212,6 +212,12 @@ PROBES = [
         EXIT_OK,
         "60377ba2ba005a5c8dffc2224b9d19da3aca57438cfa12d59a45968b4ddfd4e5",
     ),
+    # Residual over two prime-power factors, h = 2^11 mod 2^12 and 5^11 mod 5^12
+    (
+        ["classify", "--rule", "additive:m=1000000000000;r=1;c=10,3,10", *JSON],
+        EXIT_OK,
+        "7f4c8ff52596f490369dbf48847f496055a9bf38b0249425ec692f884454a9fb",
+    ),
     (["classify", "--rule", "additive:m=3317602040901673469388079;r=1;c=0,1,0"], EXIT_RESOURCE, EMPTY),
     (["classify", "--rule", "additive:m=618970019642690137449562111;r=1;c=0,1,0"], EXIT_RESOURCE, EMPTY),
 ]

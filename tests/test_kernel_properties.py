@@ -247,7 +247,7 @@ def test_variable_scans_match_single_position_perturbation(rule):
     # the kernel spans the essential positions; a constant one keeps position 0
     _, kernel_width, kernel_lo, _ = _kernel(rule)
     assert (kernel_lo, kernel_lo + kernel_width - 1) == (essential_span(rule) or (0, 0))
-    assert _bijective_ends(table, k, width) == _reference_bijective_ends(table, k, width)
+    assert _bijective_ends(table, k) == _reference_bijective_ends(table, k, width)
 
 
 SHIFT_RULES = [
@@ -580,7 +580,7 @@ def test_packed_composition_and_trim_match_the_tuple_route(case):
         assert _trim(table, k, w, lo) == (table_, w_, lo_)
         assert _trim(bytes(table), k, w, lo) == (bytes(table_), w_, lo_)
         ends = _reference_bijective_ends(table, k, w)
-        assert _bijective_ends(table, k, w) == _bijective_ends(bytes(table), k, w) == ends
+        assert _bijective_ends(table, k) == _bijective_ends(bytes(table), k) == ends
 
 
 # rules over more than 256 window words keep tuples in the power walk

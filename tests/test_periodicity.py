@@ -425,6 +425,15 @@ def test_stp_witness_requires_surjectivity():
         stp_witness(AND_RULE, fake, (1,))
 
 
+def test_witness_searches_check_t_max_before_anything_else():
+    # a rule that is not onto, and one whose search would miss at once
+    fake = BlockingCert((0,), 0, 1, 0, 0, BlockingStatus.BOUNDED_VERIFIED)
+    with pytest.raises(ValueError, match="t_max must be non-negative"):
+        stp_witness(AND_RULE, fake, (), -1)
+    with pytest.raises(ValueError, match="t_max must be non-negative"):
+        stp_witness_additive(RULE90_ADD, -1)
+
+
 def test_stp_witness_additive_mixed_factors():
     witness = stp_witness_additive(M6_ADD)
     assert isinstance(witness, StpWitness)

@@ -112,6 +112,26 @@ def test_wolfram_code_bounds():
         TableRule.from_wolfram(-1)
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: TableRule.from_wolfram(0, alphabet_size=1), "need alphabet_size >= 2"),
+        (lambda: TableRule.from_wolfram(0, radius=-1), "radius >= 0"),
+        (lambda: TableRule(2, 1, (0, 1) * 4, offset=1).wolfram_code(), "only offset-0 rules"),
+        (lambda: AdditiveRule(4, -1, {}), "radius must be non-negative"),
+        (
+            lambda: compose_table(TableRule.from_wolfram(90), TableRule.from_wolfram(0, 3)),
+            "different alphabets",
+        ),
+        (lambda: CyclicConfig(1, (0,)), "alphabet_size must be at least 2"),
+        (lambda: EpConfig(1, (0,), (), (0,)), "alphabet_size must be at least 2"),
+    ],
+)
+def test_constructors_refuse_degenerate_shapes(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_table_builders_refuse_oversized_tables():
     assert len(TableRule.from_wolfram(0, alphabet_size=2, radius=9).table) == 2**19
     rule90 = TableRule.from_wolfram(90)
@@ -475,7 +495,7 @@ def test_padding_preserves_the_global_map():
 
 def _permutative_sides(rule: TableRule) -> tuple[bool, bool]:
     """Whether the table is bijective in its leftmost / rightmost variable."""
-    return _bijective_ends(rule.table, rule.alphabet_size, rule.width)
+    return _bijective_ends(rule.table, rule.alphabet_size)
 
 
 def test_permutativity_examples():
