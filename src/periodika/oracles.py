@@ -228,11 +228,12 @@ def _packed_power_walk(rule: TableRule) -> tuple[EquicontinuityCert | OracleUnkn
     ``bytes`` (composed by ``rules._compose_bytes``) when it has at most
     256 entries, else tuples.
 
-    F^(n+1) = F o F^n is composed over the span of F^n widened by F's, then
-    trimmed.  A trimmed table is canonical, so the pair ``(table, width)``
-    keys the repeat memo as it is, and ``lo`` tells an exact repeat from a
-    translated one.  The cap test reads ``width // 2``, the radius of a
-    span's canonical TableRule, for the power and for F.
+    F^1 is F's kernel span as it is; F^(n+1) = F o F^n for n >= 1 is
+    composed over the span of F^n widened by F's, then trimmed.  A trimmed
+    table is canonical, so the pair ``(table, width)`` keys the repeat memo
+    as it is, and ``lo`` tells an exact repeat from a translated one.  The
+    cap test reads ``width // 2``, the radius of a span's canonical
+    TableRule, for the power and for F.
 
     After a translated repeat ``F^n = s^t o F^q`` every later power is the
     one ``p = n - q`` back, moved by t; its width is one the cap test has
@@ -248,7 +249,10 @@ def _packed_power_walk(rule: TableRule) -> tuple[EquicontinuityCert | OracleUnkn
         g, g_w, g_lo = cur
         if k ** (2 * (g_w // 2 + f_w // 2) + 1) > MAX_POWER_CELLS:
             return OracleUnknown(f"table cap reached at power {n}", n - 1), powers
-        cur = _trim(_compose(k, f, f_w, g, g_w), k, g_w + f_w - 1, g_lo + f_lo)
+        if n == 1:
+            cur = f, f_w, f_lo
+        else:
+            cur = _trim(_compose(k, f, f_w, g, g_w), k, g_w + f_w - 1, g_lo + f_lo)
         powers.append(cur)
         q = memo.setdefault(cur[:2], n)
         if q != n:

@@ -186,16 +186,32 @@ class AdditiveRule:
 
 
 def table_from_additive(rule: AdditiveRule) -> TableRule:
-    """Expand an additive rule into an explicit table over Z_m."""
+    """Expand an additive rule into an explicit table over Z_m, with its
+    kernel (see ``_kernel``) written in.
+
+    Position j is essential iff c_j != 0 (mod m), so the span table is
+    built over the support's hull directly (one position, at 0, for the
+    zero rule) and padded to the declared window."""
     m, r = rule.modulus, rule.radius
     _table_size(m, 2 * r + 1)
-    # one level per window position, left to right (big-endian): every sum
-    # so far is extended by each letter's term; reduced mod m at the end
-    sums = [0]
-    for c in rule.coefficient_list():
-        terms = [c * a for a in range(m)]
-        sums = [s + t for s in sums for t in terms]
-    return _table_rule(m, r, tuple([s % m for s in sums]))
+    support = rule.support or (0,)
+    lo, hi = support[0], support[-1]
+    if m > 256:  # radius 0 only (m**3 is past the table cap): one position
+        span = tuple([rule.coeffs.get(0, 0) * a % m for a in range(m)])
+    else:
+        # one level per span position, right to left (big-endian): letter a
+        # at position j leads m copies of the table so far, each moved by
+        # a*c_j; ring[s : s + 256] maps every letter v < m to (v + s) % m
+        ring = bytes(range(m)) * (256 // m + 2)
+        span = bytes(1)
+        for j in reversed(range(lo, hi + 1)):
+            shifts = [a * rule.coeffs.get(j, 0) % m for a in range(m)]
+            span = b"".join([span.translate(ring[s : s + 256]) for s in shifts])
+    kernel = _packed(span, m, hi - lo + 1, lo)
+    # a tuple span over the whole window is the table itself
+    out = _table_rule(m, r, tuple(_pad(kernel[0], m, lo + r, r - hi)))
+    out.__dict__["_kernel"] = kernel
+    return out
 
 
 def compose_additive(f: AdditiveRule, g: AdditiveRule) -> AdditiveRule:
@@ -299,23 +315,30 @@ def _span_rule(k: int, table: tuple[int, ...], width: int, lo: int) -> TableRule
 def _kernel(rule: TableRule):
     """``(table, width, lo, image)``: the table of ``rule`` cut to its
     essential span, over the positions ``lo .. lo + width - 1`` (see
-    ``_trim``), and the reader of its image.  A span table of at most 256
-    entries is ``bytes``, read by ``_byte_image`` (every window of a cell
-    run at once), a wider one a tuple, read by ``_image``; the cells and
-    the image have the type of ``table``.  Built once per rule and kept in
-    its ``__dict__``, beside the fields, which the frozen dataclass
-    compares, hashes and prints without it."""
+    ``_trim``), and the reader of its image (see ``_packed``).  Kept in the
+    rule's ``__dict__``, beside the fields, which the frozen dataclass
+    compares, hashes and prints without it: written there by
+    ``table_from_additive``, else built once, on the first read."""
     kernel = rule.__dict__.get("_kernel")
     if kernel is None:
         k = rule.alphabet_size
         table, width, lo = _trim(rule.table, k, rule.width, rule.offset - rule.radius)
-        if len(table) > 256:
-            image = partial(_image, table, k, width)
-        else:
-            table = bytes(table)
-            image = partial(_byte_image, table.ljust(256, b"\0"), k, range(8 * width - 8, -8, -8))
-        kernel = rule.__dict__["_kernel"] = table, width, lo, image
+        kernel = rule.__dict__["_kernel"] = _packed(table, k, width, lo)
     return kernel
+
+
+def _packed(table, k: int, width: int, lo: int):
+    """The kernel ``(table, width, lo, image)`` of the span table ``table``
+    over ``k`` letters and the positions ``lo .. lo + width - 1``.  A span
+    table of at most 256 entries is ``bytes``, read by ``_byte_image``
+    (every window of a cell run at once), a wider one a tuple, read by
+    ``_image``; the cells and the image have the type of ``table``."""
+    if len(table) > 256:
+        table = tuple(table)
+        return table, width, lo, partial(_image, table, k, width)
+    table = bytes(table)
+    shifts = range(8 * width - 8, -8, -8)
+    return table, width, lo, partial(_byte_image, table.ljust(256, b"\0"), k, shifts)
 
 
 def _byte_image(lut: bytes, k: int, shifts: range, cells: bytes) -> bytes:

@@ -22,7 +22,7 @@ from math import lcm
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from periodika.configs import (
@@ -434,6 +434,8 @@ def _reference_step(rule, x):
 
 @settings(SETTINGS, max_examples=100)
 @given(kernel_cases())
+# a ring whose image has a shorter root: the walk keeps stepping 000
+@example((TableRule.from_wolfram(128), CyclicConfig(2, (0, 1, 1)), 1))
 def test_packed_kernel_matches_a_per_cell_reference(case):
     rule, x, steps = case
     k = rule.alphabet_size
@@ -444,9 +446,11 @@ def test_packed_kernel_matches_a_per_cell_reference(case):
     want = [x]
     for _ in range(steps):
         want.append(_reference_step(rule, want[-1]))
-    for state, y in zip(islice(_orbit(rule, _state(x)), steps + 1), want, strict=True):
-        assert all(type(word) is pack for word in state[:3])
-        assert (*map(tuple, state[:3]), state[3]) == _state(y)
+    walk = list(islice(_orbit(rule, _state(x)), steps + 1))
+    assert all(type(word) is pack for state in walk for word in state[:3])
+    # rings compare rooted, eventually periodic states exactly (see _rooted)
+    rooted = [(*map(tuple, state[:3]), state[3]) for state in _rooted(walk)]
+    assert rooted == [_state(y) for y in want]
     rows = tuple(tuple(value_at(y, i) for i in range(-12, 13)) for y in want)
     assert space_time(rule, x, steps, -12, 12).rows == rows
     assert temporal_cycle(rule, x, 12, 64) == _full_walk(rule, x, 12, 64, _reference_step)
@@ -516,8 +520,9 @@ def test_power_walk_matches_a_walk_over_padded_tables(rule):
 
 
 def test_power_walk_of_a_shift_stops_at_its_first_translated_repeat(monkeypatch):
-    # F^1 is F^0 moved by one cell, so no power can repeat exactly; the
-    # other 63 powers are translates, not compositions
+    # F^1 is F^0 moved by one cell, so no power can repeat exactly; F^1 is
+    # F's kernel span and the other 63 powers are translates, so nothing is
+    # composed
     calls = []
 
     def counted(*args):
@@ -526,8 +531,9 @@ def test_power_walk_of_a_shift_stops_at_its_first_translated_repeat(monkeypatch)
 
     monkeypatch.setattr(oracles, "_compose", counted)
     rule = table_from_additive(parse_rule_spec("additive:m=2;r=1;c=0,0,1"))
+    assert _packed_power_walk(rule)[1][1] == _kernel(rule)[:3]
     cert, powers = power_rules(rule)
-    assert len(calls) == 1
+    assert len(calls) == 0
     assert cert == OracleUnknown("power budget exhausted", MAX_POWERS)
     assert (cert, powers) == _reference_walk(rule)
 

@@ -21,6 +21,7 @@ from periodika.rules import (
     RuleSpecError,
     TableRule,
     _bijective_ends,
+    _kernel,
     _table_rule,
     canonicalize_table,
     compose_additive,
@@ -279,14 +280,33 @@ def test_rule_90_is_wolfram_90():
     assert table_from_additive(RULE90).table == TableRule.from_wolfram(90).table
 
 
+# one-sided supports, supports narrower than the window, zero rules, and
+# radius-0 rules past 256 letters, whose span tables are tuples
+SPAN_SHAPES = [
+    parse_rule_spec(text)
+    for text in (
+        "additive:m=2;r=1;c=0,0,1",
+        "additive:m=5;r=1;c=3,0,0",
+        "additive:m=2;r=2;c=0,1,1,0,0",
+        "additive:m=4;r=2;c=0,2,0,0,0",
+        "additive:m=3;r=2;c=0,0,0,0,0",
+        "additive:m=300;r=0;c=7",
+        "additive:m=300;r=0;c=0",
+        "additive:m=1000;r=0;c=999",
+    )
+]
+
+
 def test_table_from_additive_matches_a_per_word_sum():
-    # the level-by-level build against one zip-sum per window word
+    # the level-by-level build over the support against one zip-sum per
+    # window word of the declared window
     rng = random.Random(11)
     rules = [rule for m in range(2, 7) for rule in _all_additive(m)]
     rules += [
         AdditiveRule(m, 2, {j: rng.randrange(m) for j in range(-2, 3)})
         for m in rng.choices(range(2, 8), k=40)
     ]
+    rules += SPAN_SHAPES
     for rule in rules:
         m, dense = rule.modulus, rule.coefficient_list()
         expected = tuple(
@@ -296,6 +316,27 @@ def test_table_from_additive_matches_a_per_word_sum():
         table = table_from_additive(rule)
         assert table == TableRule(m, rule.radius, expected), rule
         assert all(type(a) is int for a in table.table)
+
+
+def test_the_seeded_kernel_is_the_computed_one():
+    # table_from_additive writes the kernel in; it must be the one _kernel
+    # reads off a fresh rule with the same table
+    rng = random.Random(13)
+    rules = [rule for m in range(2, 13) for rule in _all_additive(m)]
+    rules += [
+        AdditiveRule(m, 2, {j: rng.randrange(m) for j in range(-2, 3)})
+        for m in rng.choices(range(2, 8), k=40)
+    ]
+    rules += SPAN_SHAPES
+    for rule in rules:
+        table = table_from_additive(rule)
+        seeded = _kernel(table)
+        fresh = _kernel(_table_rule(table.alphabet_size, table.radius, table.table))
+        assert type(seeded[0]) is type(fresh[0]) and seeded[:3] == fresh[:3], rule
+        pack, width = type(fresh[0]), fresh[1]
+        for n in (1, 9):
+            cells = pack(rng.randrange(rule.modulus) for _ in range(n + width - 1))
+            assert seeded[3](cells) == fresh[3](cells), rule
 
 
 def test_trusted_constructor_matches_the_public_one():
